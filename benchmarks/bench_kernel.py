@@ -1,6 +1,6 @@
 """Compare the compiled kernel against the pure-Python reference.
 
-Run after an editable install:
+Run after an editable install (which builds the C extension):
 
     python benchmarks/bench_kernel.py
 """
@@ -13,9 +13,9 @@ import time
 from sumsetchains import _kernel_py as py
 
 try:
-    from sumsetchains import _kernel as cy
+    from sumsetchains import _kernel as c
 except ImportError:
-    cy = None
+    c = None
 
 
 def _time(fn, *args, repeat: int = 3) -> float:
@@ -53,19 +53,19 @@ def main() -> None:
         ("sweep_slice  k=7 m<=40", _sweep_batch, (7, range(6, 41), 23)),
     ]
 
-    print(f"{'kernel job':<24} {'python':>10} {'cython':>10} {'speedup':>9}")
+    print(f"{'kernel job':<24} {'python':>10} {'c':>10} {'speedup':>9}")
     for name, fn, args in jobs:
         t_py = _time(fn, py, *args)
-        if cy is None:
+        if c is None:
             print(f"{name:<24} {t_py:>9.4f}s {'missing':>10} {'':>9}")
             continue
         got_py = fn(py, *args)
-        got_cy = fn(cy, *args)
-        assert got_py == got_cy, f"kernel mismatch in {name}"
-        t_cy = _time(fn, cy, *args)
-        print(f"{name:<24} {t_py:>9.4f}s {t_cy:>9.4f}s {t_py / t_cy:>8.1f}x")
+        got_c = fn(c, *args)
+        assert got_py == got_c, f"kernel mismatch in {name}"
+        t_c = _time(fn, c, *args)
+        print(f"{name:<24} {t_py:>9.4f}s {t_c:>9.4f}s {t_py / t_c:>8.1f}x")
 
-    if cy is None:
+    if c is None:
         print("\ncompiled kernel not available; build with: pip install -e .")
 
 

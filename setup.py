@@ -1,20 +1,11 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    # Pure-Python install still works; the kernel falls back at import time.
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "sumsetchains._kernel",
-                ["src/sumsetchains/_kernel.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level="3",
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "sumsetchains._kernel",
+            ["src/sumsetchains/_kernel.c"],
+            extra_compile_args=["-O3"],
+        )
+    ]
+)

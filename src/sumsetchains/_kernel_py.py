@@ -1,6 +1,6 @@
 """Pure-Python kernel: reference implementation of the hot primitives.
 
-The compiled extension (_kernel.pyx) mirrors these functions exactly; either
+The compiled extension (_kernel.c) mirrors these functions exactly; either
 one can serve the rest of the package. Keep the two in lockstep: the cross
 tests enumerate small inputs and require identical output, including ordering.
 """
@@ -8,6 +8,7 @@ tests enumerate small inputs and require identical output, including ordering.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import combinations
 
 BACKEND = "python"
@@ -85,6 +86,7 @@ def rank_of_rows(rows: list[list[int]], width: int, cap: int) -> int:
 
 def lambda_rank(elements: tuple[int, ...]) -> int:
     """Rank of the additive-relation vectors of A (at most |A| - 2)."""
+    elements = tuple(map(operator.index, elements))
     k = len(elements)
     return rank_of_rows(_generator_rows(elements), k, k - 2)
 
@@ -103,6 +105,7 @@ def sweep_slice(k: int, m: int, t_max: int) -> list[int]:
     one-dimensional k-set with min 0 and max m. Sorted ascending."""
     if k < 3:
         raise ValueError("sweep_slice requires k >= 3")
+    t_max = operator.index(t_max)
     realized: set[int] = set()
     for interior in combinations(range(1, m), k - 2):
         g = m

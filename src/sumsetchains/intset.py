@@ -53,7 +53,7 @@ class IntSet:
         return iter(self.elements)
 
     def __contains__(self, x: object) -> bool:
-        return x in set(self.elements)
+        return x in self.elements
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntSet):

@@ -31,11 +31,14 @@ if _choice != "py":
             stacklevel=2,
         )
 
-BACKEND = "cython" if _c is not None else "python"
+BACKEND = "c" if _c is not None else "python"
 
-# The compiled paths assume int64 arithmetic; route anything wider to the
-# pure implementation (Bareiss minors stay under 2**63 for k <= 12, and the
-# slice sweeps use fixed 16-word bitsets, max element 511).
+# The compiled kernel works in int64 on elements in the IntSet range
+# (|e| <= 2**60). Past the caps below it raises, so route that input to the
+# pure implementation: rank work takes at most 12 elements (Bareiss minors
+# stay under 2**63), the slice sweeps size their bitsets from m up to
+# m = 511 (8 mask words, 16 accumulator words), and doubling_size allocates
+# spans up to 2**20.
 _RANK_K_CAP = 12
 _SLICE_M_CAP = 511
 _DOUBLING_SPAN_CAP = 1 << 20

@@ -145,7 +145,8 @@ def _realized_slices(
                 _SLICE_CACHE.setdefault((k, int(key)), tuple(ts))
             missing = [m for m in wanted if (k, m) not in _SLICE_CACHE]
     if missing:
-        jobs = [(k, m, t_cap) for m in missing]
+        # largest slice first, so no worker is left with it at the end
+        jobs = [(k, m, t_cap) for m in reversed(missing)]
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(_slice_worker, jobs))
@@ -319,10 +320,23 @@ def verify_conjecture(
     force: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> list[SearchReport]:
-    """One oracle report per legal doubling at cardinality k."""
+    """One oracle report per legal doubling at cardinality k.
+
+    When any report has to be computed, the slices for all of them are swept
+    first in one pass (one process pool), up to the largest default bound
+    that the budget admits.
+    """
     if k < 4:
         raise ValueError("k must be >= 4")
     lo, hi = t_range(k)
+    sweep_bound = 0
+    for t in range(lo, hi + 1):
+        bound = mu(k, t) + k  # vol1_oracle's default
+        cached = use_cache and _report_path(k, t, bound).exists()
+        if not cached and (force or estimated_candidates(k, bound) <= budget):
+            sweep_bound = max(sweep_bound, bound)
+    if sweep_bound:
+        _realized_slices(k, sweep_bound, threads=threads, use_cache=use_cache)
     return [
         vol1_oracle(
             k, t, threads=threads, use_cache=use_cache, force=force, budget=budget

@@ -132,7 +132,7 @@ class TestSearch:
         assert lines[0] == "k,t,c,b,mu,observed_max_vol,attained,witness,violations"
         assert lines[1] == '4,7,2,0,3,4,1,"{0,1,2,3}",0'
         meta = json.loads((tmp_path / "report.meta.json").read_text())
-        assert meta["backend"] in ("cython", "python")
+        assert meta["backend"] in ("c", "python")
         assert meta["threads"] == 1 and meta["force"] is False
         witnesses = [
             json.loads(line)
