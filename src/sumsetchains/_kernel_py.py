@@ -100,6 +100,19 @@ def is_one_dimensional(elements: tuple[int, ...]) -> bool:
     return lambda_rank(elements) == k - 2
 
 
+def normal_tuples(k: int, m: int):
+    """Every normal-form (gcd 1) k-tuple (0, *interior, m), interiors in
+    lexicographic order: the one odometer of the pure kernel."""
+    for interior in combinations(range(1, m), k - 2):
+        g = m
+        for e in interior:
+            g = math.gcd(g, e)
+            if g == 1:
+                break
+        if g == 1:
+            yield (0, *interior, m)
+
+
 def sweep_slice(k: int, m: int, t_max: int) -> list[int]:
     """Doubling values T <= t_max realized by some normal-form (gcd 1)
     one-dimensional k-set with min 0 and max m. Sorted ascending."""
@@ -107,15 +120,7 @@ def sweep_slice(k: int, m: int, t_max: int) -> list[int]:
         raise ValueError("sweep_slice requires k >= 3")
     t_max = operator.index(t_max)
     realized: set[int] = set()
-    for interior in combinations(range(1, m), k - 2):
-        g = m
-        for e in interior:
-            g = math.gcd(g, e)
-            if g == 1:
-                break
-        if g != 1:
-            continue
-        elems = (0,) + interior + (m,)
+    for elems in normal_tuples(k, m):
         t = doubling_size(elems)
         if t > t_max or t in realized:
             continue
@@ -131,15 +136,7 @@ def collect_slice(k: int, m: int, ts) -> dict[int, list[tuple[int, ...]]]:
         raise ValueError("collect_slice requires k >= 3")
     wanted = set(ts)
     out: dict[int, list[tuple[int, ...]]] = {t: [] for t in sorted(wanted)}
-    for interior in combinations(range(1, m), k - 2):
-        g = m
-        for e in interior:
-            g = math.gcd(g, e)
-            if g == 1:
-                break
-        if g != 1:
-            continue
-        elems = (0,) + interior + (m,)
+    for elems in normal_tuples(k, m):
         t = doubling_size(elems)
         if t in wanted and is_one_dimensional(elems):
             out[t].append(elems)

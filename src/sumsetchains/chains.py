@@ -21,11 +21,11 @@ import math
 from dataclasses import dataclass
 
 from . import kernel
-from .dimension import is_one_dimensional
+from .dimension import is_one_dimensional, out_of_hull_pool
 from .doubling import DoublingProfile, mu, profile
 from .errors import CapacityError, FactorizationFailed
-from .growth import Factorization, factorize, replay
-from .intset import IntSet, difference_set, doubling, normalize, sumset
+from .growth import Factorization, factorize, replay, shrinks_into_threshold
+from .intset import IntSet, doubling, normal_tuple
 
 CHAIN_ENUM_CAP = 10
 
@@ -45,22 +45,11 @@ def _raw_volume(elems: tuple[int, ...]) -> int:
     return (elems[-1] - base) // g + 1 if g else 1
 
 
-def _normal_tuple(elems: tuple[int, ...]) -> tuple[int, ...]:
-    base = elems[0]
-    shifted = [e - base for e in elems]
-    g = 0
-    for e in shifted[1:]:
-        g = math.gcd(g, e)
-    if g > 1:
-        shifted = [e // g for e in shifted]
-    return tuple(shifted)
-
-
 def _canonical_tuple(elems: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
     """Canonical representative under translation/dilation/reflexion: the
     lexicographically larger of the normal form and its reflexion. The flag
     says whether the reflexion was chosen."""
-    norm = _normal_tuple(elems)
+    norm = normal_tuple(elems)[0]
     m = norm[-1]
     refl = tuple(m - e for e in reversed(norm))
     return (refl, True) if refl > norm else (norm, False)
@@ -74,16 +63,6 @@ def _doubling_cap(k: int) -> int:
     return k * (k - 1) // 2 + 2
 
 
-def _competitor_pool(prev: tuple[int, ...]) -> list[int]:
-    """Single-element extensions of prev outside its hull that can keep the
-    set one-dimensional: the points of 2P - P beyond either end. An element
-    outside 2P - P contributes |P| + 1 fresh sums, which leaves the relation
-    rank unchanged and forces dimension 2."""
-    p = IntSet(prev)
-    pool = difference_set(sumset(p, p), p)
-    return [y for y in pool if y < prev[0] or y > prev[-1]]
-
-
 def _extension_ok(prev: tuple[int, ...], nxt: tuple[int, ...]) -> bool:
     t_next = kernel.doubling_size(nxt)
     if t_next > _doubling_cap(len(nxt)):
@@ -92,7 +71,7 @@ def _extension_ok(prev: tuple[int, ...], nxt: tuple[int, ...]) -> bool:
         return False
     vol_next = _raw_volume(nxt)
     best = vol_next
-    for y in _competitor_pool(prev):
+    for y in out_of_hull_pool(IntSet(prev)):
         cand = tuple(sorted(prev + (y,)))
         if cand == nxt:
             continue
@@ -133,7 +112,7 @@ def _chain_level(k: int) -> dict[tuple[int, ...], int]:
         cap = _doubling_cap(i)
         by_t: dict[int, dict[tuple[int, ...], int]] = {}
         for prev in _LEVELS[i - 1]:
-            for y in _competitor_pool(prev):
+            for y in out_of_hull_pool(IntSet(prev)):
                 cand = tuple(sorted(prev + (y,)))
                 canon, _ = _canonical_tuple(cand)
                 t = kernel.doubling_size(canon)
@@ -270,7 +249,7 @@ def verify_main_theorem(cert: ChainCertificate) -> TheoremReport:
     t_base = doubling(base)
     limit = 3 * len(base) - 4
     if fact.b_prime_case:
-        factorization_ok = t_base > limit and _one_deletion_compliant(base)
+        factorization_ok = t_base > limit and shrinks_into_threshold(base)
         if not factorization_ok:
             failures.append(
                 f"flagged base {base.to_text()} is not one deletion away from "
@@ -301,16 +280,6 @@ def verify_main_theorem(cert: ChainCertificate) -> TheoremReport:
         expected_volume=expected,
         failures=tuple(failures),
     )
-
-
-def _one_deletion_compliant(base: IntSet) -> bool:
-    if len(base) < 4:
-        return False
-    for drop in (base.min, base.max):
-        rest = normalize(base.remove(drop))[0]
-        if doubling(rest) <= 3 * len(rest) - 4:
-            return True
-    return False
 
 
 def _freiman_equivalent(x: IntSet, y: IntSet) -> bool:

@@ -61,8 +61,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_cache_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--threads", type=positive_int, default=1, help="worker processes")
     p.add_argument("--no-cache", action="store_true", help="bypass the disk cache")
     p.add_argument("--force", action="store_true", help="override the sweep budget")
     p.add_argument(

@@ -9,10 +9,10 @@ is exactly k - 2.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import kernel
-from ._kernel_py import rank_of_rows
 from .errors import CapacityError
 from .intset import IntSet, difference_set, normalize, require_normal, sumset
 
@@ -21,42 +21,16 @@ FISO_CAP = 10
 
 @dataclass(frozen=True)
 class RelationBasis:
-    """All equal-sum quadruples of A and the rank of their span.
-
-    relations holds every (i, j, r, s) with i <= j, r <= s,
-    (i, j) < (r, s) lexicographically and a_i + a_j = a_r + a_s.
-    """
+    """The rank of the span of all equal-sum quadruples of A."""
 
     k: int
-    relations: tuple[tuple[int, int, int, int], ...]
     rank: int
 
 
 def relation_rank(a: IntSet) -> RelationBasis:
     if len(a) < 2:
         raise ValueError("relation_rank requires |A| >= 2")
-    elems = a.elements
-    k = len(elems)
-    by_sum: dict[int, list[tuple[int, int]]] = {}
-    for i in range(k):
-        for j in range(i, k):
-            by_sum.setdefault(elems[i] + elems[j], []).append((i, j))
-    quads: list[tuple[int, int, int, int]] = []
-    rows: list[list[int]] = []
-    for s in sorted(by_sum):
-        group = by_sum[s]
-        for gi in range(len(group)):
-            for gj in range(gi + 1, len(group)):
-                (i, j), (r, t) = group[gi], group[gj]
-                quads.append((i, j, r, t))
-                row = [0] * k
-                row[i] += 1
-                row[j] += 1
-                row[r] -= 1
-                row[t] -= 1
-                rows.append(row)
-    quads.sort()
-    return RelationBasis(k=k, relations=tuple(quads), rank=rank_of_rows(rows, k, k - 2))
+    return RelationBasis(k=len(a), rank=kernel.lambda_rank(a.elements))
 
 
 def additive_dim(a: IntSet) -> int:
@@ -73,6 +47,18 @@ def is_one_dimensional(a: IntSet) -> bool:
     return kernel.is_one_dimensional(a.elements)
 
 
+def out_of_hull_pool(a: IntSet) -> tuple[int, ...]:
+    """The points of 2A - A outside [min A, max A], ascending.
+
+    These are the only single-element extensions beyond the hull that can
+    keep a one-dimensional set one-dimensional: an element outside 2A - A
+    contributes |A| + 1 fresh sums, which leaves the relation rank unchanged
+    and forces dimension 2.
+    """
+    pool = difference_set(sumset(a, a), a).elements
+    return pool[: bisect_left(pool, a.min)] + pool[bisect_right(pool, a.max) :]
+
+
 def extension_candidates(a: IntSet) -> IntSet:
     """Elements x > max(A) with A ∪ {x} still one-dimensional.
 
@@ -82,8 +68,8 @@ def extension_candidates(a: IntSet) -> IntSet:
     require_normal(a, "extension_candidates")
     if not is_one_dimensional(a):
         raise ValueError("extension_candidates requires a one-dimensional set")
-    pool = difference_set(sumset(a, a), a)
-    return IntSet(x for x in pool if x > a.max)
+    pool = out_of_hull_pool(a)
+    return IntSet(pool[bisect_right(pool, a.max) :])
 
 
 def _compatible(a: tuple[int, ...], b: tuple[int, ...], images: list[int], n: int) -> bool:

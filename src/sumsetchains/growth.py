@@ -150,7 +150,9 @@ def _below_threshold(a: IntSet) -> bool:
     return doubling(a) <= 3 * len(a) - 4
 
 
-def _shrinks_into_threshold(a: IntSet) -> bool:
+def shrinks_into_threshold(a: IntSet) -> bool:
+    """Does deleting min(A) or max(A) land, after normalizing, in the
+    |2B| <= 3|B| - 4 regime?"""
     for drop in (a.min, a.max):
         rest = normalize(a.remove(drop))[0]
         if _below_threshold(rest):
@@ -201,7 +203,7 @@ def factorize(a: IntSet) -> Factorization:
         if not candidates:
             if below:
                 break
-            if _shrinks_into_threshold(x):
+            if shrinks_into_threshold(x):
                 return Factorization(base=x, steps=tuple(steps), b_prime_case=True)
             raise FactorizationFailed(
                 f"stuck at {x.to_text()} with |2X| = {doubling(x)} > 3|X|-4"

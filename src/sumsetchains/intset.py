@@ -181,20 +181,25 @@ def is_normal(a: IntSet) -> bool:
     return len(a) == 1 or math.gcd(*a.elements) == 1
 
 
+def normal_tuple(elems: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
+    """(normal form, shift, scale) of a sorted tuple of distinct ints, with
+    elems = scale * normal form + shift."""
+    shift = elems[0]
+    shifted = [e - shift for e in elems]
+    scale = math.gcd(*shifted) or 1
+    if scale > 1:
+        shifted = [e // scale for e in shifted]
+    return tuple(shifted), shift, scale
+
+
 def normalize(a: IntSet) -> tuple[IntSet, int, int]:
     """Return (normal form, shift, scale) with A = scale * result + shift.
 
     The normal form has min 0 and element gcd 1; it is the canonical
     representative of A under translation and dilation.
     """
-    shift = a.min
-    shifted = [e - shift for e in a.elements]
-    scale = math.gcd(*shifted) if len(shifted) > 1 else 1
-    if scale == 0:
-        scale = 1
-    if scale > 1:
-        shifted = [e // scale for e in shifted]
-    return IntSet(shifted), shift, scale
+    elems, shift, scale = normal_tuple(a.elements)
+    return IntSet(elems), shift, scale
 
 
 def require_normal(a: IntSet, op: str) -> None:

@@ -1,35 +1,22 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
-
-Set SUMSETCHAINS_KERNEL=py to force the fallback (useful for benchmarking and
-for testing the pure path); SUMSETCHAINS_KERNEL=c fails loudly if the
-extension is missing.
-"""
+"""Kernel selection: the compiled extension when it can be imported, the
+pure-Python twin otherwise (with a warning)."""
 
 from __future__ import annotations
 
-import os
 import warnings
 
 from . import _kernel_py as _py
 
-_choice = os.environ.get("SUMSETCHAINS_KERNEL", "").strip().lower()
-if _choice not in ("", "c", "py"):
-    raise RuntimeError(f"SUMSETCHAINS_KERNEL must be 'c' or 'py', got {_choice!r}")
-
-_c = None
-if _choice != "py":
-    try:
-        from . import _kernel as _c  # type: ignore[attr-defined]
-    except ImportError:
-        _c = None
-        if _choice == "c":
-            raise
-        warnings.warn(
-            "compiled kernel unavailable, using the pure-Python fallback "
-            "(searches will be slower)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+try:
+    from . import _kernel as _c  # type: ignore[attr-defined]
+except ImportError:
+    _c = None
+    warnings.warn(
+        "compiled kernel unavailable, using the pure-Python fallback "
+        "(searches will be slower)",
+        RuntimeWarning,
+        stacklevel=2,
+    )
 
 BACKEND = "c" if _c is not None else "python"
 

@@ -15,21 +15,21 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 
 from . import kernel
+from ._kernel_py import normal_tuples
 from .chains import is_chain
-from .dimension import extension_candidates, is_one_dimensional
+from .dimension import extension_candidates, is_one_dimensional, out_of_hull_pool
 from .doubling import mu, profile, t_range
 from .errors import CapacityError, DecompositionNotUnique, NotDecomposable
 from .growth import adjoin_double_max
 from .intset import (
     IntSet,
-    difference_set,
     doubling,
     is_progression,
     reflexion,
@@ -83,17 +83,10 @@ def enumerate_normal_sets(
     for m in range(k - 1, max_elem + 1):
         if cursor is not None and m < cursor[0]:
             continue
-        for interior in combinations(range(1, m), k - 2):
-            if cursor is not None and m == cursor[0] and interior <= cursor[1]:
+        for elems in normal_tuples(k, m):
+            if cursor is not None and m == cursor[0] and elems[1:-1] <= cursor[1]:
                 continue
-            g = m
-            for e in interior:
-                g = math.gcd(g, e)
-                if g == 1:
-                    break
-            if g != 1:
-                continue
-            yield IntSet((0, *interior, m))
+            yield IntSet(elems)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +112,48 @@ def _slices_path(k: int) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    os.replace(tmp, path)
+    # a temp name of its own per writer, so concurrent runs never collide
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(json.dumps(payload, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _read_slices(k: int) -> dict[int, tuple[int, ...]]:
+    """The slices file of k. A file that does not parse, names another k or
+    holds non-integer entries counts as missing; the next sweep overwrites
+    it."""
+    try:
+        stored = json.loads(_slices_path(k).read_text())
+    except (OSError, ValueError):
+        return {}
+    if not (isinstance(stored, dict) and _is_int(stored.get("k")) and stored["k"] == k):
+        return {}
+    slices = stored.get("slices")
+    if not isinstance(slices, dict) or not all(
+        key.isdecimal() and isinstance(ts, list) and all(map(_is_int, ts))
+        for key, ts in slices.items()
+    ):
+        return {}
+    return {int(key): tuple(ts) for key, ts in slices.items()}
+
+
+def _missing_slices(k: int, bound: int, use_cache: bool) -> list[int]:
+    wanted = range(k - 1, bound + 1)
+    missing = [m for m in wanted if (k, m) not in _SLICE_CACHE]
+    if missing and use_cache:
+        for m, ts in _read_slices(k).items():
+            _SLICE_CACHE.setdefault((k, m), ts)
+        missing = [m for m in wanted if (k, m) not in _SLICE_CACHE]
+    return missing
 
 
 def _slice_worker(args: tuple[int, int, int]) -> tuple[int, tuple[int, ...]]:
@@ -135,15 +167,7 @@ def _realized_slices(
     """Realized doublings per maximum element m for m <= bound, restricted
     to one-dimensional sets (whose doubling never exceeds C(k,2) + 2)."""
     t_cap = t_range(k)[1]
-    wanted = range(k - 1, bound + 1)
-    missing = [m for m in wanted if (k, m) not in _SLICE_CACHE]
-    if missing and use_cache:
-        path = _slices_path(k)
-        if path.exists():
-            stored = json.loads(path.read_text()).get("slices", {})
-            for key, ts in stored.items():
-                _SLICE_CACHE.setdefault((k, int(key)), tuple(ts))
-            missing = [m for m in wanted if (k, m) not in _SLICE_CACHE]
+    missing = _missing_slices(k, bound, use_cache)
     if missing:
         # largest slice first, so no worker is left with it at the end
         jobs = [(k, m, t_cap) for m in reversed(missing)]
@@ -159,7 +183,30 @@ def _realized_slices(
                 str(m): list(ts) for (kk, m), ts in _SLICE_CACHE.items() if kk == k
             }
             _write_json(_slices_path(k), {"k": k, "slices": known})
-    return {m: _SLICE_CACHE[(k, m)] for m in wanted}
+    return {m: _SLICE_CACHE[(k, m)] for m in range(k - 1, bound + 1)}
+
+
+def _realizing_maxima(
+    k: int,
+    t: int,
+    bound: int,
+    *,
+    threads: int,
+    use_cache: bool,
+    force: bool,
+    budget: int = DEFAULT_BUDGET,
+) -> list[int]:
+    """The maxima m <= bound, ascending, at which some one-dimensional normal
+    k-set has doubling t. Raises CapacityError when the slice table does not
+    cover the bound yet and sweeping the rest would exceed the budget."""
+    est = estimated_candidates(k, bound)
+    if est > budget and not force and _missing_slices(k, bound, use_cache):
+        raise CapacityError(
+            f"sweep at k={k}, bound={bound} needs about {est} candidates, "
+            f"over the budget of {budget}; raise the budget or force"
+        )
+    slices = _realized_slices(k, bound, threads=threads, use_cache=use_cache)
+    return [m for m in sorted(slices) if t in slices[m]]
 
 
 def _collect(k: int, m: int, t: int) -> tuple[IntSet, ...]:
@@ -203,25 +250,6 @@ class SearchReport:
         }
 
 
-def _report_path(k: int, t: int, bound: int) -> Path:
-    return cache_dir() / f"report_k{k}_t{t}_b{bound}_v{CACHE_VERSION}.json"
-
-
-def _load_report(path: Path, elapsed: float) -> SearchReport:
-    d = json.loads(path.read_text())
-    return SearchReport(
-        k=d["k"],
-        t=d["t"],
-        mu=d["mu"],
-        search_bound=d["search_bound"],
-        observed_max_vol=d["observed_max_vol"],
-        witness_sets=tuple(IntSet(w) for w in d["witnesses"]),
-        violation_list=tuple(IntSet(v) for v in d["violations"]),
-        attained=d["attained"],
-        elapsed=elapsed,
-    )
-
-
 def vol1_oracle(
     k: int,
     t: int,
@@ -237,7 +265,8 @@ def vol1_oracle(
 
     The default bound mu(k,t) + k leaves slack above the conjectured
     maximum, so a counterexample just above it would be found, not assumed
-    away. Completed reports are cached on disk keyed by (k, t, bound).
+    away. The report is derived from the per-k slice table, which is cached
+    on disk; witnesses and violations are collected afresh on each call.
     """
     prof = profile(k, t)
     if bound is None:
@@ -245,17 +274,9 @@ def vol1_oracle(
     if bound < prof.mu:
         raise ValueError(f"bound {bound} is below mu({k},{t}) = {prof.mu}")
     start = time.perf_counter()
-    path = _report_path(k, t, bound)
-    if use_cache and path.exists():
-        return _load_report(path, time.perf_counter() - start)
-    est = estimated_candidates(k, bound)
-    if est > budget and not force:
-        raise CapacityError(
-            f"sweep at k={k}, bound={bound} needs about {est} candidates, "
-            f"over the budget of {budget}; raise the budget or force"
-        )
-    slices = _realized_slices(k, bound, threads=threads, use_cache=use_cache)
-    ms = [m for m in sorted(slices) if t in slices[m]]
+    ms = _realizing_maxima(
+        k, t, bound, threads=threads, use_cache=use_cache, force=force, budget=budget
+    )
     if ms:
         top = ms[-1]
         observed = top + 1
@@ -268,7 +289,7 @@ def vol1_oracle(
         if m > prof.mu:
             violations.extend(_collect(k, m, t))
     constr = attainment_construction(k, t)
-    report = SearchReport(
+    return SearchReport(
         k=k,
         t=t,
         mu=prof.mu,
@@ -279,9 +300,6 @@ def vol1_oracle(
         attained=constr in witnesses,
         elapsed=time.perf_counter() - start,
     )
-    if use_cache:
-        _write_json(path, report.as_dict())
-    return report
 
 
 def attainment_construction(k: int, t: int) -> IntSet:
@@ -302,14 +320,16 @@ def is_1_extremal(
     force: bool = False,
 ) -> bool:
     """Does a have the largest volume among one-dimensional sets with its
-    cardinality and doubling? Decided by the exhaustive oracle."""
+    cardinality and doubling? Decided by the exhaustive oracle's slice table
+    up to its default bound, without collecting witnesses."""
     from .chains import volume_1d
 
     vol = volume_1d(a)
-    report = vol1_oracle(
-        len(a), doubling(a), threads=threads, use_cache=use_cache, force=force
+    k, t = len(a), doubling(a)
+    ms = _realizing_maxima(
+        k, t, mu(k, t) + k, threads=threads, use_cache=use_cache, force=force
     )
-    return vol == report.observed_max_vol
+    return vol == (ms[-1] + 1 if ms else 0)
 
 
 def verify_conjecture(
@@ -322,9 +342,9 @@ def verify_conjecture(
 ) -> list[SearchReport]:
     """One oracle report per legal doubling at cardinality k.
 
-    When any report has to be computed, the slices for all of them are swept
-    first in one pass (one process pool), up to the largest default bound
-    that the budget admits.
+    The slices missing from the table for all of them are swept first in one
+    pass (one process pool), up to the largest default bound that the budget
+    admits.
     """
     if k < 4:
         raise ValueError("k must be >= 4")
@@ -332,8 +352,7 @@ def verify_conjecture(
     sweep_bound = 0
     for t in range(lo, hi + 1):
         bound = mu(k, t) + k  # vol1_oracle's default
-        cached = use_cache and _report_path(k, t, bound).exists()
-        if not cached and (force or estimated_candidates(k, bound) <= budget):
+        if force or estimated_candidates(k, bound) <= budget:
             sweep_bound = max(sweep_bound, bound)
     if sweep_bound:
         _realized_slices(k, sweep_bound, threads=threads, use_cache=use_cache)
@@ -533,11 +552,6 @@ class UniquenessReport:
         return all(c.passed is not False for c in self.checks)
 
 
-def _two_sided_pool(a: IntSet) -> list[int]:
-    pool = difference_set(sumset(a, a), a)
-    return [y for y in pool if y < a.min or y > a.max]
-
-
 def _is_double_max_form(a: IntSet) -> bool:
     body = a.elements[:-1]
     return len(body) >= 2 and a.max == 2 * body[-1]
@@ -727,7 +741,7 @@ def check_uniqueness_lemmas(
         failures = []
         if is_chain(halved) is None:
             failures.append(f"halved even part {halved.to_text()} is not a chain")
-        for y in _two_sided_pool(a):
+        for y in out_of_hull_pool(a):
             b = a.adjoin(y)
             if doubling(b) > 3 * (k + 1) - 4 and is_chain(b) is not None:
                 b_odds = [e for e in b if e % 2]

@@ -166,6 +166,16 @@ class TestVerify:
         assert all(c["ok"] for c in got["conjecture"])
 
 
+@pytest.mark.parametrize("command", ["search", "verify"])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_must_be_positive(capsys, command, threads):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--k", "4", "--threads", threads])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "--threads" in captured.err and captured.out == ""
+
+
 def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["no-such-command"])

@@ -1,12 +1,15 @@
 """Exhaustive volume oracle, extension sweeps, and the uniqueness checks."""
 
+import json
+
 import pytest
 
+from sumsetchains import search
 from sumsetchains.errors import CapacityError
 from sumsetchains.intset import IntSet
 from sumsetchains.search import (
+    CACHE_ENV,
     attainment_construction,
-    cache_dir,
     check_extension_lemmas,
     check_uniqueness_lemmas,
     enumerate_normal_sets,
@@ -93,13 +96,54 @@ class TestOracle:
         assert one.witness_sets == two.witness_sets
         assert one.violation_list == two.violation_list
 
-    def test_cache_round_trip(self):
-        cold = vol1_oracle(6, 14, use_cache=True)
-        files = list(cache_dir().glob("report_k6_t14_*.json"))
-        assert files
-        warm = vol1_oracle(6, 14, use_cache=True)
-        assert warm.observed_max_vol == cold.observed_max_vol
-        assert warm.witness_sets == cold.witness_sets
+    def test_cache_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        cold = vol1_oracle(6, 14)
+        path = tmp_path / "slices_k6_v1.json"
+        assert list(tmp_path.iterdir()) == [path]
+        stored = json.loads(path.read_text())
+        assert stored["k"] == 6
+        assert 14 in stored["slices"][str(cold.observed_max_vol - 1)]
+        # a fresh process reads the table from disk and sweeps nothing
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        monkeypatch.setattr(search.kernel, "sweep_slice", None)
+        warm = vol1_oracle(6, 14)
+        assert warm.as_dict() == cold.as_dict()
+        assert json.loads(path.read_text()) == stored
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "{",
+            '{"k": 5, "slices": {}}',
+            '{"k": 6, "slices": {"8": [14.0]}}',
+            '{"k": 6, "slices": {"x": [14]}}',
+        ],
+    )
+    def test_bad_slice_file_is_recomputed(self, tmp_path, monkeypatch, content):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        path = tmp_path / "slices_k6_v1.json"
+        path.write_text(content)
+        got = vol1_oracle(6, 14)
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        assert got.as_dict() == vol1_oracle(6, 14, use_cache=False).as_dict()
+        assert json.loads(path.read_text())["k"] == 6
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_warm_verify_leaves_the_cache_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        verify_conjecture(6)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert list(before) == ["slices_k6_v1.json"]
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        warm = verify_conjecture(6)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        cold = verify_conjecture(6, use_cache=False)
+        assert [r.as_dict() for r in warm] == [r.as_dict() for r in cold]
 
     def test_verify_conjecture(self):
         reports = verify_conjecture(4)
