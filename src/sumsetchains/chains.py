@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .dimension import is_one_dimensional, out_of_hull_pool
-from .doubling import DoublingProfile, mu, profile
+from .doubling import DoublingProfile, mu, profile, t_range
 from .errors import CapacityError, FactorizationFailed
 from .growth import Factorization, factorize, replay, shrinks_into_threshold
 from .intset import IntSet, doubling, normal_tuple
@@ -59,13 +59,9 @@ def canonical_form(a: IntSet) -> IntSet:
     return IntSet(_canonical_tuple(a.elements)[0])
 
 
-def _doubling_cap(k: int) -> int:
-    return k * (k - 1) // 2 + 2
-
-
 def _extension_ok(prev: tuple[int, ...], nxt: tuple[int, ...]) -> bool:
     t_next = kernel.doubling_size(nxt)
-    if t_next > _doubling_cap(len(nxt)):
+    if t_next > t_range(len(nxt))[1]:
         return False
     if not kernel.is_one_dimensional(nxt):
         return False
@@ -109,7 +105,7 @@ _LEVELS: list[dict[tuple[int, ...], int]] = [{}, {}, {}, {(0, 1, 2): 5}]
 def _chain_level(k: int) -> dict[tuple[int, ...], int]:
     while len(_LEVELS) <= k:
         i = len(_LEVELS)
-        cap = _doubling_cap(i)
+        cap = t_range(i)[1]
         by_t: dict[int, dict[tuple[int, ...], int]] = {}
         for prev in _LEVELS[i - 1]:
             for y in out_of_hull_pool(IntSet(prev)):

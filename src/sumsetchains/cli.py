@@ -340,9 +340,7 @@ def cmd_verify(args) -> int:
         out["conjecture"].append(r.as_dict() | {"ok": ok})
 
     if args.k <= _EXTENSION_SWEEP_K_CAP:
-        sweep = extension_lemma_sweep(
-            args.k, threads=args.threads, use_cache=not args.no_cache
-        )
+        sweep = extension_lemma_sweep(args.k)
         ok = sweep.ok
         failures += 0 if ok else 1
         lines.append(
@@ -420,7 +418,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"sumsetchains: capacity: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"sumsetchains: error: {exc}", file=sys.stderr)
         return 1
 

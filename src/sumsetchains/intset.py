@@ -9,6 +9,7 @@ keeps the exhaustive searches cheap.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Iterator
 
 from . import kernel
@@ -26,12 +27,12 @@ class IntSet:
     elements: tuple[int, ...]
 
     def __init__(self, elements: Iterable[int]):
-        elems = tuple(sorted(set(elements)))
+        # operator.index rejects floats and strings and turns bools and other
+        # int subclasses into plain ints
+        elems = tuple(sorted(set(map(operator.index, elements))))
         if not elems:
             raise ValueError("empty set is not allowed")
         for e in (elems[0], elems[-1]):
-            if not isinstance(e, int):
-                raise TypeError(f"elements must be ints, got {type(e).__name__}")
             if abs(e) > MAX_ABS_ELEMENT:
                 raise ValueError(
                     f"element {e} out of range: |e| must be <= 2**60 so that "

@@ -413,70 +413,90 @@ def check_extension_lemmas(
     interval [0, 2a-x].
     """
     require_normal(a, "check_extension_lemmas")
-    cands = extension_candidates(a)
-    if x not in cands:
+    if x not in extension_candidates(a):
         raise ValueError(f"x={x} is not an admissible extension of {a.to_text()}")
+    return _extension_checks(
+        a, (x,), deep=deep, threads=threads, use_cache=use_cache
+    )[0]
+
+
+def _extension_checks(
+    a: IntSet,
+    xs: tuple[int, ...],
+    *,
+    deep: bool,
+    threads: int = 1,
+    use_cache: bool = True,
+) -> list[ExtensionCheck]:
+    """check_extension_lemmas for each admissible x in xs, in order, with
+    the invariants of a (doubling, 2A, profile, decomposition) computed once.
+    The overlaps are bit counts on the masks of the normal set a."""
     k = len(a)
     t = doubling(a)
     a_max = a.max
-    ax = a.adjoin(x)
-    tx = doubling(ax)
-    two_a = sumset(a, a)
-    overlap = sum(1 for e in a if (e + x) in two_a)
-    delta_t = tx - t
-    c_before = profile(k, t).c
-    c_after = profile(k + 1, tx).c
-    crossing = tx > 3 * (k + 1) - 4 and t <= 3 * k - 4
-
-    applied = ["increment-overlap identity", "increment range", "constant drift"]
-    violations: list[str] = []
-    if delta_t != k + 1 - overlap:
-        violations.append(
-            f"doubling increment {delta_t} != {k + 1} - overlap {overlap}"
-        )
-    if not 2 <= delta_t <= k:
-        violations.append(f"doubling increment {delta_t} outside [2, {k}]")
-    if abs(c_after - c_before) > 1:
-        violations.append(
-            f"doubling constant moved from {c_before} to {c_after}"
-        )
-
+    prof = profile(k, t)
+    mask = a.mask()
+    two_a = sumset(a, a).mask()
     dec = _try_decompose(a)
-    extremal = dec is not None and a_max == mu(k, t)
-    if extremal and tx > 3 * (k + 1) - 4 and x >= mu(k + 1, tx):
-        applied.append("extension lower bound")
-        lower = 2 * a_max - (dec.a1_max + dec.a2_max - 2)
-        if x < lower:
-            violations.append(f"x={x} below the lower bound {lower}")
+    extremal = dec is not None and a_max == prof.mu
+    checks = []
+    for x in xs:
+        tx = kernel.doubling_size(a.elements + (x,))
+        overlap = (two_a & (mask << x)).bit_count()
+        delta_t = tx - t
+        after = profile(k + 1, tx)
+        crossing = tx > 3 * (k + 1) - 4 and t <= 3 * k - 4
 
-    if (
-        deep
-        and extremal
-        and t >= 2 * k  # doubling 2k-1+b with b >= 1
-        and tx >= 3 * (k + 1) - 3
-        and k + 1 <= _DEEP_ORACLE_K_CAP
-        and is_1_extremal(ax, threads=threads, use_cache=use_cache)
-    ):
-        applied.append("extremal extension identities")
-        if x != mu(k + 1, tx):
-            violations.append(f"x={x} != mu({k + 1},{tx}) = {mu(k + 1, tx)}")
-        want = (2 * a_max - x + 2) // 2
-        got = sum(1 for e in a if (e - (x - a_max)) in a)
-        if got != want:
+        applied = ["increment-overlap identity", "increment range", "constant drift"]
+        violations: list[str] = []
+        if delta_t != k + 1 - overlap:
             violations.append(
-                f"overlap of A with (x-a)+A is {got}, expected {want}"
+                f"doubling increment {delta_t} != {k + 1} - overlap {overlap}"
+            )
+        if not 2 <= delta_t <= k:
+            violations.append(f"doubling increment {delta_t} outside [2, {k}]")
+        if abs(after.c - prof.c) > 1:
+            violations.append(
+                f"doubling constant moved from {prof.c} to {after.c}"
             )
 
-    return ExtensionCheck(
-        x=x,
-        delta_t=delta_t,
-        overlap=overlap,
-        c_before=c_before,
-        c_after=c_after,
-        crossing=crossing,
-        applied=tuple(applied),
-        violations=tuple(violations),
-    )
+        if extremal and tx > 3 * (k + 1) - 4 and x >= after.mu:
+            applied.append("extension lower bound")
+            lower = 2 * a_max - (dec.a1_max + dec.a2_max - 2)
+            if x < lower:
+                violations.append(f"x={x} below the lower bound {lower}")
+
+        if (
+            deep
+            and extremal
+            and t >= 2 * k  # doubling 2k-1+b with b >= 1
+            and tx >= 3 * (k + 1) - 3
+            and k + 1 <= _DEEP_ORACLE_K_CAP
+            and is_1_extremal(a.adjoin(x), threads=threads, use_cache=use_cache)
+        ):
+            applied.append("extremal extension identities")
+            if x != after.mu:
+                violations.append(f"x={x} != mu({k + 1},{tx}) = {after.mu}")
+            want = (2 * a_max - x + 2) // 2
+            got = (mask & (mask << (x - a_max))).bit_count()
+            if got != want:
+                violations.append(
+                    f"overlap of A with (x-a)+A is {got}, expected {want}"
+                )
+
+        checks.append(
+            ExtensionCheck(
+                x=x,
+                delta_t=delta_t,
+                overlap=overlap,
+                c_before=prof.c,
+                c_after=after.c,
+                crossing=crossing,
+                applied=tuple(applied),
+                violations=tuple(violations),
+            )
+        )
+    return checks
 
 
 @dataclass(frozen=True)
@@ -492,14 +512,9 @@ class ExtensionSweepReport:
         return not self.violations
 
 
-def extension_lemma_sweep(
-    k: int,
-    *,
-    deep: bool = False,
-    threads: int = 1,
-    use_cache: bool = True,
-) -> ExtensionSweepReport:
-    """Run check_extension_lemmas over every one-dimensional normal set of
+def extension_lemma_sweep(k: int) -> ExtensionSweepReport:
+    """Check the growth identities of check_extension_lemmas, without the
+    oracle-decided ones, over every one-dimensional normal set of
     cardinality k with maximum at most mu(k, |2A|) + k, and every admissible
     x of each."""
     start = time.perf_counter()
@@ -514,12 +529,10 @@ def extension_lemma_sweep(
         for t in sorted(got):
             for elems in got[t]:
                 a = IntSet(elems)
+                xs = extension_candidates(a).elements
                 sets_checked += 1
-                for x in extension_candidates(a):
-                    pairs_checked += 1
-                    chk = check_extension_lemmas(
-                        a, x, deep=deep, threads=threads, use_cache=use_cache
-                    )
+                pairs_checked += len(xs)
+                for chk in _extension_checks(a, xs, deep=False):
                     if not chk.ok:
                         bad.append((a, chk))
     return ExtensionSweepReport(
@@ -557,6 +570,20 @@ def _is_double_max_form(a: IntSet) -> bool:
     return len(body) >= 2 and a.max == 2 * body[-1]
 
 
+def _extremal_right_extensions(
+    b_set: IntSet, a_max: int, threads: int, use_cache: bool
+) -> list[int]:
+    """The x in (2a, 4a] with b_set ∪ {x} one-dimensional and 1-extremal."""
+    survivors = []
+    for x in range(2 * a_max + 1, 4 * a_max + 1):
+        bx = b_set.adjoin(x)
+        if is_one_dimensional(bx) and is_1_extremal(
+            bx, threads=threads, use_cache=use_cache
+        ):
+            survivors.append(x)
+    return survivors
+
+
 def check_uniqueness_lemmas(
     a: IntSet,
     *,
@@ -584,19 +611,15 @@ def check_uniqueness_lemmas(
     except ValueError:
         prof = None
     checks: list[LemmaOutcome] = []
+    over_cap = (
+        f"skipped: needs the exhaustive oracle at cardinality {k + 2}, "
+        f"capped at {_UNIQUENESS_K_CAP + 2}"
+    )
 
     # right-extension uniqueness above the double-max step
     name = "right extensions of the double-max step"
     if k > _UNIQUENESS_K_CAP:
-        checks.append(
-            LemmaOutcome(
-                name,
-                False,
-                None,
-                f"skipped: needs the exhaustive oracle at cardinality {k + 2}, "
-                f"capped at {_UNIQUENESS_K_CAP + 2}",
-            )
-        )
+        checks.append(LemmaOutcome(name, False, None, over_cap))
     elif (
         not one_dim
         or prof is None
@@ -605,13 +628,7 @@ def check_uniqueness_lemmas(
         checks.append(LemmaOutcome(name, False, None, "skipped: not 1-extremal"))
     else:
         b_set = adjoin_double_max(a)
-        survivors = []
-        for x in range(2 * a_max + 1, 4 * a_max + 1):
-            bx = b_set.adjoin(x)
-            if not is_one_dimensional(bx):
-                continue
-            if is_1_extremal(bx, threads=threads, use_cache=use_cache):
-                survivors.append(x)
+        survivors = _extremal_right_extensions(b_set, a_max, threads, use_cache)
         strong = a_max == prof.mu and prof.mu > 2**prof.c
         if strong:
             passed = survivors == [4 * a_max]
@@ -639,10 +656,7 @@ def check_uniqueness_lemmas(
     name = "left extensions of the double-max step"
     left_applicable = False
     if k > _UNIQUENESS_K_CAP:
-        detail = (
-            f"skipped: needs the exhaustive oracle at cardinality {k + 2}, "
-            f"capped at {_UNIQUENESS_K_CAP + 2}"
-        )
+        detail = over_cap
     else:
         if prof is None or a_max != prof.mu or prof.mu <= 2**prof.c:
             detail = "skipped: max != mu or mu <= 2^c"
@@ -663,13 +677,7 @@ def check_uniqueness_lemmas(
                 left_applicable = True
     if left_applicable:
         b_set = reflexion(adjoin_double_max(a))
-        survivors = []
-        for x in range(2 * a_max + 1, 4 * a_max + 1):
-            bx = b_set.adjoin(x)
-            if not is_one_dimensional(bx):
-                continue
-            if is_1_extremal(bx, threads=threads, use_cache=use_cache):
-                survivors.append(x)
+        survivors = _extremal_right_extensions(b_set, a_max, threads, use_cache)
         passed = survivors == [4 * a_max]
         detail = (
             f"1-extremal right extensions of {b_set.to_text()} at {survivors}, "

@@ -148,6 +148,14 @@ class TestSearch:
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_out_into_a_missing_directory(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "report.csv"
+        code = main(["search", "--k", "4", "--t", "7", "--out", str(out_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sumsetchains: error: ")
+        assert captured.out == ""
+
     def test_json_format(self, capsys):
         code, got = run_json(capsys, "search", "--k", "4", "--t", "7", "--format", "json")
         assert code == 0

@@ -52,6 +52,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IntSet((0, MAX_ABS_ELEMENT + 1))
 
+    def test_every_element_is_type_checked(self):
+        # interior elements too, not only the min and the max
+        for bad in ((0, 1.5, 3), (0, "1", 3)):
+            with pytest.raises(TypeError):
+                IntSet(bad)
+
+    def test_stored_elements_are_plain_ints(self):
+        a = IntSet((0, True, 3))
+        assert a.elements == (0, 1, 3)
+        assert all(type(e) is int for e in a.elements)
+
     def test_segment(self):
         assert IntSet.segment(4) == IntSet((0, 1, 2, 3))
 

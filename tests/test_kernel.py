@@ -167,6 +167,12 @@ def test_facade_straddles_the_caps(compiled_facade):
     for span in (1 << 20, (1 << 20) + 1):
         for elems in [(0, span), (0, 1, span // 2, span), (-5, 3, span - 5)]:
             assert compiled_facade.doubling_size(elems) == pure.doubling_size(elems)
+    # |e| = 2**60 runs compiled, 2**60 + 1 pure
+    for e in (1 << 60, (1 << 60) + 1):
+        for elems in [(e - 3, e - 1, e), (-e, -e + 2, -e + 3, -e + 7), (e, e + 1)]:
+            for name in ELEMENT_FUNCTIONS:
+                got = getattr(compiled_facade, name)(elems)
+                assert got == getattr(pure, name)(elems), (name, elems)
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from sumsetchains import search
+from sumsetchains.dimension import extension_candidates, is_one_dimensional
+from sumsetchains.doubling import mu, t_range
 from sumsetchains.errors import CapacityError
-from sumsetchains.intset import IntSet
+from sumsetchains.intset import IntSet, doubling, sumset
 from sumsetchains.search import (
     CACHE_ENV,
     attainment_construction,
@@ -184,13 +186,20 @@ class TestExtensionChecks:
 
     def test_delta_plus_overlap_is_k_plus_one(self):
         a = S("{0,2,3,4}")
-        from sumsetchains.dimension import extension_candidates
-
         for x in extension_candidates(a).elements:
             ec = check_extension_lemmas(a, x)
             assert ec.delta_t + ec.overlap == len(a) + 1
             assert 2 <= ec.delta_t <= len(a)
             assert not ec.violations
+
+    def test_inadmissible_x_is_refused_before_any_oracle_call(self, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle called")
+
+        monkeypatch.setattr(search, "is_1_extremal", no_oracle)
+        # the admissible x of {0,2,3,4} are 5 to 8
+        with pytest.raises(ValueError):
+            check_extension_lemmas(S("{0,2,3,4}"), 9)
 
     def test_sweeps_are_clean(self):
         counts = {}
@@ -198,6 +207,30 @@ class TestExtensionChecks:
             report = extension_lemma_sweep(k)
             assert report.violations == ()
             counts[k] = (report.sets_checked, report.pairs_checked)
+        assert counts == {3: (1, 2), 4: (3, 11), 5: (20, 122)}
+
+    def test_per_set_checks_match_the_object_layer(self):
+        # every pair of the k <= 5 sweeps, against sumsets built element by
+        # element and doublings of the extended sets
+        counts = {}
+        for k in (3, 4, 5):
+            lo, hi = t_range(k)
+            sets = pairs = 0
+            for a in enumerate_normal_sets(k, mu(k, hi) + k):
+                t = doubling(a)
+                if not (t <= hi and a.max <= mu(k, t) + k and is_one_dimensional(a)):
+                    continue
+                xs = extension_candidates(a).elements
+                sets += 1
+                pairs += len(xs)
+                checks = search._extension_checks(a, xs, deep=False)
+                assert [c.x for c in checks] == list(xs)
+                two_a = set(sumset(a, a))
+                for x, c in zip(xs, checks):
+                    assert c.overlap == len(two_a & {e + x for e in a}), (a, x)
+                    assert c.delta_t == doubling(a.adjoin(x)) - t, (a, x)
+                    assert c.violations == ()
+            counts[k] = (sets, pairs)
         assert counts == {3: (1, 2), 4: (3, 11), 5: (20, 122)}
 
 
