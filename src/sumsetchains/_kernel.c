@@ -1,6 +1,10 @@
 /* Compiled kernel: the hot primitives behind the search sweeps, built by
  * setup.py with any C compiler. Mirrors _kernel_py, the reference, function
  * for function, with identical results down to list and dict key order.
+ * The slice walk keeps one level (gcd, element mask, sumset mask) per
+ * interior depth, so a leaf costs one shifted OR and a popcount, and it
+ * walks only the interiors with e[1] + e[k-2] <= m: the reflexion
+ * x -> m - x covers the rest (see Slice below).
  * Limits: elements with |e| <= 2^60 (the IntSet range), at most 12 elements
  * for rank work (Bareiss minors stay inside int64), slice maxima m <= 511,
  * doubling spans <= 2^20. Past a limit it raises OverflowError; kernel.py
@@ -61,6 +65,19 @@ fail:
     return -1;
 }
 
+/* acc |= mask << x for a mask of mw words; acc needs a word to spare above
+ * the highest bit the shift reaches. */
+static void shift_or(u64 *acc, const u64 *mask, Py_ssize_t mw, i64 x)
+{
+    Py_ssize_t base = (Py_ssize_t)(x >> 6);
+    int bit = (int)(x & 63);
+    for (Py_ssize_t w = 0; w < mw; w++) {
+        acc[w + base] |= mask[w] << bit;
+        if (bit)
+            acc[w + base + 1] |= mask[w] >> (64 - bit);
+    }
+}
+
 /* |A + A| for offsets off[0..k-1] in [0, 64 * mw), OR-ing the element mask
  * (amask, mw words) shifted by each offset into acc (aw + 1 words, where
  * aw = ceil((2 * max offset + 1) / 64)). */
@@ -72,16 +89,8 @@ static int bitset_doubling(const i64 *off, Py_ssize_t k, u64 *amask, Py_ssize_t 
     memset(acc, 0, (aw + 1) * sizeof(u64));
     for (i = 0; i < k; i++)
         amask[off[i] >> 6] |= 1ULL << (off[i] & 63);
-    for (i = 0; i < k; i++) {
-        Py_ssize_t base = (Py_ssize_t)(off[i] >> 6);
-        int bit = (int)(off[i] & 63);
-        for (w = 0; w < mw; w++) {
-            u64 chunk = amask[w];
-            acc[w + base] |= chunk << bit;
-            if (bit)
-                acc[w + base + 1] |= chunk >> (64 - bit);
-        }
-    }
+    for (i = 0; i < k; i++)
+        shift_or(acc, amask, mw, off[i]);
     int total = 0;
     for (w = 0; w < aw; w++)
         total += popcount(acc[w]);
@@ -212,15 +221,58 @@ static PyObject *is_one_dimensional(PyObject *self, PyObject *elements)
     return PyBool_FromLong(relation_rank(e, (int)k) == k - 2);
 }
 
-/* A slice sweep walks the normal-form k-sets {0 < e[1] < ... < e[k-2] < m},
- * interiors in lexicographic order, with bitsets sized from m. */
+static i64 gcd(i64 a, i64 b)
+{
+    while (b) {
+        i64 t = a % b;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+/* A slice walks the normal-form k-sets {0 < e[1] < ... < e[r] < m}, r = k - 2,
+ * interiors in lexicographic order, with bitsets sized from m: mw =
+ * ceil((m + 1) / 64) mask words, aw = ceil((2m + 1) / 64) sumset words.
+ *
+ * Levels: level i (0 <= i < r) holds the gcd, the element mask and the
+ * sumset mask of {0, m, e[1..i]}; level 0 is {0, m}. A change at position j
+ * rebuilds the levels from j on, and a leaf only adds e[r] to level r - 1:
+ * one shifted OR and a popcount.
+ *
+ * Mirror half: x -> m - x maps the slice onto itself and keeps gcd, doubling
+ * and relation rank. The walk takes only the interiors with e[1] + e[r] <= m.
+ * The mirror of one with e[1] + e[r] < m has e[1] + e[r] > m and is not
+ * walked; when e[1] + e[r] == m the mirror is walked itself. */
 typedef struct {
-    int k, m;
+    int k, r, m;
+    Py_ssize_t mw, aw;
     i64 e[MAXK];
+    i64 g[MAXK];
+    u64 mask[MAXK][SLICE_MASK_WORDS];
+    u64 sums[MAXK][SLICE_ACC_WORDS + 1];
 } Slice;
 
-/* Checks k and m and sets up the first interior; 0 means the slice is empty,
- * -1 that an exception is set. */
+/* The largest value position j takes in the half walk: e[1] <= (m - r + 1) / 2,
+ * so that e[r] >= e[1] + r - 1 still fits under m - e[1]; e[j] <= m - e[1] - (r - j). */
+static i64 slice_limit(const Slice *s, int j)
+{
+    return j == 1 ? (s->m - s->r + 1) / 2 : s->m - s->e[1] - (s->r - j);
+}
+
+/* Level i from level i - 1 and e[i]. */
+static void slice_level(Slice *s, int i)
+{
+    i64 x = s->e[i];
+    s->g[i] = s->g[i - 1] == 1 ? 1 : gcd(s->g[i - 1], x);
+    memcpy(s->mask[i], s->mask[i - 1], s->mw * sizeof(u64));
+    s->mask[i][x >> 6] |= 1ULL << (x & 63);
+    memcpy(s->sums[i], s->sums[i - 1], (s->aw + 1) * sizeof(u64));
+    shift_or(s->sums[i], s->mask[i], s->mw, x);
+}
+
+/* Checks k and m and sets up the first interior and its levels; 0 means the
+ * slice is empty, -1 that an exception is set. */
 static int slice_start(Slice *s, int k, int m, const char *what)
 {
     if (k < 3) {
@@ -234,45 +286,54 @@ static int slice_start(Slice *s, int k, int m, const char *what)
     }
     if (m - 1 < k - 2)
         return 0;
-    *s = (Slice){.k = k, .m = m};
+    *s = (Slice){.k = k, .r = k - 2, .m = m, .mw = m / 64 + 1, .aw = m / 32 + 1};
     s->e[k - 1] = m;
-    for (int i = 1; i <= k - 2; i++)
+    s->g[0] = m;
+    s->mask[0][0] = 1;
+    s->mask[0][m >> 6] |= 1ULL << (m & 63);
+    s->sums[0][0] = 1;
+    s->sums[0][m >> 6] |= 1ULL << (m & 63);
+    s->sums[0][(2 * m) >> 6] |= 1ULL << ((2 * m) & 63);
+    for (int i = 1; i <= s->r; i++)
         s->e[i] = i;
+    for (int i = 1; i < s->r; i++)
+        slice_level(s, i);
     return 1;
 }
 
-/* The lexicographic successor of the interior; 0 when the slice is done. */
+/* The next interior of the half walk, in lexicographic order; 0 when the
+ * slice is done. */
 static int slice_advance(Slice *s)
 {
-    int r = s->k - 2, j = r;
-    while (j >= 1 && s->e[j] == s->m - 1 - (r - j))
+    int r = s->r, j = r;
+    while (j >= 1 && s->e[j] == slice_limit(s, j))
         j--;
     if (j < 1)
         return 0;
     s->e[j]++;
     for (int i = j + 1; i <= r; i++)
         s->e[i] = s->e[i - 1] + 1;
+    for (int i = j; i < r; i++)
+        slice_level(s, i);
     return 1;
 }
 
-/* |A + A| of the current set when its gcd is 1, else -1. */
+/* |A + A| of the current set when its gcd is 1, else -1: level r - 1 plus
+ * the last interior element x, whose sums are x + {0, m, e[1..r-1]} and 2x. */
 static int slice_doubling(const Slice *s)
 {
-    i64 g = s->m;
-    for (int i = 1; i <= s->k - 2 && g != 1; i++) {
-        i64 a = s->e[i];
-        while (a) {
-            i64 t = g % a;
-            g = a;
-            a = t;
-        }
-    }
-    if (g != 1)
+    int r = s->r;
+    i64 x = s->e[r];
+    if (s->g[r - 1] != 1 && gcd(s->g[r - 1], x) != 1)
         return -1;
-    /* ceil((m + 1) / 64) mask words, ceil((2m + 1) / 64) accumulator words */
-    int mw = s->m / 64 + 1, aw = s->m / 32 + 1;
-    u64 amask[SLICE_MASK_WORDS], acc[SLICE_ACC_WORDS + 1];
-    return bitset_doubling(s->e, s->k, amask, mw, acc, aw);
+    u64 acc[SLICE_ACC_WORDS + 1];
+    memcpy(acc, s->sums[r - 1], (s->aw + 1) * sizeof(u64));
+    shift_or(acc, s->mask[r - 1], s->mw, x);
+    acc[x >> 5] |= 1ULL << ((2 * x) & 63);
+    int total = 0;
+    for (Py_ssize_t w = 0; w < s->aw; w++)
+        total += popcount(acc[w]);
+    return total;
 }
 
 static PyObject *sweep_slice(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -302,6 +363,22 @@ static PyObject *sweep_slice(PyObject *self, PyObject *args, PyObject *kwargs)
         Py_XDECREF(v);
     }
     return out;
+}
+
+/* Appends the current set, or its mirror {m - e[k-1-i]}, to sets as a tuple. */
+static int append_set(PyObject *sets, const Slice *s, int mirror)
+{
+    PyObject *elems = PyTuple_New(s->k);
+    for (int i = 0; elems != NULL && i < s->k; i++) {
+        PyObject *v = PyLong_FromLongLong(mirror ? s->m - s->e[s->k - 1 - i] : s->e[i]);
+        if (v == NULL)
+            Py_CLEAR(elems);
+        else
+            PyTuple_SET_ITEM(elems, i, v);
+    }
+    int rc = elems == NULL ? -1 : PyList_Append(sets, elems);
+    Py_XDECREF(elems);
+    return rc;
 }
 
 static PyObject *collect_slice(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -343,25 +420,19 @@ static PyObject *collect_slice(PyObject *self, PyObject *args, PyObject *kwargs)
             int t = slice_doubling(&s);
             if (t < 0 || group[t] == NULL || relation_rank(s.e, k) != k - 2)
                 continue;
-            PyObject *elems = PyTuple_New(k);
-            for (i = 0; elems != NULL && i < k; i++) {
-                PyObject *v = PyLong_FromLongLong(s.e[i]);
-                if (v == NULL)
-                    Py_CLEAR(elems);
-                else
-                    PyTuple_SET_ITEM(elems, i, v);
-            }
-            int rc = elems == NULL ? -1 : PyList_Append(group[t], elems);
-            Py_XDECREF(elems);
-            if (rc < 0)
+            if (append_set(group[t], &s, 0) < 0
+                || (s.e[1] + s.e[k - 2] < m && append_set(group[t], &s, 1) < 0))
                 goto fail;
         } while (slice_advance(&s));
     }
-    /* drop the groups that stayed empty; the others keep their order */
+    /* drop the groups that stayed empty; sort the others, whose mirrors
+     * joined them out of order */
     for (i = 0; i < PyList_GET_SIZE(keys); i++) {
         PyObject *key = PyList_GET_ITEM(keys, i);
         sets = PyDict_GetItemWithError(out, key);
-        if (sets == NULL || (PyList_GET_SIZE(sets) == 0 && PyDict_DelItem(out, key) < 0))
+        if (sets == NULL)
+            goto fail;
+        if (PyList_GET_SIZE(sets) == 0 ? PyDict_DelItem(out, key) < 0 : PyList_Sort(sets) < 0)
             goto fail;
     }
     Py_DECREF(wanted);

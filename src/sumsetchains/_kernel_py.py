@@ -3,13 +3,24 @@
 The compiled extension (_kernel.c) mirrors these functions exactly; either
 one can serve the rest of the package. Keep the two in lockstep: the cross
 tests enumerate small inputs and require identical output, including ordering.
+
+Both walk a slice (the normal k-sets with maximum m) the same way:
+
+- Levels. Level i holds the gcd, the element mask and the sumset mask of
+  {0, m, e[1..i]}, with level 0 = {0, m}; a change at position j rebuilds
+  the levels from j on, and each set adds only its last interior element to
+  the level above it.
+- Mirror half. The reflexion x -> m - x maps the slice onto itself and keeps
+  gcd, doubling and relation rank, so sweep_slice and collect_slice walk only
+  the interiors with e[1] + e[-2] <= m. collect_slice adds the mirror of each
+  hit whose sum is < m (a sum of m has its mirror walked itself) and sorts
+  each group, so its output stays in lexicographic order.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import combinations
 
 BACKEND = "python"
 
@@ -100,17 +111,46 @@ def is_one_dimensional(elements: tuple[int, ...]) -> bool:
     return lambda_rank(elements) == k - 2
 
 
-def normal_tuples(k: int, m: int):
-    """Every normal-form (gcd 1) k-tuple (0, *interior, m), interiors in
-    lexicographic order: the one odometer of the pure kernel."""
-    for interior in combinations(range(1, m), k - 2):
-        g = m
-        for e in interior:
-            g = math.gcd(g, e)
-            if g == 1:
-                break
-        if g == 1:
-            yield (0, *interior, m)
+def normal_tuples(k: int, m: int, half: bool = False):
+    """Every normal-form (gcd 1) k-tuple (0, *interior, m) with its doubling,
+    interiors in lexicographic order: the one odometer of the pure kernel.
+    With half, only the interiors with e[1] + e[-2] <= m."""
+    r = k - 2
+    if m - 1 < r:
+        return
+    e = list(range(r + 1))  # e[0] = 0 stands for the minimum
+    gcds = [m] * r
+    masks = [1 | 1 << m] * r
+    sums = [1 | 1 << m | 1 << 2 * m] * r
+
+    def limit(j: int) -> int:
+        # the largest value position j may take
+        if not half:
+            return m - 1 - (r - j)
+        if j == 1:
+            return (m - r + 1) // 2
+        return m - e[1] - (r - j)
+
+    j = 1
+    while True:
+        for i in range(j, r):
+            x = e[i]
+            gcds[i] = math.gcd(gcds[i - 1], x)
+            masks[i] = masks[i - 1] | 1 << x
+            sums[i] = sums[i - 1] | masks[i] << x
+        g, mask, prev = gcds[r - 1], masks[r - 1], sums[r - 1]
+        prefix = tuple(e[:r])
+        for x in range(e[r - 1] + 1, limit(r) + 1):
+            if g == 1 or math.gcd(g, x) == 1:
+                yield prefix + (x, m), (prev | (mask | 1 << x) << x).bit_count()
+        j = r - 1
+        while j >= 1 and e[j] == limit(j):
+            j -= 1
+        if j < 1:
+            return
+        e[j] += 1
+        for i in range(j + 1, r):
+            e[i] = e[i - 1] + 1
 
 
 def sweep_slice(k: int, m: int, t_max: int) -> list[int]:
@@ -120,11 +160,8 @@ def sweep_slice(k: int, m: int, t_max: int) -> list[int]:
         raise ValueError("sweep_slice requires k >= 3")
     t_max = operator.index(t_max)
     realized: set[int] = set()
-    for elems in normal_tuples(k, m):
-        t = doubling_size(elems)
-        if t > t_max or t in realized:
-            continue
-        if is_one_dimensional(elems):
+    for elems, t in normal_tuples(k, m, half=True):
+        if t <= t_max and t not in realized and is_one_dimensional(elems):
             realized.add(t)
     return sorted(realized)
 
@@ -136,8 +173,11 @@ def collect_slice(k: int, m: int, ts) -> dict[int, list[tuple[int, ...]]]:
         raise ValueError("collect_slice requires k >= 3")
     wanted = set(ts)
     out: dict[int, list[tuple[int, ...]]] = {t: [] for t in sorted(wanted)}
-    for elems in normal_tuples(k, m):
-        t = doubling_size(elems)
+    for elems, t in normal_tuples(k, m, half=True):
         if t in wanted and is_one_dimensional(elems):
             out[t].append(elems)
+            if elems[1] + elems[-2] < m:
+                out[t].append(tuple(m - x for x in reversed(elems)))
+    for sets in out.values():
+        sets.sort()
     return {t: sets for t, sets in out.items() if sets}

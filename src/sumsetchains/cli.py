@@ -35,6 +35,7 @@ from .search import (
     DEFAULT_BUDGET,
     check_uniqueness_lemmas,
     extension_lemma_sweep,
+    kernel_digest,
     verify_conjecture,
     vol1_oracle,
 )
@@ -305,6 +306,7 @@ def cmd_search(args) -> int:
         Path(f"{base}.witnesses.jsonl").write_text(_search_witness_lines(reports))
         meta = {
             "backend": kernel.BACKEND,
+            "kernel_digest": kernel_digest(),
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "elapsed_seconds": {str(r.t): round(r.elapsed, 3) for r in reports},
             "threads": args.threads,

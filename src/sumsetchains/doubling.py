@@ -9,6 +9,7 @@ normal-form sets with |A| = k, |2A| = T and additive dimension 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -44,8 +45,10 @@ def doubling_from_profile(k: int, c: int, b: int) -> int:
     return c * k - (c + 1) * c // 2 + b + 2
 
 
+@functools.cache
 def profile(k: int, t: int) -> DoublingProfile:
-    """Decompose a legal doubling value into its profile (c, b) and mu."""
+    """Decompose a legal doubling value into its profile (c, b) and mu.
+    Cached per (k, t); an illegal t raises on every call."""
     lo, hi = t_range(k)
     if not lo <= t <= hi:
         raise ValueError(f"doubling {t} out of range [{lo}, {hi}] for k = {k}")

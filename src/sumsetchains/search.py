@@ -12,6 +12,7 @@ such sets, but reports never assume it; they state their scope.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -41,6 +42,9 @@ from .stability import StableDecomposition, stable_decompose
 DEFAULT_BUDGET = 10**9
 CACHE_ENV = "SUMSETCHAINS_CACHE"
 CACHE_VERSION = 1
+# the layout of a slices file; it enters kernel_digest, so a new layout
+# retires the old files as a kernel change does
+SLICES_SCHEMA = "k: int, digest: str, slices: {str(m): [sorted doublings]}"
 
 SCOPE_NOTE = "volumes range over one-dimensional sets only"
 
@@ -83,7 +87,7 @@ def enumerate_normal_sets(
     for m in range(k - 1, max_elem + 1):
         if cursor is not None and m < cursor[0]:
             continue
-        for elems in normal_tuples(k, m):
+        for elems, _ in normal_tuples(k, m):
             if cursor is not None and m == cursor[0] and elems[1:-1] <= cursor[1]:
                 continue
             yield IntSet(elems)
@@ -111,6 +115,37 @@ def _slices_path(k: int) -> Path:
     return cache_dir() / f"slices_k{k}_v{CACHE_VERSION}.json"
 
 
+def _sha256():
+    # CPython's built-in sha256, not hashlib's: importing hashlib loads
+    # OpenSSL, which costs 5 ms and 3.6 MB of resident memory
+    try:
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
+
+
+@functools.cache
+def kernel_digest() -> str:
+    """sha256 over the two kernel sources and the slices-file schema, computed
+    once per process on first use. A slices file under another digest was
+    written by another kernel and counts as missing. A source that is not
+    installed beside this module enters as empty."""
+    h = _sha256()
+    here = Path(__file__).parent
+    for name in ("_kernel.c", "_kernel_py.py"):
+        try:
+            data = (here / name).read_bytes()
+        except OSError:
+            data = b""
+        h.update(name.encode() + b"\0" + data + b"\0")
+    h.update(SLICES_SCHEMA.encode())
+    return h.hexdigest()
+
+
 def _write_json(path: Path, payload: dict) -> None:
     # a temp name of its own per writer, so concurrent runs never collide
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -128,14 +163,19 @@ def _is_int(x) -> bool:
 
 
 def _read_slices(k: int) -> dict[int, tuple[int, ...]]:
-    """The slices file of k. A file that does not parse, names another k or
-    holds non-integer entries counts as missing; the next sweep overwrites
-    it."""
+    """The slices file of k. A file that does not parse, names another k,
+    carries another kernel_digest or holds non-integer entries counts as
+    missing; the next sweep overwrites it."""
     try:
         stored = json.loads(_slices_path(k).read_text())
     except (OSError, ValueError):
         return {}
-    if not (isinstance(stored, dict) and _is_int(stored.get("k")) and stored["k"] == k):
+    if not (
+        isinstance(stored, dict)
+        and _is_int(stored.get("k"))
+        and stored["k"] == k
+        and stored.get("digest") == kernel_digest()
+    ):
         return {}
     slices = stored.get("slices")
     if not isinstance(slices, dict) or not all(
@@ -182,7 +222,9 @@ def _realized_slices(
             known = {
                 str(m): list(ts) for (kk, m), ts in _SLICE_CACHE.items() if kk == k
             }
-            _write_json(_slices_path(k), {"k": k, "slices": known})
+            _write_json(
+                _slices_path(k), {"k": k, "digest": kernel_digest(), "slices": known}
+            )
     return {m: _SLICE_CACHE[(k, m)] for m in range(k - 1, bound + 1)}
 
 

@@ -33,7 +33,8 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
     """sumsetchains._kernel built with ``setup.py build_ext`` into a temporary
-    directory and imported from there; skips when no C compiler is present.
+    directory and imported from there; skips when no C compiler is present,
+    fails when the build fails or the compiler warns about _kernel.c.
 
     The suite imports the package from ``src``, where no extension is built,
     so this is how the compiled paths get tested against the pure ones.
@@ -51,8 +52,12 @@ def compiled_kernel(tmp_path_factory):
         capture_output=True,
         text=True,
     )
+    log = proc.stdout + proc.stderr
     if proc.returncode != 0:
-        pytest.fail(f"building the kernel failed:\n{proc.stdout}{proc.stderr}")
+        pytest.fail(f"building the kernel failed:\n{log}")
+    warnings = [line for line in log.splitlines() if "_kernel.c" in line and "warning:" in line]
+    if warnings:
+        pytest.fail("the kernel builds with compiler warnings:\n" + "\n".join(warnings))
     path = out / "lib" / "sumsetchains" / ("_kernel" + sysconfig.get_config_var("EXT_SUFFIX"))
     spec = importlib.util.spec_from_file_location("sumsetchains._kernel", path)
     module = importlib.util.module_from_spec(spec)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from sumsetchains.cli import main
+from sumsetchains.search import kernel_digest
 
 
 def run(capsys, *argv):
@@ -133,6 +134,7 @@ class TestSearch:
         assert lines[1] == '4,7,2,0,3,4,1,"{0,1,2,3}",0'
         meta = json.loads((tmp_path / "report.meta.json").read_text())
         assert meta["backend"] in ("c", "python")
+        assert meta["kernel_digest"] == kernel_digest()
         assert meta["threads"] == 1 and meta["force"] is False
         witnesses = [
             json.loads(line)

@@ -96,6 +96,18 @@ def test_out_of_range_rejected():
         mu(2, 3)
 
 
+def test_illegal_doubling_raises_on_every_call():
+    # profile is cached per (k, t); errors are not cached, so they repeat
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            profile(5, 99)
+        with pytest.raises(ValueError):
+            mu(5, 8)
+        with pytest.raises(ValueError):
+            profile(2, 3)
+    assert profile(5, 12) is profile(5, 12)
+
+
 def test_k3_only_t5():
     assert mu(3, 5) == 2
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Kernel facade: compiled and pure paths must agree bit for bit."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -95,6 +96,65 @@ def test_compiled_slices_match_pure_at_k7(compiled_kernel):
         assert_same(compiled_kernel, "sweep_slice", 7, m, 23)
         ts = range(13, 24)
         assert_same(compiled_kernel, "collect_slice", 7, m, ts)
+
+
+def reference_collect(k, m, ts):
+    """collect_slice from first principles, sharing no walker with the
+    kernels: every interior from itertools.combinations, the pure
+    doubling_size and is_one_dimensional, groups keyed by sorted doubling."""
+    out = {}
+    for inner in itertools.combinations(range(1, m), k - 2):
+        elems = (0, *inner, m)
+        if math.gcd(*elems) != 1:
+            continue
+        t = pure.doubling_size(elems)
+        if t in ts and pure.is_one_dimensional(elems):
+            out.setdefault(t, []).append(elems)
+    return {t: out[t] for t in sorted(out)}
+
+
+@pytest.fixture(params=["python", "c"])
+def twin(request):
+    return pure if request.param == "python" else request.getfixturevalue("compiled_kernel")
+
+
+HALF_WALK_SLICES = (
+    [(k, m) for k in range(3, 8) for m in range(k - 1, k + 9)]  # every k, small m
+    + [(k, k - 1) for k in range(3, 13)]  # one interior tuple, {0, 1, ..., k - 1}
+    + [(k, m) for k in (3, 4) for m in (63, 64, 65, 127, 128)]  # word edges
+    + [(3, 511)]  # the compiled kernel's largest m
+)
+
+
+@pytest.mark.parametrize("k, m", HALF_WALK_SLICES)
+def test_slices_match_a_walk_free_reference(twin, k, m):
+    every_t = range(k * (k + 1) // 2 + 1)
+    want = reference_collect(k, m, every_t)
+    got = twin.collect_slice(k, m, every_t)
+    assert got == want and list(got) == list(want)
+    for t_max in (2 * k - 2, 2 * k, k * (k - 1) // 2 + 2):
+        assert twin.sweep_slice(k, m, t_max) == [t for t in want if t <= t_max]
+    picked = list(want)[1::2]
+    assert twin.collect_slice(k, m, picked) == {t: want[t] for t in picked}
+
+
+def test_the_reference_slices_hold_mirror_pairs_and_palindromes():
+    # sets on the mirror line e[1] + e[k-2] == m: palindromes, whose mirror is
+    # themselves, and pairs that the half walk visits both members of
+    seen = {"palindrome": 0, "pair on the line": 0, "pair off the line": 0}
+    for k, m in HALF_WALK_SLICES:
+        if math.comb(m - 1, k - 2) > 10_000:
+            continue
+        for sets in reference_collect(k, m, range(k * k)).values():
+            for s in sets:
+                mirror = tuple(m - x for x in reversed(s))
+                if s == mirror:
+                    seen["palindrome"] += 1
+                elif s[1] + s[-2] == m:
+                    seen["pair on the line"] += 1
+                else:
+                    seen["pair off the line"] += 1
+    assert all(seen.values()), seen
 
 
 def test_doubling_size_agrees_with_set_type():

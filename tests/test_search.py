@@ -1,6 +1,10 @@
 """Exhaustive volume oracle, extension sweeps, and the uniqueness checks."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,7 +109,7 @@ class TestOracle:
         path = tmp_path / "slices_k6_v1.json"
         assert list(tmp_path.iterdir()) == [path]
         stored = json.loads(path.read_text())
-        assert stored["k"] == 6
+        assert stored["k"] == 6 and stored["digest"] == search.kernel_digest()
         assert 14 in stored["slices"][str(cold.observed_max_vol - 1)]
         # a fresh process reads the table from disk and sweeps nothing
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
@@ -133,6 +137,34 @@ class TestOracle:
         assert got.as_dict() == vol1_oracle(6, 14, use_cache=False).as_dict()
         assert json.loads(path.read_text())["k"] == 6
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("digest", [None, "0" * 64])
+    def test_slice_file_of_another_kernel_is_recomputed(self, tmp_path, monkeypatch, digest):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        path = tmp_path / "slices_k6_v1.json"
+        # well formed, but served it would leave the report without witnesses
+        stale = {"k": 6, "slices": {str(m): [] for m in range(5, 40)}}
+        if digest is not None:
+            stale["digest"] = digest
+        path.write_text(json.dumps(stale))
+        got = vol1_oracle(6, 14)
+        assert got.observed_max_vol == mu(6, 14) + 1
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        assert got.as_dict() == vol1_oracle(6, 14, use_cache=False).as_dict()
+        stored = json.loads(path.read_text())
+        assert stored["digest"] == search.kernel_digest()
+        assert stored["slices"] != stale["slices"]
+
+    def test_kernel_digest_is_computed_on_first_use(self):
+        code = (
+            "import sumsetchains.cli, sumsetchains.search as s; "
+            "assert s.kernel_digest.cache_info().currsize == 0; "
+            "d = s.kernel_digest(); "
+            "assert len(d) == 64 and int(d, 16) >= 0 and s.kernel_digest() is d"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).parents[1])}
+        subprocess.run([sys.executable, "-W", "ignore", "-c", code], env=env, check=True)
 
     def test_warm_verify_leaves_the_cache_alone(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
