@@ -15,6 +15,7 @@ from .chains import (
     enumerate_chains,
     is_chain,
     is_chain_extension,
+    is_chain_member,
     verify_main_theorem,
     volume_1d,
 )
@@ -139,6 +140,7 @@ __all__ = [
     "is_1_extremal",
     "is_chain",
     "is_chain_extension",
+    "is_chain_member",
     "is_normal",
     "is_progression",
     "is_right_stable",

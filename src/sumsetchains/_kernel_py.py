@@ -111,10 +111,10 @@ def is_one_dimensional(elements: tuple[int, ...]) -> bool:
     return lambda_rank(elements) == k - 2
 
 
-def normal_tuples(k: int, m: int, half: bool = False):
-    """Every normal-form (gcd 1) k-tuple (0, *interior, m) with its doubling,
-    interiors in lexicographic order: the one odometer of the pure kernel.
-    With half, only the interiors with e[1] + e[-2] <= m."""
+def normal_tuples(k: int, m: int):
+    """The normal-form (gcd 1) k-tuples (0, *interior, m) with
+    e[1] + e[-2] <= m, each with its doubling, interiors in lexicographic
+    order: the one odometer of the pure kernel, the mirror half of the slice."""
     r = k - 2
     if m - 1 < r:
         return
@@ -125,8 +125,6 @@ def normal_tuples(k: int, m: int, half: bool = False):
 
     def limit(j: int) -> int:
         # the largest value position j may take
-        if not half:
-            return m - 1 - (r - j)
         if j == 1:
             return (m - r + 1) // 2
         return m - e[1] - (r - j)
@@ -160,7 +158,7 @@ def sweep_slice(k: int, m: int, t_max: int) -> list[int]:
         raise ValueError("sweep_slice requires k >= 3")
     t_max = operator.index(t_max)
     realized: set[int] = set()
-    for elems, t in normal_tuples(k, m, half=True):
+    for elems, t in normal_tuples(k, m):
         if t <= t_max and t not in realized and is_one_dimensional(elems):
             realized.add(t)
     return sorted(realized)
@@ -173,7 +171,7 @@ def collect_slice(k: int, m: int, ts) -> dict[int, list[tuple[int, ...]]]:
         raise ValueError("collect_slice requires k >= 3")
     wanted = set(ts)
     out: dict[int, list[tuple[int, ...]]] = {t: [] for t in sorted(wanted)}
-    for elems, t in normal_tuples(k, m, half=True):
+    for elems, t in normal_tuples(k, m):
         if t in wanted and is_one_dimensional(elems):
             out[t].append(elems)
             if elems[1] + elems[-2] < m:

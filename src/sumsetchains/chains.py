@@ -142,16 +142,22 @@ class ChainCertificate:
         return self.sets[-1]
 
 
-def is_chain(a: IntSet) -> ChainCertificate | None:
-    """Certificate with the full nested sequence if a is a chain, else None."""
-    if len(a) < 3:
-        raise ValueError("chains have at least 3 elements")
+def is_chain_member(a: IntSet) -> bool:
+    """Is a a chain? Membership of its canonical form in the chain table,
+    without the certificate that is_chain builds."""
     k = len(a)
+    if k < 3:
+        raise ValueError("chains have at least 3 elements")
     if k > CHAIN_ENUM_CAP:
         raise CapacityError(f"chain recognition capped at k <= {CHAIN_ENUM_CAP}, got {k}")
-    canon, _ = _canonical_tuple(a.elements)
-    if canon not in _chain_level(k):
+    return _canonical_tuple(a.elements)[0] in _chain_level(k)
+
+
+def is_chain(a: IntSet) -> ChainCertificate | None:
+    """Certificate with the full nested sequence if a is a chain, else None."""
+    if not is_chain_member(a):
         return None
+    k = len(a)
     layers = [a]
     cur = a.elements
     for i in range(k, 3, -1):
@@ -183,13 +189,14 @@ class EnumeratedChain:
     volume: int
 
 
-def enumerate_chains(k: int, *, cap: int = CHAIN_ENUM_CAP) -> list[EnumeratedChain]:
+def enumerate_chains(k: int) -> list[EnumeratedChain]:
     """All chains with k elements up to normalization and reflexion, grown
-    level by level from {0,1,2}, sorted by doubling then lexicographically."""
+    level by level from {0,1,2}, sorted by doubling then lexicographically;
+    capped at CHAIN_ENUM_CAP elements."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    if k > cap:
-        raise CapacityError(f"chain enumeration capped at k <= {cap}, got {k}")
+    if k > CHAIN_ENUM_CAP:
+        raise CapacityError(f"chain enumeration capped at k <= {CHAIN_ENUM_CAP}, got {k}")
     level = _chain_level(k)
     return [
         EnumeratedChain(set=IntSet(c), profile=profile(k, t), volume=_raw_volume(c))

@@ -72,12 +72,10 @@ def positive_int(text: str) -> int:
 def _add_cache_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=positive_int, default=1, help="worker processes")
     p.add_argument("--no-cache", action="store_true", help="bypass the disk cache")
-    p.add_argument("--force", action="store_true", help="override the sweep budget")
     p.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BUDGET,
-        help="candidate-count ceiling for sweeps",
+        "--force",
+        action="store_true",
+        help=f"sweep even past the budget of {DEFAULT_BUDGET:,} candidates",
     )
 
 
@@ -243,12 +241,7 @@ def cmd_fiso(args) -> int:
 
 
 def _search_reports(args) -> list:
-    kwargs = dict(
-        threads=args.threads,
-        use_cache=not args.no_cache,
-        force=args.force,
-        budget=args.budget,
-    )
+    kwargs = dict(threads=args.threads, use_cache=not args.no_cache, force=args.force)
     if args.t is not None:
         return [vol1_oracle(args.k, args.t, args.bound, **kwargs)]
     if args.bound is not None:
@@ -319,17 +312,13 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = dict(
-        threads=args.threads,
-        use_cache=not args.no_cache,
-        force=args.force,
-        budget=args.budget,
-    )
     failures = 0
     out: dict = {"k": args.k}
     lines: list[str] = []
 
-    reports = verify_conjecture(args.k, **kwargs)
+    reports = verify_conjecture(
+        args.k, threads=args.threads, use_cache=not args.no_cache, force=args.force
+    )
     out["conjecture"] = []
     for r in reports:
         ok = r.holds and r.attained

@@ -13,6 +13,7 @@ such sets, but reports never assume it; they state their scope.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import kernel
-from ._kernel_py import normal_tuples
-from .chains import is_chain
+from .chains import is_chain_member
 from .dimension import extension_candidates, is_one_dimensional, out_of_hull_pool
 from .doubling import mu, profile, t_range
 from .errors import CapacityError, DecompositionNotUnique, NotDecomposable
@@ -60,37 +60,35 @@ def estimated_candidates(k: int, max_elem: int) -> int:
     return math.comb(max_elem, k - 1)
 
 
-def enumerate_normal_sets(
-    k: int,
-    max_elem: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    force: bool = False,
-    cursor: tuple[int, tuple[int, ...]] | None = None,
-):
-    """Yield every normal-form set of k elements with maximum at most
-    max_elem, ordered by maximum then lexicographically.
+def _check_budget(k: int, max_elem: int, force: bool) -> None:
+    """The one sweep budget: CapacityError when the normal k-sets with maximum
+    at most max_elem number over DEFAULT_BUDGET candidates and force is off."""
+    est = estimated_candidates(k, max_elem)
+    if est > DEFAULT_BUDGET and not force:
+        raise CapacityError(
+            f"a sweep of the normal {k}-sets with maximum <= {max_elem} takes "
+            f"about {est} candidates, over the budget of {DEFAULT_BUDGET}; "
+            f"run it anyway with --force (force=True)"
+        )
 
-    cursor = (m, interior) resumes strictly after the set whose maximum is m
-    and whose interior elements are the given tuple.
+
+def enumerate_normal_sets(k: int, max_elem: int, *, force: bool = False):
+    """Yield every normal-form set of k elements with maximum at most
+    max_elem, ordered by maximum then lexicographically. Over the sweep
+    budget it raises CapacityError unless force is set.
+
+    Walk-free (itertools.combinations plus a gcd test), so the tests can
+    check the kernels' slice walk against it.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
     if max_elem < k - 1:
         raise ValueError("max_elem must be >= k - 1")
-    est = estimated_candidates(k, max_elem)
-    if est > budget and not force:
-        raise CapacityError(
-            f"enumeration of about {est} candidates exceeds the budget "
-            f"of {budget}; raise the budget or force"
-        )
+    _check_budget(k, max_elem, force)
     for m in range(k - 1, max_elem + 1):
-        if cursor is not None and m < cursor[0]:
-            continue
-        for elems, _ in normal_tuples(k, m):
-            if cursor is not None and m == cursor[0] and elems[1:-1] <= cursor[1]:
-                continue
-            yield IntSet(elems)
+        for interior in itertools.combinations(range(1, m), k - 2):
+            if math.gcd(m, *interior) == 1:
+                yield IntSet((0, *interior, m))
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +200,21 @@ def _slice_worker(args: tuple[int, int, int]) -> tuple[int, tuple[int, ...]]:
 
 
 def _realized_slices(
-    k: int, bound: int, *, threads: int = 1, use_cache: bool = True
+    k: int, bound: int, *, threads: int, use_cache: bool, force: bool
 ) -> dict[int, tuple[int, ...]]:
     """Realized doublings per maximum element m for m <= bound, restricted
-    to one-dimensional sets (whose doubling never exceeds C(k,2) + 2)."""
+    to one-dimensional sets (whose doubling never exceeds C(k,2) + 2).
+
+    The only function that sweeps. When some slice <= bound is in neither
+    memory nor the cache file, the sweep budget applies to the whole bound:
+    over it, without force, CapacityError is raised before any worker starts
+    or any file is written. A table that already covers the bound is served
+    at any size.
+    """
     t_cap = t_range(k)[1]
     missing = _missing_slices(k, bound, use_cache)
     if missing:
+        _check_budget(k, bound, force)
         # largest slice first, so no worker is left with it at the end
         jobs = [(k, m, t_cap) for m in reversed(missing)]
         if threads > 1:
@@ -229,25 +235,13 @@ def _realized_slices(
 
 
 def _realizing_maxima(
-    k: int,
-    t: int,
-    bound: int,
-    *,
-    threads: int,
-    use_cache: bool,
-    force: bool,
-    budget: int = DEFAULT_BUDGET,
+    k: int, t: int, bound: int, *, threads: int, use_cache: bool, force: bool
 ) -> list[int]:
     """The maxima m <= bound, ascending, at which some one-dimensional normal
-    k-set has doubling t. Raises CapacityError when the slice table does not
-    cover the bound yet and sweeping the rest would exceed the budget."""
-    est = estimated_candidates(k, bound)
-    if est > budget and not force and _missing_slices(k, bound, use_cache):
-        raise CapacityError(
-            f"sweep at k={k}, bound={bound} needs about {est} candidates, "
-            f"over the budget of {budget}; raise the budget or force"
-        )
-    slices = _realized_slices(k, bound, threads=threads, use_cache=use_cache)
+    k-set has doubling t."""
+    slices = _realized_slices(
+        k, bound, threads=threads, use_cache=use_cache, force=force
+    )
     return [m for m in sorted(slices) if t in slices[m]]
 
 
@@ -300,7 +294,6 @@ def vol1_oracle(
     threads: int = 1,
     use_cache: bool = True,
     force: bool = False,
-    budget: int = DEFAULT_BUDGET,
 ) -> SearchReport:
     """Exhaustive maximum volume over one-dimensional normal sets with
     cardinality k and doubling t, sweeping maxima up to bound.
@@ -309,6 +302,7 @@ def vol1_oracle(
     maximum, so a counterexample just above it would be found, not assumed
     away. The report is derived from the per-k slice table, which is cached
     on disk; witnesses and violations are collected afresh on each call.
+    A sweep over the budget raises CapacityError unless force is set.
     """
     prof = profile(k, t)
     if bound is None:
@@ -317,7 +311,7 @@ def vol1_oracle(
         raise ValueError(f"bound {bound} is below mu({k},{t}) = {prof.mu}")
     start = time.perf_counter()
     ms = _realizing_maxima(
-        k, t, bound, threads=threads, use_cache=use_cache, force=force, budget=budget
+        k, t, bound, threads=threads, use_cache=use_cache, force=force
     )
     if ms:
         top = ms[-1]
@@ -354,22 +348,17 @@ def attainment_construction(k: int, t: int) -> IntSet:
     return adjoin_double_max(attainment_construction(k - 1, t - (k - 1)))
 
 
-def is_1_extremal(
-    a: IntSet,
-    *,
-    threads: int = 1,
-    use_cache: bool = True,
-    force: bool = False,
-) -> bool:
+def is_1_extremal(a: IntSet, *, threads: int = 1, use_cache: bool = True) -> bool:
     """Does a have the largest volume among one-dimensional sets with its
     cardinality and doubling? Decided by the exhaustive oracle's slice table
-    up to its default bound, without collecting witnesses."""
+    up to its default bound, without collecting witnesses; a sweep over the
+    budget raises CapacityError."""
     from .chains import volume_1d
 
     vol = volume_1d(a)
     k, t = len(a), doubling(a)
     ms = _realizing_maxima(
-        k, t, mu(k, t) + k, threads=threads, use_cache=use_cache, force=force
+        k, t, mu(k, t) + k, threads=threads, use_cache=use_cache, force=False
     )
     return vol == (ms[-1] + 1 if ms else 0)
 
@@ -380,28 +369,22 @@ def verify_conjecture(
     threads: int = 1,
     use_cache: bool = True,
     force: bool = False,
-    budget: int = DEFAULT_BUDGET,
 ) -> list[SearchReport]:
     """One oracle report per legal doubling at cardinality k.
 
     The slices missing from the table for all of them are swept first in one
-    pass (one process pool), up to the largest default bound that the budget
-    admits.
+    pass (one process pool), up to the largest default bound, mu(k, T) + k
+    at the top doubling T; over the budget that raises CapacityError before
+    anything is swept, unless force is set.
     """
     if k < 4:
         raise ValueError("k must be >= 4")
     lo, hi = t_range(k)
-    sweep_bound = 0
-    for t in range(lo, hi + 1):
-        bound = mu(k, t) + k  # vol1_oracle's default
-        if force or estimated_candidates(k, bound) <= budget:
-            sweep_bound = max(sweep_bound, bound)
-    if sweep_bound:
-        _realized_slices(k, sweep_bound, threads=threads, use_cache=use_cache)
+    _realized_slices(
+        k, mu(k, hi) + k, threads=threads, use_cache=use_cache, force=force
+    )
     return [
-        vol1_oracle(
-            k, t, threads=threads, use_cache=use_cache, force=force, budget=budget
-        )
+        vol1_oracle(k, t, threads=threads, use_cache=use_cache, force=force)
         for t in range(lo, hi + 1)
     ]
 
@@ -435,14 +418,7 @@ def _try_decompose(a: IntSet) -> StableDecomposition | None:
         return None
 
 
-def check_extension_lemmas(
-    a: IntSet,
-    x: int,
-    *,
-    deep: bool = True,
-    threads: int = 1,
-    use_cache: bool = True,
-) -> ExtensionCheck:
+def check_extension_lemmas(a: IntSet, x: int) -> ExtensionCheck:
     """Check the growth identities for the extension of a by x.
 
     Always checked: the doubling increment equals k + 1 minus the overlap
@@ -457,22 +433,16 @@ def check_extension_lemmas(
     require_normal(a, "check_extension_lemmas")
     if x not in extension_candidates(a):
         raise ValueError(f"x={x} is not an admissible extension of {a.to_text()}")
-    return _extension_checks(
-        a, (x,), deep=deep, threads=threads, use_cache=use_cache
-    )[0]
+    return _extension_checks(a, (x,), deep=True)[0]
 
 
 def _extension_checks(
-    a: IntSet,
-    xs: tuple[int, ...],
-    *,
-    deep: bool,
-    threads: int = 1,
-    use_cache: bool = True,
+    a: IntSet, xs: tuple[int, ...], *, deep: bool
 ) -> list[ExtensionCheck]:
     """check_extension_lemmas for each admissible x in xs, in order, with
     the invariants of a (doubling, 2A, profile, decomposition) computed once.
-    The overlaps are bit counts on the masks of the normal set a."""
+    The overlaps are bit counts on the masks of the normal set a. deep adds
+    the oracle-decided identities; the sweep leaves them out."""
     k = len(a)
     t = doubling(a)
     a_max = a.max
@@ -514,7 +484,7 @@ def _extension_checks(
             and t >= 2 * k  # doubling 2k-1+b with b >= 1
             and tx >= 3 * (k + 1) - 3
             and k + 1 <= _DEEP_ORACLE_K_CAP
-            and is_1_extremal(a.adjoin(x), threads=threads, use_cache=use_cache)
+            and is_1_extremal(a.adjoin(x))
         ):
             applied.append("extremal extension identities")
             if x != after.mu:
@@ -702,7 +672,7 @@ def check_uniqueness_lemmas(
     else:
         if prof is None or a_max != prof.mu or prof.mu <= 2**prof.c:
             detail = "skipped: max != mu or mu <= 2^c"
-        elif is_chain(a) is None:
+        elif not is_chain_member(a):
             detail = "skipped: not a chain"
         else:
             gap_ok = True
@@ -756,14 +726,14 @@ def check_uniqueness_lemmas(
                 continue
             for y in extension_candidates(ax):
                 swept += 1
-                if is_chain(ax.adjoin(y)) is not None and y != 2 * x:
+                if is_chain_member(ax.adjoin(y)) and y != 2 * x:
                     failures.append(f"A+{{{x},{y}}} is a chain but y != {2 * x}")
             rx = reflexion(ax)
             for y in extension_candidates(rx):
                 if y <= x + 2:
                     continue
                 swept += 1
-                if is_chain(rx.adjoin(y)) is not None and y != 2 * x:
+                if is_chain_member(rx.adjoin(y)) and y != 2 * x:
                     failures.append(
                         f"reflected A+{{{x}}} plus {y} is a chain but y != {2 * x}"
                     )
@@ -779,7 +749,12 @@ def check_uniqueness_lemmas(
     # chains with a single odd element
     name = "chains with a single odd element"
     odds = [e for e in a if e % 2]
-    if len(odds) != 1 or is_chain(a) is None:
+    if k < 4:
+        # the halved even part would have two elements, below any chain
+        checks.append(
+            LemmaOutcome(name, False, None, "skipped: needs at least 4 elements")
+        )
+    elif len(odds) != 1 or not is_chain_member(a):
         checks.append(
             LemmaOutcome(
                 name, False, None, "skipped: not a chain with exactly one odd element"
@@ -789,11 +764,11 @@ def check_uniqueness_lemmas(
         x = odds[0]
         halved = IntSet(e // 2 for e in a if e != x)
         failures = []
-        if is_chain(halved) is None:
+        if not is_chain_member(halved):
             failures.append(f"halved even part {halved.to_text()} is not a chain")
         for y in out_of_hull_pool(a):
             b = a.adjoin(y)
-            if doubling(b) > 3 * (k + 1) - 4 and is_chain(b) is not None:
+            if doubling(b) > 3 * (k + 1) - 4 and is_chain_member(b):
                 b_odds = [e for e in b if e % 2]
                 if len(b_odds) != 1:
                     failures.append(

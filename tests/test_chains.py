@@ -12,6 +12,7 @@ from sumsetchains.chains import (
     enumerate_chains,
     is_chain,
     is_chain_extension,
+    is_chain_member,
     verify_main_theorem,
     volume_1d,
 )
@@ -64,6 +65,20 @@ class TestRecognition:
         # recognition works on raw coordinates
         assert is_chain(S("{3,5,7}")) is not None
         assert is_chain(S("{0,2,4}")) is not None
+
+    def test_membership_matches_the_certificate(self):
+        from sumsetchains.search import enumerate_normal_sets
+
+        for k in range(3, 7):
+            for a in enumerate_normal_sets(k, 2 * k + 2):
+                assert is_chain_member(a) == (is_chain(a) is not None), a
+        for bad, error in [
+            (S("{0,1}"), ValueError),
+            (IntSet(range(CHAIN_ENUM_CAP + 1)), CapacityError),
+        ]:
+            for recognize in (is_chain_member, is_chain):
+                with pytest.raises(error):
+                    recognize(bad)
 
     def test_extension_examples(self):
         assert is_chain_extension(S("{0,1,2}"), S("{0,1,2,4}"))

@@ -1,9 +1,11 @@
 """Command line interface: JSON contracts, exit codes, file outputs."""
 
 import json
+import re
 
 import pytest
 
+from sumsetchains import search
 from sumsetchains.cli import main
 from sumsetchains.search import kernel_digest
 
@@ -184,6 +186,41 @@ def test_threads_must_be_positive(capsys, command, threads):
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert "--threads" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    ("command", "own_flags"),
+    [
+        ("search", {"--k", "--t", "--bound", "--out", "--format"}),
+        ("verify", {"--k", "--format"}),
+    ],
+)
+def test_engine_flags(capsys, command, own_flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags - own_flags == {"--help", "--threads", "--no-cache", "--force"}
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--k", "4", "--budget", "10"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "--budget" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["search", "verify"])
+def test_over_budget_run_refuses_before_sweeping(capsys, tmp_path, monkeypatch, command):
+    def no_sweep(*args):
+        raise AssertionError("swept")
+
+    monkeypatch.setenv("SUMSETCHAINS_CACHE", str(tmp_path))
+    monkeypatch.setattr(search, "_SLICE_CACHE", {})
+    monkeypatch.setattr(search.kernel, "sweep_slice", no_sweep)
+    assert main([command, "--k", "8"]) == 1
+    captured = capsys.readouterr()
+    assert "capacity" in captured.err and "--force" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_subcommand(capsys):

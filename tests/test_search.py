@@ -52,22 +52,16 @@ class TestEnumeration:
         for a in enumerate_normal_sets(5, 9):
             assert is_normal(a) and len(a) == 5 and a.max <= 9
 
-    def test_cursor_resumes_after_a_set(self):
-        sets = list(enumerate_normal_sets(4, 6))
-        probe = sets[6]
-        cursor = (probe.max, probe.elements[1:-1])
-        resumed = list(enumerate_normal_sets(4, 6, cursor=cursor))
-        assert resumed == sets[7:]
-
     def test_estimates(self):
         assert estimated_candidates(5, 16) == 1820
         assert estimated_candidates(8, 30) == 2035800
 
     def test_budget_guard(self):
-        with pytest.raises(CapacityError):
-            list(enumerate_normal_sets(8, 30, budget=1000))
+        assert estimated_candidates(8, 80) > search.DEFAULT_BUDGET
+        with pytest.raises(CapacityError, match="--force"):
+            list(enumerate_normal_sets(8, 80))
         # force pushes through
-        gen = enumerate_normal_sets(8, 30, budget=1000, force=True)
+        gen = enumerate_normal_sets(8, 80, force=True)
         assert len(next(gen)) == 8
 
     def test_argument_guards(self):
@@ -179,6 +173,30 @@ class TestOracle:
         cold = verify_conjecture(6, use_cache=False)
         assert [r.as_dict() for r in warm] == [r.as_dict() for r in cold]
 
+    def test_over_budget_sweeps_refuse_before_sweeping(self, tmp_path, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept")
+
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        monkeypatch.setattr(search, "DEFAULT_BUDGET", 100)
+        sweep = search.kernel.sweep_slice
+        monkeypatch.setattr(search.kernel, "sweep_slice", no_sweep)
+        with pytest.raises(CapacityError, match="--force"):
+            verify_conjecture(5)
+        with pytest.raises(CapacityError):
+            vol1_oracle(5, 9)
+        with pytest.raises(CapacityError):
+            is_1_extremal(S("{0,1,2,4,8}"))
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(search.kernel, "sweep_slice", sweep)
+        forced = verify_conjecture(5, force=True)
+        # a table that covers the bound is served without force or a sweep
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        monkeypatch.setattr(search.kernel, "sweep_slice", no_sweep)
+        warm = verify_conjecture(5)
+        assert [r.as_dict() for r in warm] == [r.as_dict() for r in forced]
+
     def test_verify_conjecture(self):
         reports = verify_conjecture(4)
         assert [(r.t, r.observed_max_vol, r.attained) for r in reports] == [
@@ -281,3 +299,11 @@ class TestUniquenessChecks:
             for c in report.checks:
                 if c.applicable:
                     assert c.passed is True
+
+    def test_three_sets_skip_the_single_odd_check(self):
+        # halving {0,1,2} leaves the 2-set {0,1}, which no chain test accepts
+        report = check_uniqueness_lemmas(S("{0,1,2}"))
+        odd = report.checks[-1]
+        assert odd.name == "chains with a single odd element"
+        assert (odd.applicable, odd.passed) == (False, None)
+        assert odd.details == "skipped: needs at least 4 elements"
