@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import kernel
+from . import chains, kernel
 from .chains import is_chain_member
 from .dimension import extension_candidates, is_one_dimensional, out_of_hull_pool
 from .doubling import mu, profile, t_range
@@ -48,11 +48,6 @@ SLICES_SCHEMA = "k: int, digest: str, slices: {str(m): [sorted doublings]}"
 
 SCOPE_NOTE = "volumes range over one-dimensional sets only"
 
-# the embedded oracle calls of the conditional lemma checks stay affordable
-# only while the extended set's cardinality keeps the sweep under budget
-_DEEP_ORACLE_K_CAP = 7
-_UNIQUENESS_K_CAP = 5
-
 
 def estimated_candidates(k: int, max_elem: int) -> int:
     """Candidate count for a full sweep: sets {0, ..., m} with m <= max_elem
@@ -70,6 +65,14 @@ def _check_budget(k: int, max_elem: int, force: bool) -> None:
             f"about {est} candidates, over the budget of {DEFAULT_BUDGET}; "
             f"run it anyway with --force (force=True)"
         )
+
+
+def _oracle_affordable(j: int) -> bool:
+    """Does the oracle's default sweep at cardinality j fit DEFAULT_BUDGET?
+    It decides which lemma checks may call the oracle, from the budget
+    alone: neither the cache nor force enters, so no report depends on
+    what happens to be cached."""
+    return estimated_candidates(j, mu(j, t_range(j)[1]) + j) <= DEFAULT_BUDGET
 
 
 def enumerate_normal_sets(k: int, max_elem: int, *, force: bool = False):
@@ -245,9 +248,11 @@ def _realizing_maxima(
     return [m for m in sorted(slices) if t in slices[m]]
 
 
-def _collect(k: int, m: int, t: int) -> tuple[IntSet, ...]:
-    got = kernel.collect_slice(k, m, (t,))
-    return tuple(IntSet(elems) for elems in got.get(t, []))
+def _collect(k: int, m: int, ts: tuple[int, ...]) -> dict[int, tuple[IntSet, ...]]:
+    """The one-dimensional normal k-sets with maximum m, grouped by doubling
+    in ts; a doubling no set realizes has no group."""
+    got = kernel.collect_slice(k, m, ts)
+    return {t: tuple(map(IntSet, sets)) for t, sets in got.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +321,14 @@ def vol1_oracle(
     if ms:
         top = ms[-1]
         observed = top + 1
-        witnesses = _collect(k, top, t)
+        witnesses = _collect(k, top, (t,)).get(t, ())
     else:
         observed = 0
         witnesses = ()
     violations: list[IntSet] = []
     for m in ms:
         if m > prof.mu:
-            violations.extend(_collect(k, m, t))
+            violations.extend(_collect(k, m, (t,)).get(t, ()))
     constr = attainment_construction(k, t)
     return SearchReport(
         k=k,
@@ -483,7 +488,7 @@ def _extension_checks(
             and extremal
             and t >= 2 * k  # doubling 2k-1+b with b >= 1
             and tx >= 3 * (k + 1) - 3
-            and k + 1 <= _DEEP_ORACLE_K_CAP
+            and _oracle_affordable(k + 1)
             and is_1_extremal(a.adjoin(x))
         ):
             applied.append("extremal extension identities")
@@ -528,19 +533,27 @@ def extension_lemma_sweep(k: int) -> ExtensionSweepReport:
     """Check the growth identities of check_extension_lemmas, without the
     oracle-decided ones, over every one-dimensional normal set of
     cardinality k with maximum at most mu(k, |2A|) + k, and every admissible
-    x of each."""
+    x of each.
+
+    The sets come from the oracle's slice table up to mu(k, T) + k at the
+    top doubling T, each slice collected once over the doublings it
+    realizes; without a table that covers that bound, a sweep over the
+    budget raises CapacityError before anything is walked."""
     start = time.perf_counter()
-    lo, hi = t_range(k)
-    bound = mu(k, hi) + k
+    slices = _realized_slices(
+        k, mu(k, t_range(k)[1]) + k, threads=1, use_cache=True, force=False
+    )
     sets_checked = 0
     pairs_checked = 0
     bad: list[tuple[IntSet, ExtensionCheck]] = []
-    for m in range(k - 1, bound + 1):
-        ts_needed = tuple(t for t in range(lo, hi + 1) if mu(k, t) + k >= m)
-        got = kernel.collect_slice(k, m, ts_needed)
+    for m, realized in slices.items():
+        if not realized:
+            continue
+        got = _collect(k, m, realized)
         for t in sorted(got):
-            for elems in got[t]:
-                a = IntSet(elems)
+            if m > mu(k, t) + k:
+                continue
+            for a in got[t]:
                 xs = extension_candidates(a).elements
                 sets_checked += 1
                 pairs_checked += len(xs)
@@ -611,7 +624,8 @@ def check_uniqueness_lemmas(
     stable parts are 2-progressions with a long middle segment, chains above
     the crossing extend only by doubled maxima; a chain with a single odd
     element is the odd-adjoin image of a smaller chain and passes that
-    property up.
+    property up. A check is also skipped when the oracle it calls is over
+    the sweep budget, or the chains it recognizes pass CHAIN_ENUM_CAP.
     """
     require_normal(a, "check_uniqueness_lemmas")
     k = len(a)
@@ -623,21 +637,27 @@ def check_uniqueness_lemmas(
     except ValueError:
         prof = None
     checks: list[LemmaOutcome] = []
-    over_cap = (
-        f"skipped: needs the exhaustive oracle at cardinality {k + 2}, "
-        f"capped at {_UNIQUENESS_K_CAP + 2}"
+
+    def skip(name: str, why: str) -> None:
+        checks.append(LemmaOutcome(name, False, None, "skipped: " + why))
+
+    over_budget = (
+        f"needs the exhaustive oracle at cardinality {k + 2}, "
+        f"over the sweep budget of {DEFAULT_BUDGET} candidates"
     )
+    cap = chains.CHAIN_ENUM_CAP
+    past_cap = f"needs chain recognition past the cap of {cap} elements"
 
     # right-extension uniqueness above the double-max step
     name = "right extensions of the double-max step"
-    if k > _UNIQUENESS_K_CAP:
-        checks.append(LemmaOutcome(name, False, None, over_cap))
+    if not _oracle_affordable(k + 2):
+        skip(name, over_budget)
     elif (
         not one_dim
         or prof is None
         or not is_1_extremal(a, threads=threads, use_cache=use_cache)
     ):
-        checks.append(LemmaOutcome(name, False, None, "skipped: not 1-extremal"))
+        skip(name, "not 1-extremal")
     else:
         b_set = adjoin_double_max(a)
         survivors = _extremal_right_extensions(b_set, a_max, threads, use_cache)
@@ -666,56 +686,41 @@ def check_uniqueness_lemmas(
 
     # left-extension uniqueness, via the reflexion of the double-max step
     name = "left extensions of the double-max step"
-    left_applicable = False
-    if k > _UNIQUENESS_K_CAP:
-        detail = over_cap
+    if not _oracle_affordable(k + 2):
+        skip(name, over_budget)
+    elif prof is None or a_max != prof.mu or prof.mu <= 2**prof.c:
+        skip(name, "max != mu or mu <= 2^c")
+    elif not is_chain_member(a):
+        skip(name, "not a chain")
+    elif any(
+        y >= min(_mu_or_inf(k + 1, doubling(s.adjoin(y))) for s in (a, reflexion(a)))
+        for y in range(a_max + 1, 2 * a_max)
+    ):
+        skip(name, "some mid-range y reaches mu(k+1, T_y)")
     else:
-        if prof is None or a_max != prof.mu or prof.mu <= 2**prof.c:
-            detail = "skipped: max != mu or mu <= 2^c"
-        elif not is_chain_member(a):
-            detail = "skipped: not a chain"
-        else:
-            gap_ok = True
-            for y in range(a_max + 1, 2 * a_max):
-                ty = doubling(a.adjoin(y))
-                ty_r = doubling(reflexion(a).adjoin(y))
-                lim = min(_mu_or_inf(k + 1, ty), _mu_or_inf(k + 1, ty_r))
-                if y >= lim:
-                    gap_ok = False
-                    break
-            if not gap_ok:
-                detail = "skipped: some mid-range y reaches mu(k+1, T_y)"
-            else:
-                left_applicable = True
-    if left_applicable:
         b_set = reflexion(adjoin_double_max(a))
         survivors = _extremal_right_extensions(b_set, a_max, threads, use_cache)
-        passed = survivors == [4 * a_max]
         detail = (
             f"1-extremal right extensions of {b_set.to_text()} at {survivors}, "
             f"expected [{4 * a_max}]"
         )
-        checks.append(LemmaOutcome(name, True, passed, detail))
-    else:
-        checks.append(LemmaOutcome(name, False, None, detail))
+        checks.append(LemmaOutcome(name, True, survivors == [4 * a_max], detail))
 
     # chains above the crossing over a two-progression split
     name = "chain extensions over a two-progression split"
     dec = _try_decompose(a) if one_dim else None
-    if (
+    if k + 2 > cap:
+        skip(name, past_cap)
+    elif (
         dec is None
         or dec.p_len < 4
         or not is_progression(dec.a1, 2)
         or not is_progression(dec.a2, 2)
     ):
-        checks.append(
-            LemmaOutcome(
-                name,
-                False,
-                None,
-                "skipped: no stable decomposition into 2-progressions around "
-                "a segment of length >= 4",
-            )
+        skip(
+            name,
+            "no stable decomposition into 2-progressions around "
+            "a segment of length >= 4",
         )
     else:
         failures = []
@@ -751,15 +756,11 @@ def check_uniqueness_lemmas(
     odds = [e for e in a if e % 2]
     if k < 4:
         # the halved even part would have two elements, below any chain
-        checks.append(
-            LemmaOutcome(name, False, None, "skipped: needs at least 4 elements")
-        )
+        skip(name, "needs at least 4 elements")
+    elif k + 1 > cap:
+        skip(name, past_cap)
     elif len(odds) != 1 or not is_chain_member(a):
-        checks.append(
-            LemmaOutcome(
-                name, False, None, "skipped: not a chain with exactly one odd element"
-            )
-        )
+        skip(name, "not a chain with exactly one odd element")
     else:
         x = odds[0]
         halved = IntSet(e // 2 for e in a if e != x)

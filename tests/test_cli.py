@@ -177,6 +177,19 @@ class TestVerify:
         assert [c["t"] for c in got["conjecture"]] == [7, 8]
         assert all(c["ok"] for c in got["conjecture"])
 
+    def test_forced_run_sweeps_extensions_past_the_budget(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # --force lifts the budget for the conjecture part, and the extension
+        # sweep then reads the table it filled instead of being skipped
+        monkeypatch.setenv("SUMSETCHAINS_CACHE", str(tmp_path))
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        monkeypatch.setattr(search, "DEFAULT_BUDGET", 100)
+        code, out = run(capsys, "verify", "--k", "5", "--force")
+        assert code == 0
+        assert "extension sweep k=5: 20 sets, 122 extensions, 0 violations PASS" in out
+        assert "skipped (over budget)" not in out
+
 
 @pytest.mark.parametrize("command", ["search", "verify"])
 @pytest.mark.parametrize("threads", ["0", "-2"])

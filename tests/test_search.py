@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sumsetchains import search
+from sumsetchains import chains, search
 from sumsetchains.dimension import extension_candidates, is_one_dimensional
 from sumsetchains.doubling import mu, t_range
 from sumsetchains.errors import CapacityError
@@ -259,6 +259,42 @@ class TestExtensionChecks:
             counts[k] = (report.sets_checked, report.pairs_checked)
         assert counts == {3: (1, 2), 4: (3, 11), 5: (20, 122)}
 
+    def test_sweep_over_the_budget_refuses_before_walking(self, tmp_path, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        monkeypatch.setattr(search, "DEFAULT_BUDGET", 100)
+        sweep, collect = search.kernel.sweep_slice, search.kernel.collect_slice
+        monkeypatch.setattr(search.kernel, "sweep_slice", no_walk)
+        monkeypatch.setattr(search.kernel, "collect_slice", no_walk)
+        with pytest.raises(CapacityError, match="--force"):
+            extension_lemma_sweep(5)
+        monkeypatch.setattr(search.kernel, "sweep_slice", sweep)
+        monkeypatch.setattr(search.kernel, "collect_slice", collect)
+        verify_conjecture(5, force=True)
+        # the forced table covers the sweep's bound, so it is served as is
+        report = extension_lemma_sweep(5)
+        assert (report.sets_checked, report.pairs_checked) == (20, 122)
+
+    def test_sweep_collects_each_slice_once_over_its_table_entry(self, monkeypatch):
+        calls = []
+        collect = search.kernel.collect_slice
+
+        def recording(k, m, ts):
+            calls.append((m, tuple(ts)))
+            return collect(k, m, ts)
+
+        monkeypatch.setattr(search.kernel, "collect_slice", recording)
+        report = extension_lemma_sweep(5)
+        assert (report.sets_checked, report.pairs_checked) == (20, 122)
+        table = search._realized_slices(
+            5, mu(5, t_range(5)[1]) + 5, threads=1, use_cache=True, force=False
+        )
+        assert any(not ts for ts in table.values())
+        assert calls == [(m, ts) for m, ts in table.items() if ts]
+
     def test_per_set_checks_match_the_object_layer(self):
         # every pair of the k <= 5 sweeps, against sumsets built element by
         # element and doublings of the extended sets
@@ -284,6 +320,10 @@ class TestExtensionChecks:
         assert counts == {3: (1, 2), 4: (3, 11), 5: (20, 122)}
 
 
+def test_the_oracle_serves_exactly_the_cardinalities_under_the_budget():
+    assert [j for j in range(3, 10) if search._oracle_affordable(j)] == [3, 4, 5, 6, 7]
+
+
 class TestUniquenessChecks:
     def test_expected_outcomes(self):
         names = [
@@ -307,3 +347,29 @@ class TestUniquenessChecks:
         assert odd.name == "chains with a single odd element"
         assert (odd.applicable, odd.passed) == (False, None)
         assert odd.details == "skipped: needs at least 4 elements"
+
+    def test_checks_past_the_chain_cap_are_skipped(self, monkeypatch):
+        # the two-progression check recognizes (k + 2)-sets and the single-odd
+        # check (k + 1)-sets; past the cap they are skipped, not raised
+        monkeypatch.setattr(chains, "CHAIN_ENUM_CAP", 7)
+        split = check_uniqueness_lemmas(S("{0,2,3,4,5,7}")).checks[2]
+        assert split.name == "chain extensions over a two-progression split"
+        assert (split.applicable, split.passed) == (False, None)
+        assert split.details == (
+            "skipped: needs chain recognition past the cap of 7 elements"
+        )
+        odd = check_uniqueness_lemmas(S("{0,2,4,5,6,8}")).checks[3]
+        assert (odd.applicable, odd.passed) == (True, True)
+        monkeypatch.setattr(chains, "CHAIN_ENUM_CAP", 6)
+        odd = check_uniqueness_lemmas(S("{0,2,4,5,6,8}")).checks[3]
+        assert (odd.applicable, odd.passed) == (False, None)
+        assert "past the cap of 6" in odd.details
+
+    def test_oracle_checks_over_the_budget_say_so(self):
+        report = check_uniqueness_lemmas(S("{0,1,2,3,4,5}"))
+        for c in report.checks[:2]:
+            assert (c.applicable, c.passed) == (False, None)
+            assert c.details == (
+                "skipped: needs the exhaustive oracle at cardinality 8, "
+                "over the sweep budget of 1000000000 candidates"
+            )
