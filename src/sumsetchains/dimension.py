@@ -9,12 +9,11 @@ is exactly k - 2.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import kernel
 from .errors import CapacityError
-from .intset import IntSet, difference_set, normalize, require_normal, sumset
+from .intset import IntSet, _bits_to_elements, normalize, require_normal
 
 FISO_CAP = 10
 
@@ -47,6 +46,26 @@ def is_one_dimensional(a: IntSet) -> bool:
     return kernel.is_one_dimensional(a.elements)
 
 
+def _sumset_mask(a: IntSet) -> int:
+    """2A as a mask: bit i stands for 2 min A + i."""
+    mask = a.mask()
+    low = a.min
+    two = 0
+    for e in a.elements:
+        two |= mask << (e - low)
+    return two
+
+
+def _difference_mask(a: IntSet) -> int:
+    """2A - A as a mask: bit i stands for 2 min A - max A + i."""
+    two = _sumset_mask(a)
+    high = a.max
+    diff = 0
+    for e in a.elements:
+        diff |= two << (high - e)
+    return diff
+
+
 def out_of_hull_pool(a: IntSet) -> tuple[int, ...]:
     """The points of 2A - A outside [min A, max A], ascending.
 
@@ -55,8 +74,11 @@ def out_of_hull_pool(a: IntSet) -> tuple[int, ...]:
     contributes |A| + 1 fresh sums, which leaves the relation rank unchanged
     and forces dimension 2.
     """
-    pool = difference_set(sumset(a, a), a).elements
-    return pool[: bisect_left(pool, a.min)] + pool[bisect_right(pool, a.max) :]
+    diff = _difference_mask(a)
+    span = a.max - a.min
+    # bit span stands for min A and bit 2 span for max A
+    below = _bits_to_elements(diff & ((1 << span) - 1), 2 * a.min - a.max)
+    return below + _bits_to_elements(diff >> (2 * span + 1), a.max + 1)
 
 
 def extension_candidates(a: IntSet) -> IntSet:
@@ -68,8 +90,7 @@ def extension_candidates(a: IntSet) -> IntSet:
     require_normal(a, "extension_candidates")
     if not is_one_dimensional(a):
         raise ValueError("extension_candidates requires a one-dimensional set")
-    pool = out_of_hull_pool(a)
-    return IntSet(pool[bisect_right(pool, a.max) :])
+    return IntSet(_bits_to_elements(_difference_mask(a) >> (2 * a.max + 1), a.max + 1))
 
 
 def _compatible(a: tuple[int, ...], b: tuple[int, ...], images: list[int], n: int) -> bool:

@@ -190,6 +190,21 @@ class TestVerify:
         assert "extension sweep k=5: 20 sets, 122 extensions, 0 violations PASS" in out
         assert "skipped (over budget)" not in out
 
+    def test_k3_is_the_smallest_cardinality(self, capsys):
+        # {0, 1, 2} is the only one-dimensional normal 3-set, so the default
+        # bound mu(3, 5) + 3 and an explicit one give the same CSV
+        code, out = run(capsys, "search", "--k", "3")
+        assert code == 0
+        assert out.splitlines()[1:] == ['3,5,2,0,2,3,1,"{0,1,2}",0']
+        assert run(capsys, "search", "--k", "3", "--bound", "4") == (code, out)
+        code, out = run(capsys, "verify", "--k", "3")
+        assert code == 0
+        assert out.count("PASS") == 4 and "FAIL" not in out
+        for command in ("search", "verify"):
+            assert main([command, "--k", "2"]) == 1
+            captured = capsys.readouterr()
+            assert "k must be >= 3" in captured.err and captured.out == ""
+
 
 @pytest.mark.parametrize("command", ["search", "verify"])
 @pytest.mark.parametrize("threads", ["0", "-2"])

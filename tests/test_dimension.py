@@ -14,9 +14,11 @@ from sumsetchains.dimension import (
     f_isomorphic,
     f_isomorphism,
     is_one_dimensional,
+    out_of_hull_pool,
     relation_rank,
 )
 from sumsetchains.intset import IntSet, doubling, normalize, reflexion
+from sumsetchains.search import enumerate_normal_sets
 
 normal_sets = st.sets(st.integers(1, 30), min_size=2, max_size=6).map(
     lambda s: normalize(IntSet({0} | s))[0]
@@ -29,6 +31,18 @@ one_dim_sets = (
     .map(lambda s: normalize(IntSet({0} | s))[0])
     .filter(lambda a: len(a) >= 3 and is_one_dimensional(a))
 )
+
+# any finite set: negative elements, a common factor, singletons and 2-sets
+any_sets = st.builds(
+    lambda s, d: IntSet(d * e for e in s),
+    st.sets(st.integers(-25, 25), min_size=1, max_size=7),
+    st.integers(1, 4),
+)
+
+
+def difference_points(a: IntSet) -> set[int]:
+    """2A - A from its definition, element by element."""
+    return {s + t - e for s in a for t in a for e in a}
 
 
 def rational_rank(rows: list[list[int]]) -> int:
@@ -114,6 +128,26 @@ class TestExtensionCandidates:
         for x in range(a.max + 1, top + 3):
             if x not in cands:
                 assert not is_one_dimensional(a.adjoin(x))
+
+
+class TestOutOfHullPool:
+    def test_examples(self):
+        # 2A - A of {0, 1, 3} is [-3, 6]
+        assert out_of_hull_pool(IntSet((0, 1, 3))) == (-3, -2, -1, 4, 5, 6)
+        assert out_of_hull_pool(IntSet((-4, 2))) == (-10, 8)
+        assert out_of_hull_pool(IntSet((7,))) == ()
+
+    @given(any_sets)
+    def test_matches_the_definition(self, a):
+        want = sorted(y for y in difference_points(a) if not a.min <= y <= a.max)
+        assert out_of_hull_pool(a) == tuple(want)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_candidates_match_the_definition(self, k):
+        for a in enumerate_normal_sets(k, 2 * k + 2):
+            if is_one_dimensional(a):
+                want = sorted(y for y in difference_points(a) if y > a.max)
+                assert extension_candidates(a).elements == tuple(want), a
 
 
 class TestFreimanIsomorphism:

@@ -295,6 +295,37 @@ class TestExtensionChecks:
         assert any(not ts for ts in table.values())
         assert calls == [(m, ts) for m, ts in table.items() if ts]
 
+    def test_sweep_reports_exactly_the_failing_pairs(self, monkeypatch):
+        # no pair fails below k = 8, so violations are injected: T_x of a few
+        # chosen pairs is raised by one, which breaks the increment identity
+        size = search.kernel.doubling_size
+        order = []
+
+        def recording(elements):
+            if len(elements) == 6:
+                order.append(tuple(elements))
+            return size(elements)
+
+        monkeypatch.setattr(search.kernel, "doubling_size", recording)
+        clean = extension_lemma_sweep(5)
+        assert clean.violations == () and len(order) == clean.pairs_checked == 122
+        # T_x + 1 must stay a legal doubling of a 6-set
+        room = [e for e in order if size(e) < t_range(6)[1]]
+        chosen = [room[i] for i in (0, len(room) // 2, -2, -1)]
+
+        def skewed(elements):
+            return size(elements) + (tuple(elements) in chosen)
+
+        monkeypatch.setattr(search.kernel, "doubling_size", skewed)
+        report = extension_lemma_sweep(5)
+        assert (report.sets_checked, report.pairs_checked) == (20, 122)
+        assert [(a.elements, c.x) for a, c in report.violations] == [
+            (e[:-1], e[-1]) for e in chosen
+        ]
+        for a, c in report.violations:
+            assert "doubling increment" in c.violations[0]
+            assert c == search._extension_checks(a, (c.x,), deep=False)[0]
+
     def test_per_set_checks_match_the_object_layer(self):
         # every pair of the k <= 5 sweeps, against sumsets built element by
         # element and doublings of the extended sets
