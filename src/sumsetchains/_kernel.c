@@ -5,10 +5,13 @@
  * interior depth, so a leaf costs one shifted OR and a popcount, and it
  * walks only the interiors with e[1] + e[k-2] <= m: the reflexion
  * x -> m - x covers the rest (see Slice below).
+ * right_extensions lists the one-element right extensions of one set with
+ * their doublings and overlaps, so a sweep makes one call per set.
  * Limits: elements with |e| <= 2^60 (the IntSet range), at most 12 elements
  * for rank work (Bareiss minors stay inside int64), slice maxima m <= 511,
- * doubling spans <= 2^20. Past a limit it raises OverflowError; kernel.py
- * routes such input to the pure-Python reference instead. */
+ * right_extensions spans <= 511, doubling spans <= 2^20. Past a limit it
+ * raises OverflowError; kernel.py routes such input to the pure-Python
+ * reference instead. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -445,10 +448,96 @@ fail:
     return NULL;
 }
 
+/* The popcount of two AND (mask << x) for a mask of mw words and x >= 0;
+ * two needs mw + x / 64 + 1 words. */
+static int shifted_overlap(const u64 *two, const u64 *mask, Py_ssize_t mw, i64 x)
+{
+    Py_ssize_t base = (Py_ssize_t)(x >> 6);
+    int bit = (int)(x & 63), total = 0;
+    for (Py_ssize_t w = 0; w < mw; w++) {
+        total += popcount(two[w + base] & (mask[w] << bit));
+        if (bit)
+            total += popcount(two[w + base + 1] & (mask[w] >> (64 - bit)));
+    }
+    return total;
+}
+
+/* x - min A reaches 2 * span, so the offsets of A | {x} reach 2 * MAX_M */
+#define EXT_MASK_WORDS ((2 * MAX_M + 1 + 63) / 64)
+#define EXT_ACC_WORDS ((4 * MAX_M + 1 + 63) / 64)
+
+/* (x, |2(A | {x})|, |2A & (x + A)|) for every x > max A in 2A - A, ascending,
+ * as in _kernel_py: x + A meets 2A exactly when x is in 2A - A, so the
+ * overlap picks the xs, and |2(A | {x})| is counted afresh by
+ * bitset_doubling on the k + 1 offsets. Spans up to MAX_M. */
+static PyObject *right_extensions(PyObject *self, PyObject *elements)
+{
+    /* any iterable of ints, as on the pure path */
+    PyObject *out = NULL, *seq = PySequence_Fast(elements, "elements must be a sequence of ints");
+    Py_ssize_t n = seq == NULL ? 0 : PySequence_Fast_GET_SIZE(seq), k, i, mw;
+    i64 base, span, shift, *off = seq == NULL ? NULL : PyMem_Malloc((n + 1) * sizeof(i64));
+    /* shifted_overlap reads up to mw + 2 * span / 64 + 1 words of two */
+    u64 amask[SLICE_MASK_WORDS] = {0}, two[SLICE_MASK_WORDS + EXT_MASK_WORDS + 1] = {0};
+    u64 xmask[EXT_MASK_WORDS], xacc[EXT_ACC_WORDS + 1];
+    if (off == NULL) {
+        Py_XDECREF(seq);
+        return seq == NULL ? NULL : PyErr_NoMemory();
+    }
+    k = read_elements(seq, off, n, "right_extensions");
+    if (k < 0)
+        goto done;
+    if (k == 0) {
+        PyErr_SetString(PyExc_IndexError, "right_extensions of an empty sequence");
+        goto done;
+    }
+    for (i = 1; i < k; i++) {
+        if (off[i] <= off[i - 1]) {
+            PyErr_SetString(PyExc_ValueError, "right_extensions takes strictly ascending elements");
+            goto done;
+        }
+    }
+    base = off[0];
+    span = off[k - 1] - base;
+    if (span > MAX_M) {
+        PyErr_Format(PyExc_OverflowError, "the compiled right_extensions takes spans <= %d", MAX_M);
+        goto done;
+    }
+    mw = (Py_ssize_t)(span >> 6) + 1;
+    for (i = 0; i < k; i++) {
+        off[i] -= base;
+        amask[off[i] >> 6] |= 1ULL << (off[i] & 63);
+    }
+    for (i = 0; i < k; i++)
+        shift_or(two, amask, mw, off[i]);
+    if ((out = PyList_New(0)) == NULL)
+        goto done;
+    for (shift = span + 1; shift <= 2 * span; shift++) {
+        int overlap = shifted_overlap(two, amask, mw, shift);
+        if (overlap == 0)
+            continue;
+        off[k] = shift;
+        int tx = bitset_doubling(off, k + 1, xmask, (Py_ssize_t)(shift >> 6) + 1, xacc,
+                                 (Py_ssize_t)((2 * shift) >> 6) + 1);
+        PyObject *item = Py_BuildValue("(Lii)", base + shift, tx, overlap);
+        int rc = item == NULL ? -1 : PyList_Append(out, item);
+        Py_XDECREF(item);
+        if (rc < 0) {
+            Py_CLEAR(out);
+            goto done;
+        }
+    }
+done:
+    PyMem_Free(off);
+    Py_DECREF(seq);
+    return out;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"doubling_size", doubling_size, METH_O, "|A + A| for a sorted tuple of distinct ints."},
     {"lambda_rank", lambda_rank, METH_O, "Rank of the additive-relation vectors of A."},
     {"is_one_dimensional", is_one_dimensional, METH_O, "Whether lambda_rank(A) is |A| - 2."},
+    {"right_extensions", right_extensions, METH_O,
+     "(x, |2(A | {x})|, |2A & (x + A)|) for every x > max A in 2A - A, ascending."},
     {"sweep_slice", (PyCFunction)(void (*)(void))sweep_slice, METH_VARARGS | METH_KEYWORDS,
      "Sorted doublings <= t_max of the normal one-dimensional k-sets with max m."},
     {"collect_slice", (PyCFunction)(void (*)(void))collect_slice, METH_VARARGS | METH_KEYWORDS,

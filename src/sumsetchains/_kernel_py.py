@@ -15,6 +15,10 @@ Both walk a slice (the normal k-sets with maximum m) the same way:
   the interiors with e[1] + e[-2] <= m. collect_slice adds the mirror of each
   hit whose sum is < m (a sum of m has its mirror walked itself) and sorts
   each group, so its output stays in lexicographic order.
+
+right_extensions serves the extension sweep one call per set: every
+x > max A in 2A - A with the doubling of A ∪ {x} and the overlap
+|2A ∩ (x + A)|. The compiled twin takes sets of span up to 511.
 """
 
 from __future__ import annotations
@@ -35,6 +39,34 @@ def doubling_size(elements: tuple[int, ...]) -> int:
     for e in elements:
         acc |= amask << (e - base)
     return acc.bit_count()
+
+
+def right_extensions(elements: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(x, |2(A ∪ {x})|, |2A ∩ (x + A)|) for every x > max A in 2A - A,
+    ascending in x, for a sorted tuple A of distinct ints.
+
+    x lies in 2A - A exactly when x + A meets 2A, so the overlap picks the
+    xs; the doubling of A ∪ {x} is counted afresh with doubling_size."""
+    elements = tuple(map(operator.index, elements))
+    if not elements:
+        raise IndexError("right_extensions of an empty sequence")
+    if any(b <= a for a, b in zip(elements, elements[1:])):
+        raise ValueError("right_extensions takes strictly ascending elements")
+    base = elements[0]
+    span = elements[-1] - base
+    amask = 0
+    for e in elements:
+        amask |= 1 << (e - base)
+    two = 0
+    for e in elements:
+        two |= amask << (e - base)
+    out = []
+    for shift in range(span + 1, 2 * span + 1):
+        overlap = (two & (amask << shift)).bit_count()
+        if overlap:
+            x = base + shift
+            out.append((x, doubling_size(elements + (x,)), overlap))
+    return out
 
 
 def _generator_rows(elements: tuple[int, ...]) -> list[list[int]]:

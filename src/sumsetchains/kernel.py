@@ -22,8 +22,8 @@ BACKEND = "c" if _c is not None else "python"
 
 def _call(name, *args):
     # The compiled kernel raises OverflowError past the limits it states
-    # (element magnitude, rank size, slice maximum, doubling span); the pure
-    # twin takes any size, so such input goes there.
+    # (element magnitude, rank size, slice maximum, extension and doubling
+    # spans); the pure twin takes any size, so such input goes there.
     if _c is not None:
         try:
             return getattr(_c, name)(*args)
@@ -50,3 +50,7 @@ def sweep_slice(k, m, t_max):
 
 def collect_slice(k, m, ts):
     return _call("collect_slice", k, m, ts)
+
+
+def right_extensions(elements):
+    return _call("right_extensions", elements)

@@ -25,12 +25,7 @@ from pathlib import Path
 
 from . import chains, kernel
 from .chains import is_chain_member
-from .dimension import (
-    _sumset_mask,
-    extension_candidates,
-    is_one_dimensional,
-    out_of_hull_pool,
-)
+from .dimension import extension_candidates, is_one_dimensional, out_of_hull_pool
 from .doubling import mu, profile, t_range
 from .errors import CapacityError, DecompositionNotUnique, NotDecomposable
 from .growth import adjoin_double_max
@@ -42,7 +37,7 @@ from .intset import (
     require_normal,
     sumset,  # unused here; sweepbench/test_sweepbench.py reads search.sumset
 )
-from .stability import StableDecomposition, stable_decompose
+from .stability import StableDecomposition, _unique_split
 
 DEFAULT_BUDGET = 10**9
 CACHE_ENV = "SUMSETCHAINS_CACHE"
@@ -411,7 +406,7 @@ class ExtensionCheck:
     delta_t: int
     overlap: int
     c_before: int
-    c_after: int
+    c_after: int | None  # None when T_x is not a legal doubling for k + 1
     crossing: bool
     applied: tuple[str, ...]
     violations: tuple[str, ...]
@@ -421,10 +416,14 @@ class ExtensionCheck:
         return not self.violations
 
 
-def _try_decompose(a: IntSet) -> StableDecomposition | None:
+def _try_decompose(a: IntSet, t: int) -> StableDecomposition | None:
+    """The stable decomposition of a normal set a with doubling t, or None
+    when it has none (t > 3|A| - 4 included)."""
+    if t > 3 * len(a) - 4:
+        return None
     try:
-        return stable_decompose(a)
-    except (NotDecomposable, DecompositionNotUnique, ValueError):
+        return _unique_split(a)
+    except (NotDecomposable, DecompositionNotUnique):
         return None
 
 
@@ -432,8 +431,8 @@ def check_extension_lemmas(a: IntSet, x: int) -> ExtensionCheck:
     """Check the growth identities for the extension of a by x.
 
     Always checked: the doubling increment equals k + 1 minus the overlap
-    |2A ∩ (x+A)|, the increment lies in [2, k], and the doubling constant
-    moves by at most one. When a is extremal with a stable decomposition and
+    |2A ∩ (x+A)|, the increment lies in [2, k], T_x is a legal doubling for
+    k + 1, and the doubling constant moves by at most one. When a is extremal with a stable decomposition and
     the extension crosses into the large-doubling regime, the lower bound
     2a - (a1 + a2 - 2) on x is checked; when the extension is itself
     1-extremal (oracle-decided, hence only at small cardinality), x must
@@ -441,83 +440,98 @@ def check_extension_lemmas(a: IntSet, x: int) -> ExtensionCheck:
     interval [0, 2a-x].
     """
     require_normal(a, "check_extension_lemmas")
-    if x not in extension_candidates(a):
+    if not is_one_dimensional(a):
+        raise ValueError("check_extension_lemmas requires a one-dimensional set")
+    triples = [tr for tr in kernel.right_extensions(a.elements) if tr[0] == x]
+    if not triples:
         raise ValueError(f"x={x} is not an admissible extension of {a.to_text()}")
-    return _extension_checks(a, (x,), deep=True)[0]
+    return _extension_checks(a.elements, doubling(a), triples, deep=True)[0]
 
 
 def _extension_checks(
-    a: IntSet, xs: tuple[int, ...], *, deep: bool, failing_only: bool = False
+    elements: tuple[int, ...],
+    t: int,
+    triples: list[tuple[int, int, int]],
+    *,
+    deep: bool,
+    failing_only: bool = False,
 ) -> list[ExtensionCheck]:
-    """check_extension_lemmas for each admissible x in xs, in order, with
-    the invariants of a (doubling, 2A, profile, decomposition) computed once.
-    2A and the overlaps are taken on the mask of the normal set a, and a is
-    decomposed only when max A = mu(k, T), the one case that reads the
-    decomposition. deep adds the oracle-decided identities; the sweep leaves
-    them out. failing_only evaluates every identity on every x but returns
-    the checks with a violation only."""
-    k = len(a)
-    t = doubling(a)
-    a_max = a.max
+    """check_extension_lemmas for the normal one-dimensional set with these
+    elements and doubling t, on each (x, T_x, overlap) of
+    kernel.right_extensions in triples, in order. The set is decomposed only
+    when max A = mu(k, t), the one case that reads the decomposition. deep
+    adds the oracle-decided identities; the sweep leaves them out.
+    failing_only evaluates every identity on every x but returns the checks
+    with a violation only. A T_x outside the legal range for k + 1 is itself
+    a violation, and the checks that need its profile are skipped."""
+    k = len(elements)
+    a_max = elements[-1]
     prof = profile(k, t)
-    mask = a.mask()
-    two_a = _sumset_mask(a)
-    dec = _try_decompose(a) if a_max == prof.mu else None
-    extremal = dec is not None
+    c = prof.c
+    lo, hi = t_range(k + 1)
+    large = 3 * (k + 1) - 4  # T_x above it: the large-doubling regime
+    dec = _try_decompose(IntSet(elements), t) if a_max == prof.mu else None
     checks = []
-    for x in xs:
-        tx = kernel.doubling_size(a.elements + (x,))
-        overlap = (two_a & (mask << x)).bit_count()
+    for x, tx, overlap in triples:
         delta_t = tx - t
-        after = profile(k + 1, tx)
-        crossing = tx > 3 * (k + 1) - 4 and t <= 3 * k - 4
-
-        applied = ["increment-overlap identity", "increment range", "constant drift"]
-        violations: list[str] = []
+        violations = []
         if delta_t != k + 1 - overlap:
             violations.append(
                 f"doubling increment {delta_t} != {k + 1} - overlap {overlap}"
             )
         if not 2 <= delta_t <= k:
             violations.append(f"doubling increment {delta_t} outside [2, {k}]")
-        if abs(after.c - prof.c) > 1:
+        after = profile(k + 1, tx) if lo <= tx <= hi else None
+        if after is None:
             violations.append(
-                f"doubling constant moved from {prof.c} to {after.c}"
+                f"doubling T_x = {tx} outside [{lo}, {hi}] for k + 1 = {k + 1}"
             )
+        elif not -1 <= after.c - c <= 1:
+            violations.append(f"doubling constant moved from {c} to {after.c}")
 
-        if extremal and tx > 3 * (k + 1) - 4 and x >= after.mu:
-            applied.append("extension lower bound")
+        bounded = (
+            dec is not None and after is not None and tx > large and x >= after.mu
+        )
+        if bounded:
             lower = 2 * a_max - (dec.a1_max + dec.a2_max - 2)
             if x < lower:
                 violations.append(f"x={x} below the lower bound {lower}")
 
-        if (
+        identities = (
             deep
-            and extremal
+            and dec is not None
+            and after is not None
             and t >= 2 * k  # doubling 2k-1+b with b >= 1
-            and tx >= 3 * (k + 1) - 3
+            and tx > large
             and _oracle_affordable(k + 1)
-            and is_1_extremal(a.adjoin(x))
-        ):
-            applied.append("extremal extension identities")
+            and is_1_extremal(IntSet(elements + (x,)))
+        )
+        if identities:
             if x != after.mu:
                 violations.append(f"x={x} != mu({k + 1},{tx}) = {after.mu}")
             want = (2 * a_max - x + 2) // 2
-            got = (mask & (mask << (x - a_max))).bit_count()
+            got = len(set(elements) & {e + x - a_max for e in elements})
             if got != want:
                 violations.append(
                     f"overlap of A with (x-a)+A is {got}, expected {want}"
                 )
 
         if violations or not failing_only:
+            applied = ["increment-overlap identity", "increment range"]
+            if after is not None:
+                applied.append("constant drift")
+            if bounded:
+                applied.append("extension lower bound")
+            if identities:
+                applied.append("extremal extension identities")
             checks.append(
                 ExtensionCheck(
                     x=x,
                     delta_t=delta_t,
                     overlap=overlap,
-                    c_before=prof.c,
-                    c_after=after.c,
-                    crossing=crossing,
+                    c_before=c,
+                    c_after=None if after is None else after.c,
+                    crossing=tx > large and t <= 3 * k - 4,
                     applied=tuple(applied),
                     violations=tuple(violations),
                 )
@@ -558,16 +572,17 @@ def extension_lemma_sweep(k: int) -> ExtensionSweepReport:
     for m, realized in slices.items():
         if not realized:
             continue
-        got = _collect(k, m, realized)
-        for t in sorted(got):
+        for t, sets in kernel.collect_slice(k, m, realized).items():
             if m > mu(k, t) + k:
                 continue
-            for a in got[t]:
-                xs = extension_candidates(a).elements
+            for elements in sets:
+                triples = kernel.right_extensions(elements)
                 sets_checked += 1
-                pairs_checked += len(xs)
-                for chk in _extension_checks(a, xs, deep=False, failing_only=True):
-                    bad.append((a, chk))
+                pairs_checked += len(triples)
+                for chk in _extension_checks(
+                    elements, t, triples, deep=False, failing_only=True
+                ):
+                    bad.append((IntSet(elements), chk))
     return ExtensionSweepReport(
         k=k,
         sets_checked=sets_checked,
@@ -716,7 +731,7 @@ def check_uniqueness_lemmas(
 
     # chains above the crossing over a two-progression split
     name = "chain extensions over a two-progression split"
-    dec = _try_decompose(a) if one_dim else None
+    dec = _try_decompose(a, t) if one_dim else None
     if k + 2 > cap:
         skip(name, past_cap)
     elif (

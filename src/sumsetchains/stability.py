@@ -123,6 +123,12 @@ def stable_decompose(a: IntSet) -> StableDecomposition:
     cap = 3 * len(a) - 4
     if t > cap:
         raise ValueError(f"stable_decompose requires |2A| <= 3|A|-4 = {cap}, got {t}")
+    return _unique_split(a)
+
+
+def _unique_split(a: IntSet) -> StableDecomposition:
+    """stable_decompose without its checks, for a caller that already knows
+    a is normal with |2A| <= 3|A| - 4."""
     splits = _candidate_splits(a)
     if not splits:
         raise NotDecomposable(a.to_text())

@@ -7,7 +7,7 @@ moves from 6 to 4.
 
 Marked slow and deselected by default: the sweep covers C(72, 7) = 1.5e9
 candidate sets, about 25 s on two cores with the compiled kernel, and the
-extension sweep over its 261,830 sets takes about 95 s more. Both tests
+extension sweep over its 261,830 sets takes about 30-35 s more. Both tests
 share one forced table, so ``python -m pytest -m slow`` sweeps k = 8 once.
 """
 

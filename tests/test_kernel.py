@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from sumsetchains import _kernel_py as pure
 from sumsetchains import kernel
-from sumsetchains.intset import IntSet, doubling
+from sumsetchains.dimension import extension_candidates
+from sumsetchains.doubling import mu, t_range
+from sumsetchains.intset import IntSet, doubling, sumset
 
 ELEMENT_FUNCTIONS = ("doubling_size", "lambda_rank", "is_one_dimensional")
 
@@ -157,6 +159,114 @@ def test_the_reference_slices_hold_mirror_pairs_and_palindromes():
     assert all(seen.values()), seen
 
 
+def reference_right_extensions(elements):
+    """right_extensions from first principles: the xs from the differences
+    s - e with s in 2A, T_x from the pure doubling_size of A + (x,), the
+    overlap from a set intersection."""
+    two = set(sumset(IntSet(elements), IntSet(elements)))
+    xs = sorted({s - e for s in two for e in elements if s - e > elements[-1]})
+    return [
+        (x, pure.doubling_size(elements + (x,)), len(two & {x + e for e in elements}))
+        for x in xs
+    ]
+
+
+def every_small_set():
+    # every subset of range(12) with 1 to 6 elements, as is and shifted left:
+    # non-normal sets and negative elements included
+    for k in range(1, 7):
+        for elems in itertools.combinations(range(12), k):
+            yield elems
+            yield tuple(e - 7 for e in elems)
+
+
+def test_compiled_right_extensions_match_pure(compiled_kernel):
+    for elems in every_small_set():
+        assert_same(compiled_kernel, "right_extensions", elems)
+    rng = random.Random(20261018)
+    for _ in range(300):
+        k = rng.randint(1, 12)
+        low = rng.randint(-1000, 1000)
+        elems = tuple(sorted(rng.sample(range(low, low + 512), k)))
+        assert_same(compiled_kernel, "right_extensions", elems)
+
+
+def test_compiled_right_extensions_match_pure_on_the_k7_slices(compiled_kernel):
+    # every one-dimensional normal 7-set with maximum at most 32
+    every_t = range(13, 24)
+    count = 0
+    for m in range(6, 33):
+        for sets in compiled_kernel.collect_slice(7, m, every_t).values():
+            for elems in sets:
+                assert_same(compiled_kernel, "right_extensions", elems)
+                count += 1
+    assert count > 1000
+
+
+@given(st.lists(st.integers(-255, 255), min_size=1, max_size=12, unique=True))
+def test_compiled_right_extensions_match_pure_on_any_small_set(compiled_kernel, values):
+    assert_same(compiled_kernel, "right_extensions", tuple(sorted(values)))
+
+
+def test_right_extensions_match_a_walk_free_reference(twin):
+    for elems in every_small_set():
+        if len(elems) <= 5:
+            assert twin.right_extensions(elems) == reference_right_extensions(elems)
+    rng = random.Random(11)
+    for _ in range(100):
+        elems = tuple(sorted(rng.sample(range(-40, 60), rng.randint(2, 9))))
+        assert twin.right_extensions(elems) == reference_right_extensions(elems)
+
+
+def test_right_extension_xs_are_the_extension_candidates():
+    # on every one-dimensional normal set with k = 3..6 and max <= mu(k, T) + k
+    for k in range(3, 7):
+        lo, hi = t_range(k)
+        for m in range(k - 1, mu(k, hi) + k + 1):
+            for t, sets in kernel.collect_slice(k, m, range(lo, hi + 1)).items():
+                if m > mu(k, t) + k:
+                    continue
+                for elems in sets:
+                    xs = [x for x, _, _ in kernel.right_extensions(elems)]
+                    assert xs == list(extension_candidates(IntSet(elems)).elements)
+
+
+def test_right_extensions_cap_straddles(compiled_facade, compiled_kernel):
+    # span 511 runs compiled, 512 pure
+    for elems in [(0, 511), (0, 3, 200, 511), (-600, -598, -89)]:
+        got = compiled_kernel.right_extensions(elems)
+        assert got and got == pure.right_extensions(elems)
+    for elems in [(0, 512), (0, 3, 200, 512), (-600, -598, -88)]:
+        with pytest.raises(OverflowError):
+            compiled_kernel.right_extensions(elems)
+        assert compiled_facade.right_extensions(elems) == pure.right_extensions(elems)
+
+
+@pytest.mark.parametrize(
+    "elements, error",
+    [
+        ((), IndexError),
+        ([], IndexError),
+        ((0, 2, 1), ValueError),
+        ((0, 1, 1), ValueError),
+        (5, TypeError),
+        ((0, "1"), TypeError),
+    ],
+)
+def test_right_extensions_reject_bad_input_alike(compiled_kernel, elements, error):
+    for backend in (pure, compiled_kernel):
+        with pytest.raises(error):
+            backend.right_extensions(elements)
+
+
+def test_right_extensions_take_any_iterable_alike(compiled_kernel):
+    want = pure.right_extensions((0, 1, 3))
+    for backend in (pure, compiled_kernel):
+        assert backend.right_extensions([0, 1, 3]) == want
+        assert backend.right_extensions(iter((0, 1, 3))) == want
+        assert backend.right_extensions(e for e in (0, 1, 3)) == want
+
+
 def test_doubling_size_agrees_with_set_type():
     for elems in small_tuples(max_k=4, max_elem=9):
         assert kernel.doubling_size(elems) == doubling(IntSet(elems))
@@ -245,6 +355,8 @@ def test_facade_straddles_the_caps(compiled_facade):
         ("sweep_slice", (4, 5, 10.5)),
         ("sweep_slice", (4, 5.0, 10)),
         ("collect_slice", (4, 5.0, (9,))),
+        ("right_extensions", ((0, 1.5, 3),)),
+        ("right_extensions", ((0.0, 1, 3),)),
     ],
 )
 def test_non_integers_raise_type_error_on_both_backends(compiled_kernel, name, args):

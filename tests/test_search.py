@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from sumsetchains import chains, search
+from sumsetchains import chains, cli, dimension, search
 from sumsetchains.dimension import extension_candidates, is_one_dimensional
 from sumsetchains.doubling import mu, t_range
 from sumsetchains.errors import CapacityError
@@ -297,34 +298,89 @@ class TestExtensionChecks:
 
     def test_sweep_reports_exactly_the_failing_pairs(self, monkeypatch):
         # no pair fails below k = 8, so violations are injected: T_x of a few
-        # chosen pairs is raised by one, which breaks the increment identity
-        size = search.kernel.doubling_size
+        # chosen pairs is raised by one in the triples of right_extensions,
+        # which breaks the increment identity
+        extensions = search.kernel.right_extensions
         order = []
 
         def recording(elements):
-            if len(elements) == 6:
-                order.append(tuple(elements))
-            return size(elements)
+            triples = extensions(elements)
+            order.extend((tuple(elements), x, tx) for x, tx, _ in triples)
+            return triples
 
-        monkeypatch.setattr(search.kernel, "doubling_size", recording)
+        monkeypatch.setattr(search.kernel, "right_extensions", recording)
         clean = extension_lemma_sweep(5)
         assert clean.violations == () and len(order) == clean.pairs_checked == 122
         # T_x + 1 must stay a legal doubling of a 6-set
-        room = [e for e in order if size(e) < t_range(6)[1]]
+        room = [(a, x) for a, x, tx in order if tx < t_range(6)[1]]
         chosen = [room[i] for i in (0, len(room) // 2, -2, -1)]
 
         def skewed(elements):
-            return size(elements) + (tuple(elements) in chosen)
+            return [
+                (x, tx + ((tuple(elements), x) in chosen), overlap)
+                for x, tx, overlap in extensions(elements)
+            ]
 
-        monkeypatch.setattr(search.kernel, "doubling_size", skewed)
+        monkeypatch.setattr(search.kernel, "right_extensions", skewed)
         report = extension_lemma_sweep(5)
         assert (report.sets_checked, report.pairs_checked) == (20, 122)
-        assert [(a.elements, c.x) for a, c in report.violations] == [
-            (e[:-1], e[-1]) for e in chosen
-        ]
+        assert [(a.elements, c.x) for a, c in report.violations] == chosen
         for a, c in report.violations:
             assert "doubling increment" in c.violations[0]
-            assert c == search._extension_checks(a, (c.x,), deep=False)[0]
+            triple = [tr for tr in skewed(a.elements) if tr[0] == c.x]
+            single = search._extension_checks(a.elements, doubling(a), triple, deep=False)
+            assert c == single[0]
+
+    def test_an_illegal_doubling_is_reported_not_raised(self, monkeypatch, capsys):
+        # T_x past the legal range for k + 1 has no profile: the pair is a
+        # violation, and the checks that need no profile still run on it
+        extensions = search.kernel.right_extensions
+        target = ((0, 1, 2, 3, 4), 5)
+        hi = t_range(6)[1]
+
+        def skewed(elements):
+            return [
+                (x, hi + 1 if (tuple(elements), x) == target else tx, overlap)
+                for x, tx, overlap in extensions(elements)
+            ]
+
+        monkeypatch.setattr(search.kernel, "right_extensions", skewed)
+        report = extension_lemma_sweep(5)
+        assert (report.sets_checked, report.pairs_checked) == (20, 122)
+        assert [(a.elements, c.x) for a, c in report.violations] == [target]
+        check = report.violations[0][1]
+        assert check.c_after is None
+        assert check.applied == ("increment-overlap identity", "increment range")
+        assert check.violations == (
+            "doubling increment 9 != 6 - overlap 4",
+            "doubling increment 9 outside [2, 5]",
+            "doubling T_x = 18 outside [11, 17] for k + 1 = 6",
+        )
+        assert cli.main(["verify", "--k", "5", "--format", "json"]) == 2
+        got = json.loads(capsys.readouterr().out)["extension_sweep"]
+        assert got["violations"] == [
+            {"set": [0, 1, 2, 3, 4], "x": 5, "problems": list(check.violations)}
+        ]
+
+    def test_sweep_makes_one_kernel_call_per_set(self, monkeypatch):
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("right_extensions", "doubling_size", "is_one_dimensional"):
+            counted(search.kernel, name)
+        counted(search, "extension_candidates")
+        counted(dimension, "extension_candidates")
+        report = extension_lemma_sweep(5)
+        assert (report.sets_checked, report.pairs_checked) == (20, 122)
+        assert calls == {"right_extensions": 20}
 
     def test_per_set_checks_match_the_object_layer(self):
         # every pair of the k <= 5 sweeps, against sumsets built element by
@@ -340,7 +396,8 @@ class TestExtensionChecks:
                 xs = extension_candidates(a).elements
                 sets += 1
                 pairs += len(xs)
-                checks = search._extension_checks(a, xs, deep=False)
+                triples = search.kernel.right_extensions(a.elements)
+                checks = search._extension_checks(a.elements, t, triples, deep=False)
                 assert [c.x for c in checks] == list(xs)
                 two_a = set(sumset(a, a))
                 for x, c in zip(xs, checks):
