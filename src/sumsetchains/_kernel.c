@@ -7,11 +7,15 @@
  * x -> m - x covers the rest (see Slice below).
  * right_extensions lists the one-element right extensions of one set with
  * their doublings and overlaps, so a sweep makes one call per set.
+ * chain_children lists the canonical one-dimensional out-of-hull children
+ * of one normal set with their doublings, so a chain level makes one call
+ * per parent.
  * Limits: elements with |e| <= 2^60 (the IntSet range), at most 12 elements
  * for rank work (Bareiss minors stay inside int64), slice maxima m <= 511,
- * right_extensions spans <= 511, doubling spans <= 2^20. Past a limit it
- * raises OverflowError; kernel.py routes such input to the pure-Python
- * reference instead. */
+ * right_extensions spans <= 511, chain_children spans <= 511 and parents of
+ * at most 11 elements, doubling spans <= 2^20. Past a limit it raises
+ * OverflowError; kernel.py routes such input to the pure-Python reference
+ * instead. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -532,12 +536,138 @@ done:
     return out;
 }
 
+/* Appends (canon, t) to out when canon, the larger of the n-element normal
+ * set child and its reflexion, is one-dimensional. */
+static int append_child(PyObject *out, const i64 *child, int n, int t)
+{
+    i64 refl[MAXK];
+    const i64 *canon = child;
+    int i;
+    for (i = 0; i < n; i++)
+        refl[i] = child[n - 1] - child[n - 1 - i];
+    for (i = 0; i < n && refl[i] == child[i]; i++)
+        ;
+    if (i < n && refl[i] > child[i])
+        canon = refl;
+    if (relation_rank(canon, n) != n - 2)
+        return 0;
+    PyObject *elems = PyTuple_New(n);
+    for (i = 0; elems != NULL && i < n; i++) {
+        PyObject *v = PyLong_FromLongLong(canon[i]);
+        if (v == NULL)
+            Py_CLEAR(elems);
+        else
+            PyTuple_SET_ITEM(elems, i, v);
+    }
+    PyObject *item = elems == NULL ? NULL : Py_BuildValue("(Ni)", elems, t);
+    int rc = item == NULL ? -1 : PyList_Append(out, item);
+    Py_XDECREF(item);
+    return rc;
+}
+
+/* (canon, |2 canon|) for every y in 2A - A outside [0, max A], ascending, for
+ * a normal set A, as in _kernel_py: canon is the larger of the normal form
+ * of A | {y} and its reflexion, kept when |2 canon| <= t_max and canon is
+ * one-dimensional. The pool comes from the masks of A and 2A, as in
+ * right_extensions: y < 0 when A meets 2A - y, y > max A when 2A meets
+ * y + A. Each y adds |A| + 1 - overlap sums to 2A. Spans up to MAX_M,
+ * children of at most MAXK elements. */
+static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"elements", "t_max", NULL};
+    PyObject *elements, *out = NULL, *seq;
+    Py_ssize_t t_max, n, k, i, mw, tw;
+    int fresh;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "On:chain_children", kwlist, &elements,
+                                     &t_max))
+        return NULL;
+    if ((seq = PySequence_Fast(elements, "elements must be a sequence of ints")) == NULL)
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(seq);
+    i64 span, d, g = 0, child[MAXK], *off = PyMem_Malloc((n + 1) * sizeof(i64));
+    /* shifted_overlap reads up to tw + span / 64 + 1 words of amask and
+     * mw + 2 * span / 64 + 1 words of two */
+    u64 amask[SLICE_MASK_WORDS + EXT_MASK_WORDS + 1] = {0};
+    u64 two[SLICE_MASK_WORDS + EXT_MASK_WORDS + 1] = {0};
+    if (off == NULL) {
+        Py_DECREF(seq);
+        return PyErr_NoMemory();
+    }
+    k = read_elements(seq, off, n, "chain_children");
+    if (k < 0)
+        goto done;
+    if (k == 0) {
+        PyErr_SetString(PyExc_IndexError, "chain_children of an empty sequence");
+        goto done;
+    }
+    for (i = 1; i < k; i++) {
+        if (off[i] <= off[i - 1]) {
+            PyErr_SetString(PyExc_ValueError, "chain_children takes strictly ascending elements");
+            goto done;
+        }
+    }
+    for (i = 0; i < k; i++)
+        g = gcd(g, off[i]);
+    if (off[0] != 0 || (k > 1 && g != 1)) {
+        PyErr_SetString(PyExc_ValueError, "chain_children takes a normal set (min 0, gcd 1)");
+        goto done;
+    }
+    span = off[k - 1];
+    if (span > MAX_M || k + 1 > MAXK) {
+        PyErr_Format(PyExc_OverflowError,
+                     "the compiled chain_children takes spans <= %d and sets of at most %d elements",
+                     MAX_M, MAXK - 1);
+        goto done;
+    }
+    mw = (Py_ssize_t)(span >> 6) + 1;
+    tw = (Py_ssize_t)((2 * span) >> 6) + 1;
+    for (i = 0; i < k; i++)
+        amask[off[i] >> 6] |= 1ULL << (off[i] & 63);
+    for (i = 0; i < k; i++)
+        shift_or(two, amask, mw, off[i]);
+    fresh = (int)k + 1;
+    for (i = 0; i < tw; i++)
+        fresh += popcount(two[i]);
+    if ((out = PyList_New(0)) == NULL)
+        goto done;
+    /* y = -d, ascending: the child is {0} | (A + d) */
+    for (d = span; d >= 1; d--) {
+        int t = fresh - shifted_overlap(amask, two, tw, d);
+        if (t == fresh || t > t_max)
+            continue;
+        child[0] = 0;
+        for (i = 0; i < k; i++)
+            child[i + 1] = off[i] + d;
+        if (append_child(out, child, (int)k + 1, t) < 0)
+            goto fail;
+    }
+    /* y > max A: the child is A | {y} */
+    memcpy(child, off, k * sizeof(i64));
+    for (d = span + 1; d <= 2 * span; d++) {
+        int t = fresh - shifted_overlap(two, amask, mw, d);
+        if (t == fresh || t > t_max)
+            continue;
+        child[k] = d;
+        if (append_child(out, child, (int)k + 1, t) < 0)
+            goto fail;
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    PyMem_Free(off);
+    Py_DECREF(seq);
+    return out;
+}
+
 static PyMethodDef kernel_methods[] = {
     {"doubling_size", doubling_size, METH_O, "|A + A| for a sorted tuple of distinct ints."},
     {"lambda_rank", lambda_rank, METH_O, "Rank of the additive-relation vectors of A."},
     {"is_one_dimensional", is_one_dimensional, METH_O, "Whether lambda_rank(A) is |A| - 2."},
     {"right_extensions", right_extensions, METH_O,
      "(x, |2(A | {x})|, |2A & (x + A)|) for every x > max A in 2A - A, ascending."},
+    {"chain_children", (PyCFunction)(void (*)(void))chain_children, METH_VARARGS | METH_KEYWORDS,
+     "(canon, |2 canon|) for every y in 2A - A outside the hull of a normal set A, ascending."},
     {"sweep_slice", (PyCFunction)(void (*)(void))sweep_slice, METH_VARARGS | METH_KEYWORDS,
      "Sorted doublings <= t_max of the normal one-dimensional k-sets with max m."},
     {"collect_slice", (PyCFunction)(void (*)(void))collect_slice, METH_VARARGS | METH_KEYWORDS,

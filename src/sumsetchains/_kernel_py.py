@@ -19,6 +19,12 @@ Both walk a slice (the normal k-sets with maximum m) the same way:
 right_extensions serves the extension sweep one call per set: every
 x > max A in 2A - A with the doubling of A ∪ {x} and the overlap
 |2A ∩ (x + A)|. The compiled twin takes sets of span up to 511.
+
+chain_children serves the chain levels one call per parent: for a normal
+set A, the canonical form and doubling of A ∪ {y} for every y in 2A - A
+outside the hull, kept when the doubling is at most t_max and the child is
+one-dimensional. The compiled twin takes spans up to 511 and parents of at
+most 11 elements.
 """
 
 from __future__ import annotations
@@ -66,6 +72,51 @@ def right_extensions(elements: tuple[int, ...]) -> list[tuple[int, int, int]]:
         if overlap:
             x = base + shift
             out.append((x, doubling_size(elements + (x,)), overlap))
+    return out
+
+
+def chain_children(elements: tuple[int, ...], t_max: int) -> list[tuple[tuple[int, ...], int]]:
+    """(canon, |2 canon|) for every y in 2A - A outside [0, max A], ascending
+    in y, for a normal set A (strictly ascending, min 0, gcd 1; {0} counts):
+    canon is the lexicographically larger of the normal form of A ∪ {y} and
+    its reflexion, kept when |2 canon| <= t_max and canon is one-dimensional.
+
+    As A is normal, the normal form of A ∪ {y} is A + (y,) for y > max A and
+    A shifted by -y for y < 0. y + A meets 2A in the overlap, and 2y is a new
+    sum, so |2(A ∪ {y})| = |2A| + |A| + 1 - overlap."""
+    elements = tuple(map(operator.index, elements))
+    t_max = operator.index(t_max)
+    if not elements:
+        raise IndexError("chain_children of an empty sequence")
+    if any(b <= a for a, b in zip(elements, elements[1:])):
+        raise ValueError("chain_children takes strictly ascending elements")
+    if elements[0] != 0 or (len(elements) > 1 and math.gcd(*elements) != 1):
+        raise ValueError("chain_children takes a normal set (min 0, gcd 1)")
+    span = elements[-1]
+    amask = 0
+    for e in elements:
+        amask |= 1 << e
+    two = 0
+    for e in elements:
+        two |= amask << e
+    fresh = two.bit_count() + len(elements) + 1
+    out = []
+
+    def keep(child: tuple[int, ...], t: int) -> None:
+        m = child[-1]
+        refl = tuple(m - e for e in reversed(child))
+        canon = refl if refl > child else child
+        if is_one_dimensional(canon):
+            out.append((canon, t))
+
+    for d in range(span, 0, -1):  # y = -d: a in A meets 2A + d
+        t = fresh - (amask & (two << d)).bit_count()
+        if t < fresh and t <= t_max:
+            keep((0, *(e + d for e in elements)), t)
+    for y in range(span + 1, 2 * span + 1):
+        t = fresh - (two & (amask << y)).bit_count()
+        if t < fresh and t <= t_max:
+            keep(elements + (y,), t)
     return out
 
 

@@ -106,21 +106,17 @@ def _chain_level(k: int) -> dict[tuple[int, ...], int]:
     while len(_LEVELS) <= k:
         i = len(_LEVELS)
         cap = t_range(i)[1]
+        # by_t[t] maps each canonical child of doubling t to its maximum, in
+        # first-seen order; a canonical form is normal, so its volume is
+        # its maximum + 1
         by_t: dict[int, dict[tuple[int, ...], int]] = {}
         for prev in _LEVELS[i - 1]:
-            for y in out_of_hull_pool(IntSet(prev)):
-                cand = tuple(sorted(prev + (y,)))
-                canon, _ = _canonical_tuple(cand)
-                t = kernel.doubling_size(canon)
-                if t > cap:
-                    continue
-                group = by_t.setdefault(t, {})
-                if canon not in group and kernel.is_one_dimensional(canon):
-                    group[canon] = _raw_volume(canon)
+            for canon, t in kernel.chain_children(prev, cap):
+                by_t.setdefault(t, {})[canon] = canon[-1]
         level: dict[tuple[int, ...], int] = {}
         for t, group in by_t.items():
             best = max(group.values())
-            level.update((canon, t) for canon, vol in group.items() if vol == best)
+            level.update((canon, t) for canon, top in group.items() if top == best)
         _LEVELS.append(level)
     return _LEVELS[k]
 

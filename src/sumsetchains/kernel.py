@@ -36,8 +36,11 @@ def doubling_size(elements):
     return _call("doubling_size", elements)
 
 
+# lambda_rank, right_extensions and chain_children take any iterable; a
+# one-shot iterator becomes a tuple first, or the compiled twin would use it
+# up before an OverflowError sends it on to the pure twin
 def lambda_rank(elements):
-    return _call("lambda_rank", elements)
+    return _call("lambda_rank", tuple(elements))
 
 
 def is_one_dimensional(elements):
@@ -53,4 +56,8 @@ def collect_slice(k, m, ts):
 
 
 def right_extensions(elements):
-    return _call("right_extensions", elements)
+    return _call("right_extensions", tuple(elements))
+
+
+def chain_children(elements, t_max):
+    return _call("chain_children", tuple(elements), t_max)

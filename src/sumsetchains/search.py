@@ -463,7 +463,20 @@ def _extension_checks(
     adds the oracle-decided identities; the sweep leaves them out.
     failing_only evaluates every identity on every x but returns the checks
     with a violation only. A T_x outside the legal range for k + 1 is itself
-    a violation, and the checks that need its profile are skipped."""
+    a violation, and the checks that need its profile are skipped.
+
+    The constant-drift check |c' - c| <= 1, with c the constant of (k, t) and
+    c' that of (k + 1, T_x), depends on (k, t, delta = T_x - t) alone, not on
+    the set. At k + 1 the block of constant c' starts after
+    B(c') = c'(k + 1) - C(c' + 1, 2) + 2, and B(c' + 1) = B(c') + k - c'.
+    With t = ck - C(c + 1, 2) + b + 2:
+    - c' >= c - 1 holds exactly when t + delta > B(c - 1), that is when
+      delta >= 2c - k - b;
+    - c' <= c + 1 always holds: t + delta <= t + k, which is
+      k - c - 1 - b >= 0 below B(c + 2).
+    As c <= k - 2 and b >= 1 for c >= 3, 2c - k - b <= k - 5, so no legal
+    delta >= 2 fails at k <= 7. At k = 8 only (t, delta) = (30, 2) fails and
+    at k = 9 only (38, 2) and (38, 3), where c = k - 2 and b = 1."""
     k = len(elements)
     a_max = elements[-1]
     prof = profile(k, t)

@@ -63,3 +63,12 @@ def compiled_kernel(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def compiled_facade(monkeypatch, compiled_kernel):
+    """The kernel facade with the compiled kernel behind it."""
+    from sumsetchains import kernel
+
+    monkeypatch.setattr(kernel, "_c", compiled_kernel)
+    return kernel

@@ -5,8 +5,11 @@ staying one-dimensional and volume-maximal within its doubling class at
 every level.
 """
 
+import hashlib
+
 import pytest
 
+from sumsetchains import chains
 from sumsetchains.chains import (
     CHAIN_ENUM_CAP,
     enumerate_chains,
@@ -16,6 +19,7 @@ from sumsetchains.chains import (
     verify_main_theorem,
     volume_1d,
 )
+from sumsetchains.cli import main
 from sumsetchains.errors import CapacityError
 from sumsetchains.growth import invert_step
 from sumsetchains.intset import IntSet, doubling, normalize
@@ -90,6 +94,21 @@ class TestRecognition:
 class TestEnumeration:
     def test_counts(self):
         assert [len(enumerate_chains(k)) for k in range(4, 9)] == [2, 7, 27, 109, 396]
+
+    def test_counts_at_k9_and_k10(self, compiled_facade, monkeypatch):
+        # a table of its own, grown by the compiled kernel: the levels past 8
+        # are too slow for the pure one here
+        monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
+        assert [len(chains._chain_level(k)) for k in (9, 10)] == [1323, 4053]
+
+    def test_chain_enum_k10_output(self, compiled_facade, monkeypatch, capsys):
+        monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
+        assert main(["chain-enum", "--k", "10"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 910_088
+        assert hashlib.sha256(out).hexdigest() == (
+            "cbb52e284891484d34ae523de3585cb32c966d515065c3f71333a36903083f9b"
+        )
 
     def test_k4(self):
         assert [r.set.to_text() for r in enumerate_chains(4)] == ["{0,1,2,3}", "{0,2,3,4}"]

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from sumsetchains import _kernel_py as pure
 from sumsetchains import kernel
-from sumsetchains.dimension import extension_candidates
+from sumsetchains.chains import _canonical_tuple, _chain_level
+from sumsetchains.dimension import extension_candidates, out_of_hull_pool
 from sumsetchains.doubling import mu, t_range
 from sumsetchains.intset import IntSet, doubling, sumset
 
@@ -29,13 +30,6 @@ def assert_same(compiled, name, *args):
     assert got == want and type(got) is type(want), (name, args)
     if isinstance(want, dict):
         assert list(got) == list(want), (name, args)
-
-
-@pytest.fixture
-def compiled_facade(monkeypatch, compiled_kernel):
-    """The kernel facade with the compiled kernel behind it."""
-    monkeypatch.setattr(kernel, "_c", compiled_kernel)
-    return kernel
 
 
 def test_backend_is_declared():
@@ -267,6 +261,128 @@ def test_right_extensions_take_any_iterable_alike(compiled_kernel):
         assert backend.right_extensions(e for e in (0, 1, 3)) == want
 
 
+def reference_chain_children(elements):
+    """chain_children from first principles, before the t_max filter: the
+    pool from out_of_hull_pool, each child sorted and made canonical by
+    _canonical_tuple, its doubling from the pure doubling_size and its
+    dimension from is_one_dimensional."""
+    out = []
+    for y in out_of_hull_pool(IntSet(elements)):
+        canon, _ = _canonical_tuple(tuple(sorted(elements + (y,))))
+        if pure.is_one_dimensional(canon):
+            out.append((canon, pure.doubling_size(canon)))
+    return out
+
+
+def chain_parents(top):
+    """(parent, cap) for every chain of 3 to top elements, cap the largest
+    legal doubling one size up."""
+    for k in range(3, top + 1):
+        cap = t_range(k + 1)[1]
+        for parent in _chain_level(k):
+            yield parent, cap
+
+
+def small_normal_sets():
+    for elems in every_small_set():
+        if elems[0] == 0 and (len(elems) == 1 or math.gcd(*elems) == 1):
+            yield elems
+
+
+def test_compiled_chain_children_match_pure_on_the_chain_levels(compiled_kernel):
+    count = 0
+    for parent, cap in chain_parents(8):
+        assert_same(compiled_kernel, "chain_children", parent, cap)
+        count += 1
+    assert count == 1 + 2 + 7 + 27 + 109 + 396
+
+
+@given(
+    st.lists(st.integers(1, 80), max_size=10, unique=True),
+    st.integers(-1, 70),
+)
+def test_compiled_chain_children_match_pure_on_small_normal_sets(compiled_kernel, values, t_max):
+    g = math.gcd(*values) if values else 1
+    elems = (0, *sorted(v // g for v in values))
+    assert_same(compiled_kernel, "chain_children", elems, t_max)
+
+
+def test_chain_children_match_a_walk_free_reference(twin):
+    cases = [
+        (elems, t_range(len(elems) + 1)[1]) for elems in small_normal_sets() if len(elems) > 1
+    ]
+    for elems, t_max in cases + list(chain_parents(7)):
+        want = reference_chain_children(elems)
+        for cut in (t_max, t_max - 3):
+            got = twin.chain_children(elems, cut)
+            assert got == [(canon, t) for canon, t in want if t <= cut], (elems, cut)
+
+
+def test_chain_children_cap_straddles(compiled_facade, compiled_kernel):
+    # span 511 and 11 elements run compiled, span 512 or 12 elements pure;
+    # a one-dimensional set that wide doubles its way up from {0, 1, 2}
+    powers = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
+    mirrored = tuple(511 - e for e in reversed(powers + (511,)))
+    for elems in [powers + (511,), mirrored, tuple(range(11))]:
+        got = compiled_kernel.chain_children(elems, 100)
+        assert got and got == pure.chain_children(elems, 100)
+    for elems in [powers + (512,), powers + (384, 511), tuple(range(12))]:
+        with pytest.raises(OverflowError):
+            compiled_kernel.chain_children(elems, 100)
+        got = compiled_facade.chain_children(elems, 100)
+        assert got and got == pure.chain_children(elems, 100)
+
+
+def test_facade_hands_iterators_past_the_caps_to_the_pure_twin(compiled_facade):
+    # the compiled twin reads the iterator before it refuses the input
+    wide = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+    calls = [
+        ("lambda_rank", tuple(range(13)), ()),
+        ("right_extensions", (0, 3, 200, 512), ()),
+        ("chain_children", wide, (100,)),
+    ]
+    for name, elems, rest in calls:
+        got = getattr(compiled_facade, name)(iter(elems), *rest)
+        assert got and got == getattr(pure, name)(elems, *rest), name
+
+
+@pytest.mark.parametrize(
+    "elements, error",
+    [
+        ((), IndexError),
+        ([], IndexError),
+        ((0, 2, 1), ValueError),
+        ((0, 1, 1), ValueError),
+        ((1, 2, 3), ValueError),
+        ((-1, 0, 1), ValueError),
+        ((0, 2, 4), ValueError),
+        ((0, 3, 6, 600), ValueError),
+        ((0, 1.0, 3), TypeError),
+        ((0, "1"), TypeError),
+        (5, TypeError),
+    ],
+)
+def test_chain_children_reject_bad_input_alike(compiled_kernel, elements, error):
+    for backend in (pure, compiled_kernel):
+        with pytest.raises(error):
+            backend.chain_children(elements, 10)
+
+
+def test_every_compiled_primitive_has_a_pure_twin_and_a_wrapper(compiled_kernel):
+    names = [
+        name
+        for name in dir(compiled_kernel)
+        if not name.startswith("_") and callable(getattr(compiled_kernel, name))
+    ]
+    assert "chain_children" in names
+    for name in names:
+        assert callable(getattr(pure, name, None)), f"{name} has no pure twin"
+        wrapper = getattr(kernel, name, None)
+        assert callable(wrapper) and wrapper.__module__ == kernel.__name__, (
+            f"{name} has no wrapper in kernel.py"
+        )
+
+
 def test_doubling_size_agrees_with_set_type():
     for elems in small_tuples(max_k=4, max_elem=9):
         assert kernel.doubling_size(elems) == doubling(IntSet(elems))
@@ -357,6 +473,8 @@ def test_facade_straddles_the_caps(compiled_facade):
         ("collect_slice", (4, 5.0, (9,))),
         ("right_extensions", ((0, 1.5, 3),)),
         ("right_extensions", ((0.0, 1, 3),)),
+        ("chain_children", ((0, 1.5, 3), 10)),
+        ("chain_children", ((0, 1, 3), 10.5)),
     ],
 )
 def test_non_integers_raise_type_error_on_both_backends(compiled_kernel, name, args):

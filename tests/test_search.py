@@ -11,7 +11,7 @@ import pytest
 
 from sumsetchains import chains, cli, dimension, search
 from sumsetchains.dimension import extension_candidates, is_one_dimensional
-from sumsetchains.doubling import mu, t_range
+from sumsetchains.doubling import mu, profile, t_range
 from sumsetchains.errors import CapacityError
 from sumsetchains.intset import IntSet, doubling, sumset
 from sumsetchains.search import (
@@ -406,6 +406,28 @@ class TestExtensionChecks:
                     assert c.violations == ()
             counts[k] = (sets, pairs)
         assert counts == {3: (1, 2), 4: (3, 11), 5: (20, 122)}
+
+    def test_constant_drift_fails_on_a_doubling_class_table(self):
+        # from profile arithmetic alone: every legal t at k and every legal
+        # increment delta in [2, k]; the check itself agrees on a stand-in
+        # set whose maximum is no mu, so nothing is decomposed
+        failing = {}
+        for k in range(3, 10):
+            stand_in = (*range(k - 1), 10**6)
+            lo, hi = t_range(k)
+            for t in range(lo, hi + 1):
+                c, b = profile(k, t).c, profile(k, t).b
+                for delta in range(2, k + 1):
+                    c_after = profile(k + 1, t + delta).c
+                    assert (c_after >= c - 1) == (delta >= 2 * c - k - b), (k, t, delta)
+                    assert c_after <= c + 1, (k, t, delta)
+                    triple = [(10**6 + 1, t + delta, k + 1 - delta)]
+                    (check,) = search._extension_checks(stand_in, t, triple, deep=False)
+                    drifted = any("constant moved" in v for v in check.violations)
+                    assert drifted == (c_after < c - 1), (k, t, delta)
+                    if drifted:
+                        failing.setdefault(k, set()).add((t, delta))
+        assert failing == {8: {(30, 2)}, 9: {(38, 2), (38, 3)}}
 
 
 def test_the_oracle_serves_exactly_the_cardinalities_under_the_budget():
