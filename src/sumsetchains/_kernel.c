@@ -10,6 +10,9 @@
  * chain_children lists the canonical one-dimensional out-of-hull children
  * of one normal set with their doublings, so a chain level makes one call
  * per parent.
+ * Both slice walks (sweep_slice, collect_slice) release the GIL while they
+ * walk, so callers can run slices on threads: the walk touches no Python
+ * object, and collect_slice builds its tuples after taking the GIL back.
  * Limits: elements with |e| <= 2^60 (the IntSet range), at most 12 elements
  * for rank work (Bareiss minors stay inside int64), slice maxima m <= 511,
  * right_extensions spans <= 511, chain_children spans <= 511 and parents of
@@ -356,11 +359,13 @@ static PyObject *sweep_slice(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     char realized[MAXPAIRS + 1] = {0};
     if (started && t_max >= 0) {
+        Py_BEGIN_ALLOW_THREADS
         do {
             int t = slice_doubling(&s);
             if (t >= 0 && t <= t_max && !realized[t] && relation_rank(s.e, k) == k - 2)
                 realized[t] = 1;
         } while (slice_advance(&s));
+        Py_END_ALLOW_THREADS
     }
     PyObject *out = PyList_New(0);
     for (int t = 0; out != NULL && t <= MAXPAIRS; t++) {
@@ -372,12 +377,15 @@ static PyObject *sweep_slice(PyObject *self, PyObject *args, PyObject *kwargs)
     return out;
 }
 
-/* Appends the current set, or its mirror {m - e[k-1-i]}, to sets as a tuple. */
-static int append_set(PyObject *sets, const Slice *s, int mirror)
+/* Appends the set {0, interior[0..k-3], m}, or its mirror {m - e[k-1-i]},
+ * to sets as a tuple. */
+static int append_set(PyObject *sets, int k, int m, const unsigned short *interior, int mirror)
 {
-    PyObject *elems = PyTuple_New(s->k);
-    for (int i = 0; elems != NULL && i < s->k; i++) {
-        PyObject *v = PyLong_FromLongLong(mirror ? s->m - s->e[s->k - 1 - i] : s->e[i]);
+    PyObject *elems = PyTuple_New(k);
+    for (int i = 0; elems != NULL && i < k; i++) {
+        int j = mirror ? k - 1 - i : i;
+        int e = j == 0 ? 0 : j == k - 1 ? m : interior[j - 1];
+        PyObject *v = PyLong_FromLong(mirror ? m - e : e);
         if (v == NULL)
             Py_CLEAR(elems);
         else
@@ -386,6 +394,33 @@ static int append_set(PyObject *sets, const Slice *s, int mirror)
     int rc = elems == NULL ? -1 : PyList_Append(sets, elems);
     Py_XDECREF(elems);
     return rc;
+}
+
+/* The hits of a collect_slice walk, recorded without the GIL: k shorts per
+ * hit, the doubling t, a mirror flag (the mirror set belongs to the slice
+ * too) and the interior e[1..k-2]. The raw allocators need no GIL. */
+typedef struct {
+    unsigned short *data;
+    Py_ssize_t used, cap; /* in shorts */
+} Hits;
+
+static int hits_add(Hits *h, const Slice *s, int t, int mirror)
+{
+    if (h->used + s->k > h->cap) {
+        Py_ssize_t cap = h->cap ? 2 * h->cap : 64 * s->k;
+        unsigned short *data = PyMem_RawRealloc(h->data, cap * sizeof(unsigned short));
+        if (data == NULL)
+            return -1;
+        h->data = data;
+        h->cap = cap;
+    }
+    unsigned short *rec = h->data + h->used;
+    rec[0] = (unsigned short)t;
+    rec[1] = (unsigned short)mirror;
+    for (int i = 1; i <= s->r; i++)
+        rec[i + 1] = (unsigned short)s->e[i];
+    h->used += s->k;
+    return 0;
 }
 
 static PyObject *collect_slice(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -403,7 +438,10 @@ static PyObject *collect_slice(PyObject *self, PyObject *args, PyObject *kwargs)
      * list (borrowed) that a set of doubling t joins, NULL if t is unwanted */
     PyObject *keys = NULL, *out = PyDict_New(), *group[MAXPAIRS + 1] = {NULL}, *sets;
     PyObject *wanted = out == NULL ? NULL : PySet_New(ts);
+    char want[MAXPAIRS + 1];
+    Hits hits = {NULL, 0, 0};
     Py_ssize_t i;
+    int no_memory = 0;
     if (wanted == NULL || (keys = PySequence_List(wanted)) == NULL || PyList_Sort(keys) < 0)
         goto fail;
     for (i = 0; i < PyList_GET_SIZE(keys); i++) {
@@ -421,16 +459,30 @@ static PyObject *collect_slice(PyObject *self, PyObject *args, PyObject *kwargs)
         Py_DECREF(t_obj);
         if (group[t] == NULL && PyErr_Occurred())
             goto fail;
+        want[t] = group[t] != NULL;
     }
     if (started) {
+        Py_BEGIN_ALLOW_THREADS
         do {
             int t = slice_doubling(&s);
-            if (t < 0 || group[t] == NULL || relation_rank(s.e, k) != k - 2)
+            if (t < 0 || !want[t] || relation_rank(s.e, k) != k - 2)
                 continue;
-            if (append_set(group[t], &s, 0) < 0
-                || (s.e[1] + s.e[k - 2] < m && append_set(group[t], &s, 1) < 0))
-                goto fail;
+            if (hits_add(&hits, &s, t, s.e[1] + s.e[k - 2] < m) < 0) {
+                no_memory = 1;
+                break;
+            }
         } while (slice_advance(&s));
+        Py_END_ALLOW_THREADS
+    }
+    if (no_memory) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (i = 0; i < hits.used; i += k) {
+        const unsigned short *rec = hits.data + i;
+        if (append_set(group[rec[0]], k, m, rec + 2, 0) < 0
+            || (rec[1] && append_set(group[rec[0]], k, m, rec + 2, 1) < 0))
+            goto fail;
     }
     /* drop the groups that stayed empty; sort the others, whose mirrors
      * joined them out of order */
@@ -442,10 +494,12 @@ static PyObject *collect_slice(PyObject *self, PyObject *args, PyObject *kwargs)
         if (PyList_GET_SIZE(sets) == 0 ? PyDict_DelItem(out, key) < 0 : PyList_Sort(sets) < 0)
             goto fail;
     }
+    PyMem_RawFree(hits.data);
     Py_DECREF(wanted);
     Py_DECREF(keys);
     return out;
 fail:
+    PyMem_RawFree(hits.data);
     Py_XDECREF(out);
     Py_XDECREF(wanted);
     Py_XDECREF(keys);

@@ -68,7 +68,13 @@ def positive_int(text: str) -> int:
 
 
 def _add_cache_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=positive_int, default=1, help="worker processes")
+    p.add_argument(
+        "--threads",
+        type=positive_int,
+        default=1,
+        help="workers for the slice walks: threads on the compiled kernel, "
+        "processes on the pure-Python one",
+    )
     p.add_argument("--no-cache", action="store_true", help="bypass the disk cache")
     p.add_argument(
         "--force",
@@ -329,7 +335,7 @@ def cmd_verify(args) -> int:
         out["conjecture"].append(r.as_dict() | {"ok": ok})
 
     # the table verify_conjecture just filled covers the sweep's bound
-    sweep = extension_lemma_sweep(args.k)
+    sweep = extension_lemma_sweep(args.k, threads=args.threads)
     ok = sweep.ok
     failures += 0 if ok else 1
     lines.append(

@@ -12,6 +12,7 @@ such sets, but reports never assume it; they state their scope.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -19,7 +20,6 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,9 +197,40 @@ def _missing_slices(k: int, bound: int, use_cache: bool) -> list[int]:
     return missing
 
 
-def _slice_worker(args: tuple[int, int, int]) -> tuple[int, tuple[int, ...]]:
-    k, m, t_cap = args
+def _fan_out(fn, jobs: list, threads: int):
+    """Yield fn(job) for each job, in job order: in this thread when threads
+    is 1, else on that many workers. The workers are threads over the
+    compiled kernel, whose slice walks release the GIL, and processes over
+    the pure twin, which holds it (fn and the jobs must then pickle). On any
+    exception, KeyboardInterrupt included, the jobs not yet started are
+    cancelled, so an error waits only for the jobs in flight."""
+    if threads == 1:
+        yield from map(fn, jobs)
+        return
+    # imported here, and only the executor used: the process pool pulls in
+    # multiprocessing, 15-20 ms of import that the thread pool does not need
+    if kernel.BACKEND == "c":
+        from concurrent.futures import ThreadPoolExecutor as executor
+    else:
+        from concurrent.futures import ProcessPoolExecutor as executor
+    pool = executor(max_workers=threads)
+    try:
+        for future in [pool.submit(fn, job) for job in jobs]:
+            yield future.result()
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown()
+
+
+def _sweep_job(job: tuple[int, int, int]) -> tuple[int, tuple[int, ...]]:
+    k, m, t_cap = job
     return m, tuple(kernel.sweep_slice(k, m, t_cap))
+
+
+def _collect_job(job: tuple[int, int, tuple[int, ...]]) -> tuple[int, dict]:
+    k, m, ts = job
+    return m, kernel.collect_slice(k, m, ts)
 
 
 def _realized_slices(
@@ -220,12 +251,8 @@ def _realized_slices(
         _check_budget(k, bound, force)
         # largest slice first, so no worker is left with it at the end
         jobs = [(k, m, t_cap) for m in reversed(missing)]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_slice_worker, jobs))
-        else:
-            results = [_slice_worker(job) for job in jobs]
-        for m, ts in results:
+        # every job before any store: a failing one leaves the table as it was
+        for m, ts in list(_fan_out(_sweep_job, jobs, threads)):
             _SLICE_CACHE[(k, m)] = ts
         if use_cache:
             known = {
@@ -378,7 +405,7 @@ def verify_conjecture(
     """One oracle report per legal doubling at cardinality k.
 
     The slices missing from the table for all of them are swept first in one
-    pass (one process pool), up to the largest default bound, mu(k, T) + k
+    pass (one fan-out), up to the largest default bound, mu(k, T) + k
     at the top doubling T; over the budget that raises CapacityError before
     anything is swept, unless force is set.
     """
@@ -565,7 +592,7 @@ class ExtensionSweepReport:
         return not self.violations
 
 
-def extension_lemma_sweep(k: int) -> ExtensionSweepReport:
+def extension_lemma_sweep(k: int, *, threads: int = 1) -> ExtensionSweepReport:
     """Check the growth identities of check_extension_lemmas, without the
     oracle-decided ones, over every one-dimensional normal set of
     cardinality k with maximum at most mu(k, |2A|) + k, and every admissible
@@ -574,28 +601,32 @@ def extension_lemma_sweep(k: int) -> ExtensionSweepReport:
     The sets come from the oracle's slice table up to mu(k, T) + k at the
     top doubling T, each slice collected once over the doublings it
     realizes; without a table that covers that bound, a sweep over the
-    budget raises CapacityError before anything is walked."""
+    budget raises CapacityError before anything is walked. The collections
+    fan out on threads workers; the checks run in this thread, slice by
+    slice in order, so the report does not depend on threads."""
     start = time.perf_counter()
     slices = _realized_slices(
-        k, mu(k, t_range(k)[1]) + k, threads=1, use_cache=True, force=False
+        k, mu(k, t_range(k)[1]) + k, threads=threads, use_cache=True, force=False
     )
     sets_checked = 0
     pairs_checked = 0
     bad: list[tuple[IntSet, ExtensionCheck]] = []
-    for m, realized in slices.items():
-        if not realized:
-            continue
-        for t, sets in kernel.collect_slice(k, m, realized).items():
-            if m > mu(k, t) + k:
-                continue
-            for elements in sets:
-                triples = kernel.right_extensions(elements)
-                sets_checked += 1
-                pairs_checked += len(triples)
-                for chk in _extension_checks(
-                    elements, t, triples, deep=False, failing_only=True
-                ):
-                    bad.append((IntSet(elements), chk))
+    jobs = [(k, m, realized) for m, realized in slices.items() if realized]
+    # closed on the way out, so an error in the checks cancels the
+    # collections not yet started instead of leaving them to run
+    with contextlib.closing(_fan_out(_collect_job, jobs, threads)) as collected:
+        for m, groups in collected:
+            for t, sets in groups.items():
+                if m > mu(k, t) + k:
+                    continue
+                for elements in sets:
+                    triples = kernel.right_extensions(elements)
+                    sets_checked += 1
+                    pairs_checked += len(triples)
+                    for chk in _extension_checks(
+                        elements, t, triples, deep=False, failing_only=True
+                    ):
+                        bad.append((IntSet(elements), chk))
     return ExtensionSweepReport(
         k=k,
         sets_checked=sets_checked,

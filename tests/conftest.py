@@ -67,8 +67,10 @@ def compiled_kernel(tmp_path_factory):
 
 @pytest.fixture
 def compiled_facade(monkeypatch, compiled_kernel):
-    """The kernel facade with the compiled kernel behind it."""
+    """The kernel facade with the compiled kernel behind it, and BACKEND
+    saying so."""
     from sumsetchains import kernel
 
     monkeypatch.setattr(kernel, "_c", compiled_kernel)
+    monkeypatch.setattr(kernel, "BACKEND", "c")
     return kernel

@@ -1,7 +1,11 @@
 """Command line interface: JSON contracts, exit codes, file outputs."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +258,21 @@ def test_over_budget_run_refuses_before_sweeping(capsys, tmp_path, monkeypatch, 
 def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def test_importing_the_cli_loads_no_pool_machinery():
+    # the fan-out imports its executors only when it starts workers, so a
+    # run with --threads 1 never pays for multiprocessing's import
+    code = (
+        "import sys, sumsetchains.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"

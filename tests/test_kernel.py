@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -92,6 +94,44 @@ def test_compiled_slices_match_pure_at_k7(compiled_kernel):
         assert_same(compiled_kernel, "sweep_slice", 7, m, 23)
         ts = range(13, 24)
         assert_same(compiled_kernel, "collect_slice", 7, m, ts)
+
+
+def test_compiled_slice_walks_run_on_threads(compiled_kernel):
+    # both walks release the GIL: four threads at once, more than the cores,
+    # under a short switch interval, each running every k = 7 slice in its
+    # own order, must get what serial calls get, order included
+    jobs = [("sweep_slice", 7, m, 23) for m in range(6, 34)]
+    jobs += [("collect_slice", 7, m, range(13, 24)) for m in range(6, 34)]
+
+    def run(job):
+        got = getattr(compiled_kernel, job[0])(*job[1:])
+        return list(got.items()) if isinstance(got, dict) else got
+
+    want = [run(job) for job in jobs]
+    results = {}
+    start = threading.Barrier(4)
+
+    def work(i):
+        shift = i * len(jobs) // 4
+        start.wait(timeout=30)
+        results[i] = [(job, run(job)) for job in jobs[shift:] + jobs[:shift]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert sorted(results) == [0, 1, 2, 3]
+    expected = list(zip(jobs, want))
+    for i, got in results.items():
+        shift = i * len(jobs) // 4
+        assert got == expected[shift:] + expected[:shift]
 
 
 def reference_collect(k, m, ts):

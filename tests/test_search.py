@@ -1,9 +1,11 @@
 """Exhaustive volume oracle, extension sweeps, and the uniqueness checks."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -220,6 +222,160 @@ class TestOracle:
         # doubling 11 allows max 6, but this set only reaches 5
         assert not is_1_extremal(S("{0,1,2,4,5}"))
 
+
+@pytest.fixture(params=["python", "c"])
+def backend(request, monkeypatch):
+    """The kernel facade on either twin: the pure one fans slices out on
+    processes, the compiled one on threads."""
+    if request.param == "c":
+        return request.getfixturevalue("compiled_facade")
+    monkeypatch.setattr(search.kernel, "_c", None)
+    monkeypatch.setattr(search.kernel, "BACKEND", "python")
+    return search.kernel
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("k, bound", [(5, 13), (6, 22), (7, 26)])
+    def test_threads_give_the_serial_table(self, backend, monkeypatch, k, bound):
+        tables = []
+        for threads in (1, 2):
+            monkeypatch.setattr(search, "_SLICE_CACHE", {})
+            tables.append(
+                search._realized_slices(
+                    k, bound, threads=threads, use_cache=False, force=False
+                )
+            )
+        assert tables[1] == tables[0] and list(tables[1]) == list(tables[0])
+        assert any(tables[0].values())
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_threads_give_the_serial_extension_sweep(self, backend, monkeypatch, k):
+        # no pair fails below k = 8, so T_x of every x = max A + 1 whose
+        # T_x + 1 stays legal is raised by one, which breaks the increment
+        # identity; right_extensions runs in the calling thread either way
+        extensions = search.kernel.right_extensions
+        hi = t_range(k + 1)[1]
+
+        def skewed(elements):
+            return [
+                (x, tx + (x == elements[-1] + 1 and tx < hi), overlap)
+                for x, tx, overlap in extensions(elements)
+            ]
+
+        monkeypatch.setattr(search.kernel, "right_extensions", skewed)
+        serial = extension_lemma_sweep(k)
+        fanned = extension_lemma_sweep(k, threads=2)
+        assert dataclasses.replace(fanned, elapsed=0) == dataclasses.replace(
+            serial, elapsed=0
+        )
+        assert len(serial.violations) > 1
+        if k == 5:
+            assert (serial.sets_checked, serial.pairs_checked) == (20, 122)
+
+    def test_a_failing_job_propagates_and_writes_nothing(
+        self, backend, tmp_path, monkeypatch
+    ):
+        sweep = search.kernel.sweep_slice
+
+        def failing(k, m, t_max):
+            if m == 9:
+                raise RuntimeError(f"slice {m} failed")
+            return sweep(k, m, t_max)
+
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        monkeypatch.setattr(search.kernel, "sweep_slice", failing)
+        with pytest.raises(RuntimeError, match="slice 9 failed"):
+            search._realized_slices(5, 13, threads=2, use_cache=True, force=False)
+        assert list(tmp_path.iterdir()) == []
+        assert search._SLICE_CACHE == {}
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_an_error_cancels_the_jobs_not_started(
+        self, backend, tmp_path, monkeypatch, error
+    ):
+        # k = 8 has 66 slices; the first job, the largest slice, fails at
+        # once while the others take a while, so only the jobs in flight or
+        # already queued to a worker run. Each call leaves a file, which a
+        # worker process can do as well as a thread.
+        def fake(k, m, t_max):
+            (tmp_path / f"call-{m}").touch()
+            if m == 72:
+                raise error("largest slice")
+            time.sleep(0.05)
+            return [t_max]
+
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        monkeypatch.setattr(search.kernel, "sweep_slice", fake)
+        with pytest.raises(error):
+            search._realized_slices(8, 72, threads=2, use_cache=False, force=True)
+        calls = sorted(p.name for p in tmp_path.iterdir())
+        assert "call-72" in calls and len(calls) <= 6, calls
+
+    def test_an_error_in_the_checks_stops_the_collections(
+        self, backend, tmp_path, monkeypatch
+    ):
+        # the checks run in the calling thread; when one raises, no
+        # collection may start after the sweep has returned, even while the
+        # traceback, and with it the sweep's frame, is still held
+        collect = search.kernel.collect_slice
+
+        def slow_collect(k, m, ts):
+            (tmp_path / f"call-{m}").touch()
+            time.sleep(0.05)
+            return collect(k, m, ts)
+
+        def failing(elements):
+            raise RuntimeError("check failed")
+
+        monkeypatch.setattr(search.kernel, "collect_slice", slow_collect)
+        monkeypatch.setattr(search.kernel, "right_extensions", failing)
+        with pytest.raises(RuntimeError, match="check failed") as failure:
+            extension_lemma_sweep(6, threads=2)
+        calls = len(list(tmp_path.iterdir()))
+        time.sleep(0.3)
+        assert len(list(tmp_path.iterdir())) == calls <= 6
+        assert failure.traceback
+
+    def test_compiled_fan_out_starts_no_process(self, compiled_facade, monkeypatch):
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        fanned = search._realized_slices(7, 39, threads=2, use_cache=False, force=False)
+        report = extension_lemma_sweep(5, threads=2)
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        assert fanned == search._realized_slices(
+            7, 39, threads=1, use_cache=False, force=False
+        )
+        assert (report.sets_checked, report.pairs_checked) == (20, 122)
+
+
+    def test_compiled_fan_out_leaves_multiprocessing_unloaded(self, compiled_kernel):
+        # the thread pool is imported alone: multiprocessing, which the
+        # process pool pulls in, would weigh on every run
+        code = f"""if True:
+            import importlib.util, sys
+            from sumsetchains import kernel, search
+            spec = importlib.util.spec_from_file_location(
+                "sumsetchains._kernel", {compiled_kernel.__file__!r}
+            )
+            kernel._c = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(kernel._c)
+            kernel.BACKEND = "c"
+            search._realized_slices(6, 12, threads=2, use_cache=False, force=False)
+            print("multiprocessing" in sys.modules)
+        """
+        env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout == "False\n"
 
 class TestExtensionChecks:
     def test_frozen_examples(self):
