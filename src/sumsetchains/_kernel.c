@@ -9,7 +9,11 @@
  * their doublings and overlaps, so a sweep makes one call per set.
  * chain_children lists the canonical one-dimensional out-of-hull children
  * of one normal set with their doublings, so a chain level makes one call
- * per parent.
+ * per parent, and one rank test per one-dimensional parent: y in 2A - A
+ * gives a relation y + a = b + c with y-coefficient 1, independent of A's
+ * relations, so every child of a one-dimensional A (at most two elements
+ * count) is one-dimensional. Only the children of other parents are rank
+ * tested one by one.
  * Both slice walks (sweep_slice, collect_slice) release the GIL while they
  * walk, so callers can run slices on threads: the walk touches no Python
  * object, and collect_slice builds its tuples after taking the GIL back.
@@ -590,9 +594,9 @@ done:
     return out;
 }
 
-/* Appends (canon, t) to out when canon, the larger of the n-element normal
- * set child and its reflexion, is one-dimensional. */
-static int append_child(PyObject *out, const i64 *child, int n, int t)
+/* Appends (canon, t) to out, canon the larger of the n-element normal set
+ * child and its reflexion, when known_1d is set or canon is one-dimensional. */
+static int append_child(PyObject *out, const i64 *child, int n, int t, int known_1d)
 {
     i64 refl[MAXK];
     const i64 *canon = child;
@@ -603,7 +607,7 @@ static int append_child(PyObject *out, const i64 *child, int n, int t)
         ;
     if (i < n && refl[i] > child[i])
         canon = refl;
-    if (relation_rank(canon, n) != n - 2)
+    if (!known_1d && relation_rank(canon, n) != n - 2)
         return 0;
     PyObject *elems = PyTuple_New(n);
     for (i = 0; elems != NULL && i < n; i++) {
@@ -624,14 +628,16 @@ static int append_child(PyObject *out, const i64 *child, int n, int t)
  * of A | {y} and its reflexion, kept when |2 canon| <= t_max and canon is
  * one-dimensional. The pool comes from the masks of A and 2A, as in
  * right_extensions: y < 0 when A meets 2A - y, y > max A when 2A meets
- * y + A. Each y adds |A| + 1 - overlap sums to 2A. Spans up to MAX_M,
- * children of at most MAXK elements. */
+ * y + A. Each y adds |A| + 1 - overlap sums to 2A. A one-dimensional A
+ * costs one rank test, as every child of it is one-dimensional (see the
+ * top of this file). Spans up to MAX_M, children of at most MAXK
+ * elements. */
 static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"elements", "t_max", NULL};
     PyObject *elements, *out = NULL, *seq;
     Py_ssize_t t_max, n, k, i, mw, tw;
-    int fresh;
+    int fresh, parent_1d;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "On:chain_children", kwlist, &elements,
                                      &t_max))
         return NULL;
@@ -682,6 +688,7 @@ static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs
     fresh = (int)k + 1;
     for (i = 0; i < tw; i++)
         fresh += popcount(two[i]);
+    parent_1d = k <= 2 || relation_rank(off, (int)k) == k - 2;
     if ((out = PyList_New(0)) == NULL)
         goto done;
     /* y = -d, ascending: the child is {0} | (A + d) */
@@ -692,7 +699,7 @@ static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs
         child[0] = 0;
         for (i = 0; i < k; i++)
             child[i + 1] = off[i] + d;
-        if (append_child(out, child, (int)k + 1, t) < 0)
+        if (append_child(out, child, (int)k + 1, t, parent_1d) < 0)
             goto fail;
     }
     /* y > max A: the child is A | {y} */
@@ -702,7 +709,7 @@ static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs
         if (t == fresh || t > t_max)
             continue;
         child[k] = d;
-        if (append_child(out, child, (int)k + 1, t) < 0)
+        if (append_child(out, child, (int)k + 1, t, parent_1d) < 0)
             goto fail;
     }
     goto done;

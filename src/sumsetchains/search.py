@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import tempfile
 import time
@@ -26,7 +27,7 @@ from pathlib import Path
 from . import chains, kernel
 from .chains import is_chain_member
 from .dimension import extension_candidates, is_one_dimensional, out_of_hull_pool
-from .doubling import mu, profile, t_range
+from .doubling import DoublingProfile, mu, profile, t_range
 from .errors import CapacityError, DecompositionNotUnique, NotDecomposable
 from .growth import adjoin_double_max
 from .intset import (
@@ -475,6 +476,57 @@ def check_extension_lemmas(a: IntSet, x: int) -> ExtensionCheck:
     return _extension_checks(a.elements, doubling(a), triples, deep=True)[0]
 
 
+@functools.cache
+def _pair_verdict(
+    k: int, t: int, tx: int, overlap: int
+) -> tuple[DoublingProfile | None, tuple[str, ...]]:
+    """The checks of _extension_checks that read only (k, t, T_x, overlap):
+    the increment identity, the increment range, a legal T_x for k + 1 and
+    the constant drift. Returns the profile of (k + 1, T_x), None when T_x
+    is not legal, and the violations, decided once per process.
+
+    The constant-drift check |c' - c| <= 1, with c the constant of (k, t) and
+    c' that of (k + 1, T_x), depends on (k, t, delta = T_x - t) alone, not on
+    the set. At k + 1 the block of constant c' starts after
+    B(c') = c'(k + 1) - C(c' + 1, 2) + 2, and B(c' + 1) = B(c') + k - c'.
+    With t = ck - C(c + 1, 2) + b + 2:
+    - c' >= c - 1 holds exactly when t + delta > B(c - 1), that is when
+      delta >= 2c - k - b;
+    - c' <= c + 1 always holds: t + delta <= t + k, which is
+      k - c - 1 - b >= 0 below B(c + 2).
+    As c <= k - 2 and b >= 1 for c >= 3, 2c - k - b <= k - 5, so no legal
+    delta >= 2 fails at k <= 7. At k = 8 only (t, delta) = (30, 2) fails and
+    at k = 9 only (38, 2) and (38, 3), where c = k - 2 and b = 1."""
+    delta_t = tx - t
+    violations = []
+    if delta_t != k + 1 - overlap:
+        violations.append(
+            f"doubling increment {delta_t} != {k + 1} - overlap {overlap}"
+        )
+    if not 2 <= delta_t <= k:
+        violations.append(f"doubling increment {delta_t} outside [2, {k}]")
+    lo, hi = t_range(k + 1)
+    after = profile(k + 1, tx) if lo <= tx <= hi else None
+    if after is None:
+        violations.append(
+            f"doubling T_x = {tx} outside [{lo}, {hi}] for k + 1 = {k + 1}"
+        )
+    else:
+        c = profile(k, t).c
+        if not -1 <= after.c - c <= 1:
+            violations.append(f"doubling constant moved from {c} to {after.c}")
+    return after, tuple(violations)
+
+
+@functools.cache
+def _passing_pairs(k: int, t: int) -> frozenset[tuple[int, int]]:
+    """Every (T_x, overlap) that passes _pair_verdict at (k, t). The
+    increment identity fixes T_x = t + k + 1 - overlap, and no overlap
+    outside [0, k + 1] passes the increment range, so this is all of them."""
+    pairs = ((t + k + 1 - overlap, overlap) for overlap in range(k + 2))
+    return frozenset(pair for pair in pairs if not _pair_verdict(k, t, *pair)[1])
+
+
 def _extension_checks(
     elements: tuple[int, ...],
     t: int,
@@ -490,44 +542,19 @@ def _extension_checks(
     adds the oracle-decided identities; the sweep leaves them out.
     failing_only evaluates every identity on every x but returns the checks
     with a violation only. A T_x outside the legal range for k + 1 is itself
-    a violation, and the checks that need its profile are skipped.
-
-    The constant-drift check |c' - c| <= 1, with c the constant of (k, t) and
-    c' that of (k + 1, T_x), depends on (k, t, delta = T_x - t) alone, not on
-    the set. At k + 1 the block of constant c' starts after
-    B(c') = c'(k + 1) - C(c' + 1, 2) + 2, and B(c' + 1) = B(c') + k - c'.
-    With t = ck - C(c + 1, 2) + b + 2:
-    - c' >= c - 1 holds exactly when t + delta > B(c - 1), that is when
-      delta >= 2c - k - b;
-    - c' <= c + 1 always holds: t + delta <= t + k, which is
-      k - c - 1 - b >= 0 below B(c + 2).
-    As c <= k - 2 and b >= 1 for c >= 3, 2c - k - b <= k - 5, so no legal
-    delta >= 2 fails at k <= 7. At k = 8 only (t, delta) = (30, 2) fails and
-    at k = 9 only (38, 2) and (38, 3), where c = k - 2 and b = 1."""
+    a violation, and the checks that need its profile are skipped. The
+    checks that read only (k, t, T_x, overlap) come from _pair_verdict."""
     k = len(elements)
     a_max = elements[-1]
     prof = profile(k, t)
     c = prof.c
-    lo, hi = t_range(k + 1)
     large = 3 * (k + 1) - 4  # T_x above it: the large-doubling regime
     dec = _try_decompose(IntSet(elements), t) if a_max == prof.mu else None
     checks = []
     for x, tx, overlap in triples:
         delta_t = tx - t
-        violations = []
-        if delta_t != k + 1 - overlap:
-            violations.append(
-                f"doubling increment {delta_t} != {k + 1} - overlap {overlap}"
-            )
-        if not 2 <= delta_t <= k:
-            violations.append(f"doubling increment {delta_t} outside [2, {k}]")
-        after = profile(k + 1, tx) if lo <= tx <= hi else None
-        if after is None:
-            violations.append(
-                f"doubling T_x = {tx} outside [{lo}, {hi}] for k + 1 = {k + 1}"
-            )
-        elif not -1 <= after.c - c <= 1:
-            violations.append(f"doubling constant moved from {c} to {after.c}")
+        after, verdict = _pair_verdict(k, t, tx, overlap)
+        violations = list(verdict)
 
         bounded = (
             dec is not None and after is not None and tx > large and x >= after.mu
@@ -603,7 +630,11 @@ def extension_lemma_sweep(k: int, *, threads: int = 1) -> ExtensionSweepReport:
     realizes; without a table that covers that bound, a sweep over the
     budget raises CapacityError before anything is walked. The collections
     fan out on threads workers; the checks run in this thread, slice by
-    slice in order, so the report does not depend on threads."""
+    slice in order, so the report does not depend on threads.
+
+    A set with max A != mu(k, T) is never decomposed, so its pairs read only
+    _pair_verdict: one subset test against _passing_pairs(k, T) clears it,
+    and it goes through _extension_checks only when some pair fails."""
     start = time.perf_counter()
     slices = _realized_slices(
         k, mu(k, t_range(k)[1]) + k, threads=threads, use_cache=True, force=False
@@ -612,17 +643,24 @@ def extension_lemma_sweep(k: int, *, threads: int = 1) -> ExtensionSweepReport:
     pairs_checked = 0
     bad: list[tuple[IntSet, ExtensionCheck]] = []
     jobs = [(k, m, realized) for m, realized in slices.items() if realized]
+    tx_overlap = operator.itemgetter(1, 2)
     # closed on the way out, so an error in the checks cancels the
     # collections not yet started instead of leaving them to run
     with contextlib.closing(_fan_out(_collect_job, jobs, threads)) as collected:
         for m, groups in collected:
             for t, sets in groups.items():
-                if m > mu(k, t) + k:
+                top = mu(k, t)
+                if m > top + k:
                     continue
+                passing = _passing_pairs(k, t)
                 for elements in sets:
                     triples = kernel.right_extensions(elements)
                     sets_checked += 1
                     pairs_checked += len(triples)
+                    # only a set with max A = mu(k, t) is decomposed, so the
+                    # others need the per-pair checks only when a pair fails
+                    if m != top and passing.issuperset(map(tx_overlap, triples)):
+                        continue
                     for chk in _extension_checks(
                         elements, t, triples, deep=False, failing_only=True
                     ):

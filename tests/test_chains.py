@@ -101,6 +101,27 @@ class TestEnumeration:
         monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
         assert [len(chains._chain_level(k)) for k in (9, 10)] == [1323, 4053]
 
+    def test_level_k11_past_the_cap_on_both_twins(self, compiled_facade, monkeypatch):
+        # levels past CHAIN_ENUM_CAP are pinned without raising it; the pure
+        # table and the compiled one agree on contents and order
+        assert CHAIN_ENUM_CAP == 10
+        with pytest.raises(CapacityError):
+            enumerate_chains(11)
+        levels = {}
+        for backend in ("c", "python"):
+            monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
+            if backend == "python":
+                monkeypatch.setattr(compiled_facade, "_c", None)
+            levels[backend] = list(chains._chain_level(11).items())
+        assert len(levels["c"]) == 11_619
+        assert levels["python"] == levels["c"]
+
+    @pytest.mark.slow
+    def test_level_k12_past_the_cap(self, compiled_facade, monkeypatch):
+        monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
+        assert len(chains._chain_level(12)) == 31_496
+        assert CHAIN_ENUM_CAP == 10
+
     def test_chain_enum_k10_output(self, compiled_facade, monkeypatch, capsys):
         monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
         assert main(["chain-enum", "--k", "10"]) == 0

@@ -358,6 +358,66 @@ def test_chain_children_match_a_walk_free_reference(twin):
             assert got == [(canon, t) for canon, t in want if t <= cut], (elems, cut)
 
 
+def pool_children(elements):
+    """Every out-of-hull child A ∪ {y}, y in 2A - A, sorted, with no filter."""
+    return [tuple(sorted(elements + (y,))) for y in out_of_hull_pool(IntSet(elements))]
+
+
+def test_every_pool_child_of_a_chain_parent_is_one_dimensional(compiled_kernel):
+    # what chain_children skips the children's rank tests on: y + a = b + c
+    # is a relation independent of A's, so the rank grows by one with |A|;
+    # parents from every chain level to k = 9 on the compiled twin, to k = 7
+    # on the pure one
+    count = 0
+    for parent, _ in chain_parents(9):
+        for child in pool_children(parent):
+            assert compiled_kernel.lambda_rank(child) == len(child) - 2, (parent, child)
+            if len(parent) <= 7:
+                assert pure.lambda_rank(child) == len(child) - 2, (parent, child)
+            count += 1
+    assert count == 87_938
+
+
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=9, unique=True))
+def test_every_pool_child_of_a_one_dimensional_set_is_one_dimensional(values):
+    g = math.gcd(*values)
+    elems = (0, *sorted(v // g for v in values))
+    if not pure.is_one_dimensional(elems):
+        return
+    children = pool_children(elems)
+    for child in children:
+        assert pure.lambda_rank(child) == len(child) - 2, (elems, child)
+    # so a one-dimensional parent keeps every child under the doubling cap
+    assert len(pure.chain_children(elems, 10**6)) == len(children)
+
+
+def test_a_parent_of_higher_dimension_keeps_only_its_one_dimensional_children(twin):
+    # {0, 1, 3, 4} has the one relation 0 + 4 = 1 + 3, rank 1 < 2
+    assert not pure.is_one_dimensional((0, 1, 3, 4))
+    assert len(pool_children((0, 1, 3, 4))) == 8
+    got = twin.chain_children((0, 1, 3, 4), 10**6)
+    assert len(got) == 2
+    assert all(pure.is_one_dimensional(canon) for canon, _ in got)
+
+
+def test_a_one_dimensional_parent_costs_one_rank_test(monkeypatch):
+    tested = []
+    is_1d = pure.is_one_dimensional
+
+    def counted(elements):
+        tested.append(tuple(elements))
+        return is_1d(elements)
+
+    monkeypatch.setattr(pure, "is_one_dimensional", counted)
+    got = pure.chain_children((0, 1, 2, 4, 8), 10**6)
+    assert len(got) > 1 and tested == [(0, 1, 2, 4, 8)]
+    tested.clear()
+    assert len(pure.chain_children((0, 1, 3, 4), 10**6)) == 2
+    assert len(tested) == 1 + 8
+    tested.clear()
+    assert pure.chain_children((0, 1), 10**6) and tested == []
+
+
 def test_chain_children_cap_straddles(compiled_facade, compiled_kernel):
     # span 511 and 11 elements run compiled, span 512 or 12 elements pure;
     # a one-dimensional set that wide doubles its way up from {0, 1, 2}

@@ -585,6 +585,71 @@ class TestExtensionChecks:
                         failing.setdefault(k, set()).add((t, delta))
         assert failing == {8: {(30, 2)}, 9: {(38, 2), (38, 3)}}
 
+    def test_pair_verdicts_match_the_per_set_checks(self):
+        # every legal t, every T_x from one below the legal range of k + 1 to
+        # one above it, and every overlap 0..k + 1, mismatched ones included,
+        # on a stand-in set whose maximum is no mu, so nothing is decomposed
+        for k in range(3, 10):
+            stand_in = (*range(k - 1), 10**6)
+            lo, hi = t_range(k + 1)
+            for t in range(t_range(k)[0], t_range(k)[1] + 1):
+                c = profile(k, t).c
+                passing = search._passing_pairs(k, t)
+                for tx in range(lo - 1, hi + 2):
+                    for overlap in range(k + 2):
+                        after, verdict = search._pair_verdict(k, t, tx, overlap)
+                        triple = [(10**6 + 1, tx, overlap)]
+                        (check,) = search._extension_checks(
+                            stand_in, t, triple, deep=False
+                        )
+                        assert check.violations == verdict, (k, t, tx, overlap)
+                        assert check.c_after == (None if after is None else after.c)
+                        # and from first principles
+                        delta = tx - t
+                        clean = (
+                            delta == k + 1 - overlap
+                            and 2 <= delta <= k
+                            and lo <= tx <= hi
+                            and abs(profile(k + 1, tx).c - c) <= 1
+                        )
+                        assert ((tx, overlap) in passing) == clean == (not verdict)
+                assert all(lo <= tx <= hi for tx, _ in passing)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_sweep_checks_per_pair_only_extremal_or_failing_sets(self, monkeypatch, k):
+        extensions, checks = search.kernel.right_extensions, search._extension_checks
+        swept, checked = [], []
+
+        def recording(elements):
+            swept.append(tuple(elements))
+            return extensions(elements)
+
+        def recording_checks(elements, t, triples, **kwargs):
+            checked.append(tuple(elements))
+            return checks(elements, t, triples, **kwargs)
+
+        monkeypatch.setattr(search.kernel, "right_extensions", recording)
+        monkeypatch.setattr(search, "_extension_checks", recording_checks)
+        report = extension_lemma_sweep(k)
+        assert report.violations == () and len(swept) == report.sets_checked
+        extremal = [a for a in swept if a[-1] == mu(k, search.kernel.doubling_size(a))]
+        assert checked == extremal and len(extremal) < len(swept)
+        # a set with a failing pair is checked pair by pair too
+        target = swept[len(swept) // 2]
+        assert target not in extremal
+
+        def skewed(elements):
+            return [
+                (x, tx + (tuple(elements) == target), overlap)
+                for x, tx, overlap in extensions(elements)
+            ]
+
+        monkeypatch.setattr(search.kernel, "right_extensions", skewed)
+        checked.clear()
+        report = extension_lemma_sweep(k)
+        assert checked == sorted(extremal + [target], key=swept.index)
+        assert {a.elements for a, _ in report.violations} == {target}
+
 
 def test_the_oracle_serves_exactly_the_cardinalities_under_the_budget():
     assert [j for j in range(3, 10) if search._oracle_affordable(j)] == [3, 4, 5, 6, 7]
