@@ -17,12 +17,20 @@
  * Both slice walks (sweep_slice, collect_slice) release the GIL while they
  * walk, so callers can run slices on threads: the walk touches no Python
  * object, and collect_slice builds its tuples after taking the GIL back.
+ * Every rank test (lambda_rank, is_one_dimensional, both slice walks,
+ * chain_children) is relation_rank, which eliminates over F_p, p = 2^31 - 1,
+ * by cross-multiplication, with no division. It gives the rank over Q that
+ * the pure twin computes by Bareiss elimination, capped at k - 2, on every
+ * input: each relation row u_a + u_b - u_c - u_d has L2 norm at most
+ * sqrt(8), so by Hadamard's bound every r x r minor with r <= k - 2 <= 10 is
+ * at most 8^5 = 32,768 < p in absolute value and cannot vanish mod p unless
+ * it is 0 (see relation_rank).
  * Limits: elements with |e| <= 2^60 (the IntSet range), at most 12 elements
- * for rank work (Bareiss minors stay inside int64), slice maxima m <= 511,
+ * for rank work (the prime bound above), slice maxima m <= 511,
  * right_extensions spans <= 511, chain_children spans <= 511 and parents of
- * at most 11 elements, doubling spans <= 2^20. Past a limit it raises
- * OverflowError; kernel.py routes such input to the pure-Python reference
- * instead. */
+ * at most 12 elements, of 12 only when one-dimensional, doubling spans
+ * <= 2^20. Past a limit it raises OverflowError; kernel.py routes such input
+ * to the pure-Python reference instead. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -154,36 +162,75 @@ done:
     return result;
 }
 
-/* Rank over Q of the relation rows of e[0..k-1], k <= MAXK: each pair
- * (i <= j), in order, whose sum an earlier pair had gives the row (latest
- * such pair) - (this pair), as in _kernel_py. Fraction-free (Bareiss)
- * elimination, early exit at k - 2: every entry stays a minor of a matrix
- * of small entries, so the divisions are exact and fit in int64. */
+/* The rank arithmetic works over F_p, p = 2^31 - 1: residues fit in 31
+ * bits, so a * b + c * d < 2^63 for residues a, b, c, d, and 2^31 = 1 mod p
+ * reduces a product with two folds and no division. */
+#define RANK_P 2147483647ULL
+
+/* relation_rank is exact while p exceeds 8^(r/2) for every rank r <= MAXK - 2
+ * it caps at; 1 << ceil(3r / 2) bounds 8^(r/2) from above. */
+_Static_assert(RANK_P > (1ULL << ((3 * (MAXK - 2) + 1) / 2)),
+               "raising MAXK needs a larger rank prime: see relation_rank");
+
+/* x mod p for x < 2^63 */
+static u64 mod_p(u64 x)
+{
+    x = (x & RANK_P) + (x >> 31);
+    x = (x & RANK_P) + (x >> 31);
+    return x >= RANK_P ? x - RANK_P : x;
+}
+
+/* Slots of the pair-sum table: a power of two above 2 * MAXPAIRS, whose
+ * entries (pair index + 1) fit in a byte. */
+#define SUM_SLOTS 256
+_Static_assert(2 * MAXPAIRS < SUM_SLOTS && SUM_SLOTS <= 256, "resize the pair-sum table");
+
+/* Rank over Q of the relation rows of e[0..k-1], k <= MAXK, capped at
+ * max(k - 2, 1) as in _kernel_py: each pair (i <= j), in order, whose sum an
+ * earlier pair had gives the row (latest such pair) - (this pair); a small
+ * hash table on the sums finds that pair.
+ *
+ * The elimination runs over F_p by cross-multiplication (row_r = row_r * pivot
+ * - row_pivot * f), so no step divides, and it gives the same capped rank:
+ * - Each row is u_a + u_b - u_c - u_d (indices may repeat, as in the row
+ *   (2, -2) of a repeated element). Its positive and negative parts each
+ *   have L1 norm at most 2, so its L2 norm is at most sqrt(8).
+ * - By Hadamard's bound every r x r minor is at most 8^(r/2) <= 8^5 =
+ *   32,768 < p in absolute value, for r <= max(cap, 1) <= MAXK - 2 = 10.
+ * - The rank mod p never exceeds the rank over Q, as a minor that is nonzero
+ *   mod p is nonzero over Q. A nonzero minor of size min(rank over Q, cap)
+ *   stays nonzero mod p. So min(rank, cap) is the same over F_p and over Q,
+ *   and the elimination stops at cap on both. */
 static int relation_rank(const i64 *e, int k)
 {
-    i64 sum[MAXPAIRS], rows[MAXPAIRS][MAXK];
-    int pi[MAXPAIRS], pj[MAXPAIRS];
-    int n = 0, nr = 0, i, j, q, c, r;
+    i64 key[SUM_SLOTS];
+    unsigned rows[MAXPAIRS][MAXK]; /* residues mod p */
+    unsigned char slot[SUM_SLOTS] = {0}; /* pair index + 1, 0 when free */
+    unsigned char pi[MAXPAIRS], pj[MAXPAIRS];
+    int n = 0, nr = 0, i, j, c, r;
     for (i = 0; i < k; i++) {
         for (j = i; j < k; j++) {
-            sum[n] = e[i] + e[j];
-            pi[n] = i;
-            pj[n] = j;
-            for (q = n - 1; q >= 0 && sum[q] != sum[n]; q--)
-                ;
-            if (q >= 0) {
-                i64 *row = rows[nr++];
-                memset(row, 0, sizeof(rows[0]));
-                row[pi[q]]++;
-                row[pj[q]]++;
-                row[i]--;
-                row[j]--;
+            i64 s = e[i] + e[j];
+            unsigned h = (unsigned)(((u64)s * 0x9E3779B97F4A7C15ULL) >> 56);
+            while (slot[h] && key[h] != s)
+                h = (h + 1) & (SUM_SLOTS - 1);
+            if (slot[h]) {
+                int q = slot[h] - 1, d[MAXK] = {0};
+                d[pi[q]]++;
+                d[pj[q]]++;
+                d[i]--;
+                d[j]--;
+                for (c = 0; c < k; c++)
+                    rows[nr][c] = (unsigned)(d[c] < 0 ? (i64)RANK_P + d[c] : d[c]);
+                nr++;
             }
-            n++;
+            key[h] = s;
+            pi[n] = (unsigned char)i;
+            pj[n] = (unsigned char)j;
+            slot[h] = (unsigned char)(++n);
         }
     }
     int rank = 0, cap = k - 2;
-    i64 prev = 1;
     for (int col = 0; col < k && nr > 0; col++) {
         int pivot = rank;
         while (pivot < nr && rows[pivot][col] == 0)
@@ -191,25 +238,20 @@ static int relation_rank(const i64 *e, int k)
         if (pivot == nr)
             continue;
         if (pivot != rank) {
-            i64 t[MAXK];
+            unsigned t[MAXK];
             memcpy(t, rows[rank], sizeof(t));
             memcpy(rows[rank], rows[pivot], sizeof(t));
             memcpy(rows[pivot], t, sizeof(t));
         }
-        i64 p = rows[rank][col];
+        u64 p = rows[rank][col];
         for (r = rank + 1; r < nr; r++) {
-            i64 f = rows[r][col];
-            if (f != 0) {
-                for (c = col + 1; c < k; c++)
-                    rows[r][c] = (rows[r][c] * p - rows[rank][c] * f) / prev;
-                rows[r][col] = 0;
-            }
-            else if (p != 1 || prev != 1) {
-                for (c = col + 1; c < k; c++)
-                    rows[r][c] = rows[r][c] * p / prev;
-            }
+            u64 f = rows[r][col];
+            if (f == 0)
+                continue;
+            for (c = col + 1; c < k; c++)
+                rows[r][c] = (unsigned)mod_p(rows[r][c] * p + rows[rank][c] * (RANK_P - f));
+            rows[r][col] = 0;
         }
-        prev = p;
         rank++;
         if (rank >= cap)
             return rank;
@@ -598,7 +640,7 @@ done:
  * child and its reflexion, when known_1d is set or canon is one-dimensional. */
 static int append_child(PyObject *out, const i64 *child, int n, int t, int known_1d)
 {
-    i64 refl[MAXK];
+    i64 refl[MAXK + 1];
     const i64 *canon = child;
     int i;
     for (i = 0; i < n; i++)
@@ -630,8 +672,9 @@ static int append_child(PyObject *out, const i64 *child, int n, int t, int known
  * right_extensions: y < 0 when A meets 2A - y, y > max A when 2A meets
  * y + A. Each y adds |A| + 1 - overlap sums to 2A. A one-dimensional A
  * costs one rank test, as every child of it is one-dimensional (see the
- * top of this file). Spans up to MAX_M, children of at most MAXK
- * elements. */
+ * top of this file). Spans up to MAX_M and parents of at most MAXK
+ * elements; a parent of MAXK elements only when it is one-dimensional, so
+ * that no child of MAXK + 1 elements needs a rank test. */
 static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"elements", "t_max", NULL};
@@ -644,7 +687,7 @@ static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs
     if ((seq = PySequence_Fast(elements, "elements must be a sequence of ints")) == NULL)
         return NULL;
     n = PySequence_Fast_GET_SIZE(seq);
-    i64 span, d, g = 0, child[MAXK], *off = PyMem_Malloc((n + 1) * sizeof(i64));
+    i64 span, d, g = 0, child[MAXK + 1], *off = PyMem_Malloc((n + 1) * sizeof(i64));
     /* shifted_overlap reads up to tw + span / 64 + 1 words of amask and
      * mw + 2 * span / 64 + 1 words of two */
     u64 amask[SLICE_MASK_WORDS + EXT_MASK_WORDS + 1] = {0};
@@ -673,10 +716,19 @@ static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs
         goto done;
     }
     span = off[k - 1];
-    if (span > MAX_M || k + 1 > MAXK) {
+    if (span > MAX_M || k > MAXK) {
         PyErr_Format(PyExc_OverflowError,
                      "the compiled chain_children takes spans <= %d and sets of at most %d elements",
-                     MAX_M, MAXK - 1);
+                     MAX_M, MAXK);
+        goto done;
+    }
+    /* the children of a parent of MAXK elements that is not one-dimensional
+     * would each need a rank test past MAXK */
+    parent_1d = k <= 2 || relation_rank(off, (int)k) == k - 2;
+    if (k == MAXK && !parent_1d) {
+        PyErr_Format(PyExc_OverflowError,
+                     "the compiled chain_children takes parents of %d elements only when they "
+                     "are one-dimensional", MAXK);
         goto done;
     }
     mw = (Py_ssize_t)(span >> 6) + 1;
@@ -688,7 +740,6 @@ static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs
     fresh = (int)k + 1;
     for (i = 0; i < tw; i++)
         fresh += popcount(two[i]);
-    parent_1d = k <= 2 || relation_rank(off, (int)k) == k - 2;
     if ((out = PyList_New(0)) == NULL)
         goto done;
     /* y = -d, ascending: the child is {0} | (A + d) */

@@ -24,7 +24,7 @@ chain_children serves the chain levels one call per parent: for a normal
 set A, the canonical form and doubling of A ∪ {y} for every y in 2A - A
 outside the hull, kept when the doubling is at most t_max and the child is
 one-dimensional. The compiled twin takes spans up to 511 and parents of at
-most 11 elements.
+most 12 elements, of 12 only when they are one-dimensional.
 
 One rank test per parent: when A is one-dimensional (sets of at most two
 elements count as such), every such child is, and only the children of
@@ -155,7 +155,10 @@ def _generator_rows(elements: tuple[int, ...]) -> list[list[int]]:
 
 
 def rank_of_rows(rows: list[list[int]], width: int, cap: int) -> int:
-    """Rank over Q of integer rows, fraction-free (Bareiss), early exit at cap."""
+    """Rank over Q of integer rows, fraction-free (Bareiss), early exit at cap.
+
+    The reference for the compiled twin, which computes the same capped rank
+    of the relation rows over F_p, p = 2**31 - 1 (see _kernel.c)."""
     if not rows:
         return 0
     rows = [list(r) for r in rows]

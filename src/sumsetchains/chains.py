@@ -18,7 +18,7 @@ per cardinality and answering membership from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernel
 from .dimension import is_one_dimensional, out_of_hull_pool
@@ -121,8 +121,7 @@ def _chain_level(k: int) -> dict[tuple[int, ...], int]:
     return _LEVELS[k]
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(NamedTuple):
     """The nested witness sequence in the coordinates of the certified set,
     one doubling profile per layer, and the growth factorization (None when
     no factorization exists, which verify_main_theorem reports as a
@@ -178,8 +177,7 @@ def is_chain(a: IntSet) -> ChainCertificate | None:
     )
 
 
-@dataclass(frozen=True)
-class EnumeratedChain:
+class EnumeratedChain(NamedTuple):
     set: IntSet
     profile: DoublingProfile
     volume: int
@@ -200,8 +198,7 @@ def enumerate_chains(k: int) -> list[EnumeratedChain]:
     ]
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Outcome of the structure checks for one chain certificate."""
 
     ok: bool

@@ -9,7 +9,7 @@ is exactly k - 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernel
 from .errors import CapacityError
@@ -18,8 +18,7 @@ from .intset import IntSet, _bits_to_elements, normalize, require_normal
 FISO_CAP = 10
 
 
-@dataclass(frozen=True)
-class RelationBasis:
+class RelationBasis(NamedTuple):
     """The rank of the span of all equal-sum quadruples of A."""
 
     k: int

@@ -10,7 +10,7 @@ normal-form sets with |A| = k, |2A| = T and additive dimension 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def t_range(k: int) -> tuple[int, int]:
@@ -20,8 +20,7 @@ def t_range(k: int) -> tuple[int, int]:
     return 2 * k - 1, k * (k - 1) // 2 + 2
 
 
-@dataclass(frozen=True)
-class DoublingProfile:
+class DoublingProfile(NamedTuple):
     k: int
     t: int
     c: int

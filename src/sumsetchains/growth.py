@@ -12,7 +12,7 @@ in the |2B| <= 3|B| - 4 regime.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FactorizationFailed
 from .intset import (
@@ -36,8 +36,7 @@ class GrowthVariant(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class GrowthStep:
+class GrowthStep(NamedTuple):
     variant: GrowthVariant
     x: int | None = None
 
@@ -126,8 +125,7 @@ def invert_step(y: IntSet) -> list[tuple[GrowthStep, IntSet]]:
     return out
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """base plus steps whose replay is Freiman-isomorphic to the factored set.
 
     b_prime_case marks a base still above the 3k-4 threshold that becomes

@@ -21,8 +21,8 @@ import operator
 import os
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import chains, kernel
 from .chains import is_chain_member
@@ -286,8 +286,7 @@ def _collect(k: int, m: int, ts: tuple[int, ...]) -> dict[int, tuple[IntSet, ...
 # ---------------------------------------------------------------------------
 # the volume oracle
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """Outcome of one exhaustive volume sweep at fixed (k, t)."""
 
     k: int
@@ -425,8 +424,7 @@ def verify_conjecture(
 # ---------------------------------------------------------------------------
 # extension checks
 
-@dataclass(frozen=True)
-class ExtensionCheck:
+class ExtensionCheck(NamedTuple):
     """Quantities of one out-of-hull right extension A -> A + {x}, with the
     identity checks that apply to it."""
 
@@ -606,8 +604,7 @@ def _extension_checks(
     return checks
 
 
-@dataclass(frozen=True)
-class ExtensionSweepReport:
+class ExtensionSweepReport(NamedTuple):
     k: int
     sets_checked: int
     pairs_checked: int
@@ -677,16 +674,14 @@ def extension_lemma_sweep(k: int, *, threads: int = 1) -> ExtensionSweepReport:
 # ---------------------------------------------------------------------------
 # uniqueness checks
 
-@dataclass(frozen=True)
-class LemmaOutcome:
+class LemmaOutcome(NamedTuple):
     name: str
     applicable: bool
     passed: bool | None
     details: str
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     set: IntSet
     checks: tuple[LemmaOutcome, ...]
 

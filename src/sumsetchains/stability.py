@@ -11,7 +11,7 @@ the same way with a longer segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DecompositionNotUnique, NotDecomposable
 from .intset import (
@@ -40,8 +40,7 @@ def is_right_stable(a: IntSet) -> bool:
     return is_stable(reflexion(a))
 
 
-@dataclass(frozen=True)
-class DensityCheck:
+class DensityCheck(NamedTuple):
     """Truthy iff the prefix bound |A ∩ [0,x]| <= ceil((x+1)/2) held for
     every x; dense reports |A| = ceil((max+1)/2)."""
 
@@ -68,8 +67,7 @@ def density_bound_check(a: IntSet) -> DensityCheck:
     return DensityCheck(holds=holds, dense=dense)
 
 
-@dataclass(frozen=True)
-class StableDecomposition:
+class StableDecomposition(NamedTuple):
     """A = A1 ∘ P ∘ A2 with A1 stable, P a segment of p_len points starting
     at max(A1), and A2 right-stable."""
 

@@ -260,13 +260,9 @@ def test_unknown_subcommand(capsys):
         main(["no-such-command"])
 
 
-def test_importing_the_cli_loads_no_pool_machinery():
-    # the fan-out imports its executors only when it starts workers, so a
-    # run with --threads 1 never pays for multiprocessing's import
-    code = (
-        "import sys, sumsetchains.cli; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
-    )
+def modules_loaded_by_importing_the_cli(*names):
+    """Which of names a fresh interpreter holds after `import sumsetchains.cli`."""
+    code = f"import sys, sumsetchains.cli; print([m for m in {names!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-W", "ignore", "-c", code],
@@ -275,4 +271,16 @@ def test_importing_the_cli_loads_no_pool_machinery():
         text=True,
         check=True,
     )
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_no_pool_machinery():
+    # the fan-out imports its executors only when it starts workers, so a
+    # run with --threads 1 never pays for multiprocessing's import
+    assert modules_loaded_by_importing_the_cli("multiprocessing", "concurrent.futures") == "[]\n"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # the result records are named tuples: dataclasses, and the inspect
+    # module it pulls in, cost about 20 ms of start-up
+    assert modules_loaded_by_importing_the_cli("dataclasses", "inspect") == "[]\n"

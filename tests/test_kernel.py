@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sumsetchains import _kernel_py as pure
-from sumsetchains import kernel
+from sumsetchains import chains, kernel
 from sumsetchains.chains import _canonical_tuple, _chain_level
 from sumsetchains.dimension import extension_candidates, out_of_hull_pool
 from sumsetchains.doubling import mu, t_range
@@ -76,6 +76,53 @@ def test_compiled_matches_pure_on_any_small_set(compiled_kernel, values):
         assert_same(compiled_kernel, name, elems)
     if elems[-1] - elems[0] <= 1 << 20:
         assert_same(compiled_kernel, "doubling_size", elems)
+
+
+# The compiled rank eliminates over F_p, p = 2**31 - 1; the pure twin's
+# Bareiss rank over Q is the reference it must equal on every input.
+RANK_FUNCTIONS = ("lambda_rank", "is_one_dimensional")
+
+
+def test_compiled_rank_matches_bareiss_on_structured_sets(compiled_kernel):
+    # subsets of {a + bL} and {a + bL + cL^2}: two- and three-dimensional
+    # sets whose relations come in families, with L near or past the
+    # elements' own range
+    rng = random.Random(1608)
+    dims = set()
+    for big in (5, 7, 50, 1000, 2**40):
+        plane = [a + b * big for a in range(6) for b in range(3)]
+        cube = [a + b * big + c * big * big for a in range(4) for b in range(3) for c in range(2)]
+        for pool in (plane, cube if big < 2**29 else plane):
+            for k in range(3, 13):
+                for _ in range(20):
+                    elems = tuple(sorted(rng.sample(pool, k)))
+                    for name in RANK_FUNCTIONS:
+                        assert_same(compiled_kernel, name, elems)
+                    dims.add(len(elems) - 2 - pure.lambda_rank(elems))
+    assert {0, 1, 2} <= dims
+
+
+def test_compiled_rank_matches_bareiss_with_repeated_elements(compiled_kernel):
+    # a repeated element gives the row (2, -2) from e + e = e + e'
+    cases = [(0, 0), (5, 5, 5), (0, 0, 1), (1, 1, 2, 2), (3,) * 12, (0, 1) * 6]
+    rng = random.Random(2)
+    cases += [tuple(rng.choice(range(-3, 4)) for _ in range(rng.randint(1, 12))) for _ in range(500)]
+    for elems in cases:
+        for name in RANK_FUNCTIONS:
+            assert_same(compiled_kernel, name, elems)
+
+
+def test_compiled_rank_matches_bareiss_on_dense_12_sets(compiled_kernel):
+    # the largest rank the compiled twin takes, k - 2 = 10, and the most rows
+    cases = list(itertools.combinations(range(15), 12))
+    rng = random.Random(3)
+    cases += [tuple(sorted(rng.sample(range(24), 12))) for _ in range(300)]
+    ones = 0
+    for elems in cases:
+        for name in RANK_FUNCTIONS:
+            assert_same(compiled_kernel, name, elems)
+        ones += pure.is_one_dimensional(elems)
+    assert 0 < ones < len(cases)
 
 
 def test_compiled_slices_match_pure(compiled_kernel):
@@ -418,15 +465,50 @@ def test_a_one_dimensional_parent_costs_one_rank_test(monkeypatch):
     assert pure.chain_children((0, 1), 10**6) and tested == []
 
 
+def test_chain_children_of_11_12_and_13_elements_match_on_both_twins(
+    compiled_facade, compiled_kernel, monkeypatch
+):
+    # parents from the chain levels 11 and 12, grown compiled in a table of
+    # their own, and 13-element parents from their children: the compiled
+    # twin takes the one-dimensional ones up to 12 elements of span <= 511,
+    # and the facade sends the rest to the pure twin
+    monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
+    rng = random.Random(13)
+    parents = {k: rng.sample(sorted(_chain_level(k)), 40) for k in (11, 12)}
+    parents[13] = [canon for p in parents[12][:8] for canon, _ in pure.chain_children(p, 60)]
+    two_dim = [p[:-1] + (p[-1] + 1,) for p in parents[12]]
+    parents[12] += [p for p in two_dim if not pure.is_one_dimensional(p)][:10]
+    compiled = 0
+    for k, sets in parents.items():
+        assert sets and all(len(p) == k for p in sets)
+        for parent in sets:
+            t_max = t_range(k + 1)[1]
+            want = pure.chain_children(parent, t_max)
+            assert compiled_facade.chain_children(parent, t_max) == want, parent
+            if parent[-1] <= 511 and (k < 12 or k == 12 and pure.is_one_dimensional(parent)):
+                assert compiled_kernel.chain_children(parent, t_max) == want, parent
+                compiled += 1
+            else:
+                with pytest.raises(OverflowError):
+                    compiled_kernel.chain_children(parent, t_max)
+    assert compiled >= 60
+
+
 def test_chain_children_cap_straddles(compiled_facade, compiled_kernel):
-    # span 511 and 11 elements run compiled, span 512 or 12 elements pure;
-    # a one-dimensional set that wide doubles its way up from {0, 1, 2}
+    # span 511 and one-dimensional parents of 12 elements run compiled; span
+    # 512, a 12-element parent that is not one-dimensional (its 13-element
+    # children would need rank tests past the compiled cap) or 13 elements
+    # run pure; a one-dimensional set that wide doubles its way up from
+    # {0, 1, 2}
     powers = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
     mirrored = tuple(511 - e for e in reversed(powers + (511,)))
-    for elems in [powers + (511,), mirrored, tuple(range(11))]:
+    wide_12 = powers + (384, 511)
+    for elems in [powers + (511,), mirrored, tuple(range(11)), tuple(range(12)), wide_12]:
         got = compiled_kernel.chain_children(elems, 100)
         assert got and got == pure.chain_children(elems, 100)
-    for elems in [powers + (512,), powers + (384, 511), tuple(range(12))]:
+    two_dim = tuple(range(11)) + (21,)  # 21 is in no relation
+    assert not pure.is_one_dimensional(two_dim)
+    for elems in [powers + (512,), powers + (384, 512), two_dim, tuple(range(13))]:
         with pytest.raises(OverflowError):
             compiled_kernel.chain_children(elems, 100)
         got = compiled_facade.chain_children(elems, 100)
@@ -553,9 +635,12 @@ def test_facade_straddles_the_caps(compiled_facade):
     for span in (1 << 20, (1 << 20) + 1):
         for elems in [(0, span), (0, 1, span // 2, span), (-5, 3, span - 5)]:
             assert compiled_facade.doubling_size(elems) == pure.doubling_size(elems)
-    # |e| = 2**60 runs compiled, 2**60 + 1 pure
+    # |e| = 2**60 runs compiled, 2**60 + 1 pure, on both signs; the grids
+    # are two-dimensional
     for e in (1 << 60, (1 << 60) + 1):
-        for elems in [(e - 3, e - 1, e), (-e, -e + 2, -e + 3, -e + 7), (e, e + 1)]:
+        grid = tuple(sorted({e - a - 5 * b for a in range(3) for b in range(3)}))
+        neg_grid = tuple(-x for x in reversed(grid))
+        for elems in [(e - 3, e - 1, e), (-e, -e + 2, -e + 3, -e + 7), (e, e + 1), grid, neg_grid]:
             for name in ELEMENT_FUNCTIONS:
                 got = getattr(compiled_facade, name)(elems)
                 assert got == getattr(pure, name)(elems), (name, elems)
