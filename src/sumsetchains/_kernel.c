@@ -7,19 +7,18 @@
  * x -> m - x covers the rest (see Slice below).
  * right_extensions lists the one-element right extensions of one set with
  * their doublings and overlaps, so a sweep makes one call per set.
- * chain_children lists the canonical one-dimensional out-of-hull children
- * of one normal set with their doublings, so a chain level makes one call
- * per parent, and one rank test per one-dimensional parent: y in 2A - A
- * gives a relation y + a = b + c with y-coefficient 1, independent of A's
- * relations, so every child of a one-dimensional A (at most two elements
- * count) is one-dimensional. Only the children of other parents are rank
- * tested one by one.
+ * chain_children lists the canonical out-of-hull children of one normal set
+ * with their doublings, so a chain level makes one call per parent. It runs
+ * no rank test: the chain levels grow from {0, 1, 2}, and every child of a
+ * one-dimensional parent is one-dimensional (y in 2A - A gives a relation
+ * y + a = b + c with y-coefficient 1, independent of A's relations). So it
+ * sizes its masks from the span and its child buffers from |A|.
  * Both slice walks (sweep_slice, collect_slice) release the GIL while they
  * walk, so callers can run slices on threads: the walk touches no Python
  * object, and collect_slice builds its tuples after taking the GIL back.
- * Every rank test (lambda_rank, is_one_dimensional, both slice walks,
- * chain_children) is relation_rank, which eliminates over F_p, p = 2^31 - 1,
- * by cross-multiplication, with no division. It gives the rank over Q that
+ * Every rank test (lambda_rank, is_one_dimensional, both slice walks) is
+ * relation_rank, which eliminates over F_p, p = 2^31 - 1, by
+ * cross-multiplication, with no division. It gives the rank over Q that
  * the pure twin computes by Bareiss elimination, capped at k - 2, on every
  * input: each relation row u_a + u_b - u_c - u_d has L2 norm at most
  * sqrt(8), so by Hadamard's bound every r x r minor with r <= k - 2 <= 10 is
@@ -27,8 +26,7 @@
  * it is 0 (see relation_rank).
  * Limits: elements with |e| <= 2^60 (the IntSet range), at most 12 elements
  * for rank work (the prime bound above), slice maxima m <= 511,
- * right_extensions spans <= 511, chain_children spans <= 511 and parents of
- * at most 12 elements, of 12 only when one-dimensional, doubling spans
+ * right_extensions spans <= 511, doubling_size and chain_children spans
  * <= 2^20. Past a limit it raises OverflowError; kernel.py routes such input
  * to the pure-Python reference instead. */
 
@@ -85,6 +83,45 @@ static Py_ssize_t read_elements(PyObject *obj, i64 *out, Py_ssize_t cap, const c
 fail:
     Py_DECREF(seq);
     return -1;
+}
+
+/* Reads a nonempty, strictly ascending sequence of ints, as right_extensions
+ * and chain_children take it, into a PyMem array of its *k offsets from the
+ * minimum *base, with one slot to spare. Returns NULL with an exception set:
+ * IndexError when empty, ValueError when not strictly ascending. */
+static i64 *read_set(PyObject *elements, const char *what, Py_ssize_t *k, i64 *base)
+{
+    /* any iterable of ints, as on the pure path */
+    PyObject *seq = PySequence_Fast(elements, "elements must be a sequence of ints");
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq), i;
+    i64 *off = PyMem_Malloc((n + 1) * sizeof(i64));
+    if (off == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    if ((*k = read_elements(seq, off, n, what)) < 0)
+        goto fail;
+    if (n == 0) {
+        PyErr_Format(PyExc_IndexError, "%s of an empty sequence", what);
+        goto fail;
+    }
+    for (i = 1; i < n; i++) {
+        if (off[i] <= off[i - 1]) {
+            PyErr_Format(PyExc_ValueError, "%s takes strictly ascending elements", what);
+            goto fail;
+        }
+    }
+    *base = off[0];
+    for (i = 0; i < n; i++)
+        off[i] -= *base;
+    Py_DECREF(seq);
+    return off;
+fail:
+    PyMem_Free(off);
+    Py_DECREF(seq);
+    return NULL;
 }
 
 /* acc |= mask << x for a mask of mw words; acc needs a word to spare above
@@ -423,20 +460,31 @@ static PyObject *sweep_slice(PyObject *self, PyObject *args, PyObject *kwargs)
     return out;
 }
 
+/* A new tuple of the ints e[0..n-1], or NULL with an exception set. */
+static PyObject *int_tuple(const i64 *e, Py_ssize_t n)
+{
+    PyObject *tup = PyTuple_New(n);
+    for (Py_ssize_t i = 0; tup != NULL && i < n; i++) {
+        PyObject *v = PyLong_FromLongLong(e[i]);
+        if (v == NULL)
+            Py_CLEAR(tup);
+        else
+            PyTuple_SET_ITEM(tup, i, v);
+    }
+    return tup;
+}
+
 /* Appends the set {0, interior[0..k-3], m}, or its mirror {m - e[k-1-i]},
  * to sets as a tuple. */
 static int append_set(PyObject *sets, int k, int m, const unsigned short *interior, int mirror)
 {
-    PyObject *elems = PyTuple_New(k);
-    for (int i = 0; elems != NULL && i < k; i++) {
+    i64 e[MAXK];
+    for (int i = 0; i < k; i++) {
         int j = mirror ? k - 1 - i : i;
-        int e = j == 0 ? 0 : j == k - 1 ? m : interior[j - 1];
-        PyObject *v = PyLong_FromLong(mirror ? m - e : e);
-        if (v == NULL)
-            Py_CLEAR(elems);
-        else
-            PyTuple_SET_ITEM(elems, i, v);
+        int x = j == 0 ? 0 : j == k - 1 ? m : interior[j - 1];
+        e[i] = mirror ? m - x : x;
     }
+    PyObject *elems = int_tuple(e, k);
     int rc = elems == NULL ? -1 : PyList_Append(sets, elems);
     Py_XDECREF(elems);
     return rc;
@@ -576,41 +624,22 @@ static int shifted_overlap(const u64 *two, const u64 *mask, Py_ssize_t mw, i64 x
  * bitset_doubling on the k + 1 offsets. Spans up to MAX_M. */
 static PyObject *right_extensions(PyObject *self, PyObject *elements)
 {
-    /* any iterable of ints, as on the pure path */
-    PyObject *out = NULL, *seq = PySequence_Fast(elements, "elements must be a sequence of ints");
-    Py_ssize_t n = seq == NULL ? 0 : PySequence_Fast_GET_SIZE(seq), k, i, mw;
-    i64 base, span, shift, *off = seq == NULL ? NULL : PyMem_Malloc((n + 1) * sizeof(i64));
+    PyObject *out = NULL;
+    Py_ssize_t k, i, mw;
+    i64 base, span, shift, *off = read_set(elements, "right_extensions", &k, &base);
     /* shifted_overlap reads up to mw + 2 * span / 64 + 1 words of two */
     u64 amask[SLICE_MASK_WORDS] = {0}, two[SLICE_MASK_WORDS + EXT_MASK_WORDS + 1] = {0};
     u64 xmask[EXT_MASK_WORDS], xacc[EXT_ACC_WORDS + 1];
-    if (off == NULL) {
-        Py_XDECREF(seq);
-        return seq == NULL ? NULL : PyErr_NoMemory();
-    }
-    k = read_elements(seq, off, n, "right_extensions");
-    if (k < 0)
-        goto done;
-    if (k == 0) {
-        PyErr_SetString(PyExc_IndexError, "right_extensions of an empty sequence");
-        goto done;
-    }
-    for (i = 1; i < k; i++) {
-        if (off[i] <= off[i - 1]) {
-            PyErr_SetString(PyExc_ValueError, "right_extensions takes strictly ascending elements");
-            goto done;
-        }
-    }
-    base = off[0];
-    span = off[k - 1] - base;
+    if (off == NULL)
+        return NULL;
+    span = off[k - 1];
     if (span > MAX_M) {
         PyErr_Format(PyExc_OverflowError, "the compiled right_extensions takes spans <= %d", MAX_M);
         goto done;
     }
     mw = (Py_ssize_t)(span >> 6) + 1;
-    for (i = 0; i < k; i++) {
-        off[i] -= base;
+    for (i = 0; i < k; i++)
         amask[off[i] >> 6] |= 1ULL << (off[i] & 63);
-    }
     for (i = 0; i < k; i++)
         shift_or(two, amask, mw, off[i]);
     if ((out = PyList_New(0)) == NULL)
@@ -632,33 +661,22 @@ static PyObject *right_extensions(PyObject *self, PyObject *elements)
     }
 done:
     PyMem_Free(off);
-    Py_DECREF(seq);
     return out;
 }
 
 /* Appends (canon, t) to out, canon the larger of the n-element normal set
- * child and its reflexion, when known_1d is set or canon is one-dimensional. */
-static int append_child(PyObject *out, const i64 *child, int n, int t, int known_1d)
+ * child and its reflexion, which it writes to refl (n slots). */
+static int append_child(PyObject *out, const i64 *child, i64 *refl, Py_ssize_t n, int t)
 {
-    i64 refl[MAXK + 1];
     const i64 *canon = child;
-    int i;
+    Py_ssize_t i;
     for (i = 0; i < n; i++)
         refl[i] = child[n - 1] - child[n - 1 - i];
     for (i = 0; i < n && refl[i] == child[i]; i++)
         ;
     if (i < n && refl[i] > child[i])
         canon = refl;
-    if (!known_1d && relation_rank(canon, n) != n - 2)
-        return 0;
-    PyObject *elems = PyTuple_New(n);
-    for (i = 0; elems != NULL && i < n; i++) {
-        PyObject *v = PyLong_FromLongLong(canon[i]);
-        if (v == NULL)
-            Py_CLEAR(elems);
-        else
-            PyTuple_SET_ITEM(elems, i, v);
-    }
+    PyObject *elems = int_tuple(canon, n);
     PyObject *item = elems == NULL ? NULL : Py_BuildValue("(Ni)", elems, t);
     int rc = item == NULL ? -1 : PyList_Append(out, item);
     Py_XDECREF(item);
@@ -667,72 +685,46 @@ static int append_child(PyObject *out, const i64 *child, int n, int t, int known
 
 /* (canon, |2 canon|) for every y in 2A - A outside [0, max A], ascending, for
  * a normal set A, as in _kernel_py: canon is the larger of the normal form
- * of A | {y} and its reflexion, kept when |2 canon| <= t_max and canon is
- * one-dimensional. The pool comes from the masks of A and 2A, as in
- * right_extensions: y < 0 when A meets 2A - y, y > max A when 2A meets
- * y + A. Each y adds |A| + 1 - overlap sums to 2A. A one-dimensional A
- * costs one rank test, as every child of it is one-dimensional (see the
- * top of this file). Spans up to MAX_M and parents of at most MAXK
- * elements; a parent of MAXK elements only when it is one-dimensional, so
- * that no child of MAXK + 1 elements needs a rank test. */
+ * of A | {y} and its reflexion, kept when |2 canon| <= t_max. The pool comes
+ * from the masks of A and 2A, as in right_extensions: y < 0 when A meets
+ * 2A - y, y > max A when 2A meets y + A. Each y adds |A| + 1 - overlap sums
+ * to 2A. The masks take mw + tw words each, sized from the span, and the
+ * children 2 (|A| + 1) offsets: spans up to MAX_SPAN, any |A|. */
 static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"elements", "t_max", NULL};
-    PyObject *elements, *out = NULL, *seq;
-    Py_ssize_t t_max, n, k, i, mw, tw;
-    int fresh, parent_1d;
+    PyObject *elements, *out = NULL;
+    Py_ssize_t t_max, k, i, mw, tw;
+    i64 base, span, d, g = 0, *off, *child = NULL;
+    u64 *amask = NULL, *two;
+    int fresh;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "On:chain_children", kwlist, &elements,
                                      &t_max))
         return NULL;
-    if ((seq = PySequence_Fast(elements, "elements must be a sequence of ints")) == NULL)
+    if ((off = read_set(elements, "chain_children", &k, &base)) == NULL)
         return NULL;
-    n = PySequence_Fast_GET_SIZE(seq);
-    i64 span, d, g = 0, child[MAXK + 1], *off = PyMem_Malloc((n + 1) * sizeof(i64));
-    /* shifted_overlap reads up to tw + span / 64 + 1 words of amask and
-     * mw + 2 * span / 64 + 1 words of two */
-    u64 amask[SLICE_MASK_WORDS + EXT_MASK_WORDS + 1] = {0};
-    u64 two[SLICE_MASK_WORDS + EXT_MASK_WORDS + 1] = {0};
-    if (off == NULL) {
-        Py_DECREF(seq);
-        return PyErr_NoMemory();
-    }
-    k = read_elements(seq, off, n, "chain_children");
-    if (k < 0)
-        goto done;
-    if (k == 0) {
-        PyErr_SetString(PyExc_IndexError, "chain_children of an empty sequence");
-        goto done;
-    }
-    for (i = 1; i < k; i++) {
-        if (off[i] <= off[i - 1]) {
-            PyErr_SetString(PyExc_ValueError, "chain_children takes strictly ascending elements");
-            goto done;
-        }
-    }
     for (i = 0; i < k; i++)
         g = gcd(g, off[i]);
-    if (off[0] != 0 || (k > 1 && g != 1)) {
+    if (base != 0 || (k > 1 && g != 1)) {
         PyErr_SetString(PyExc_ValueError, "chain_children takes a normal set (min 0, gcd 1)");
         goto done;
     }
     span = off[k - 1];
-    if (span > MAX_M || k > MAXK) {
-        PyErr_Format(PyExc_OverflowError,
-                     "the compiled chain_children takes spans <= %d and sets of at most %d elements",
-                     MAX_M, MAXK);
+    if (span > MAX_SPAN) {
+        PyErr_SetString(PyExc_OverflowError, "the compiled chain_children takes spans <= 2**20");
         goto done;
     }
-    /* the children of a parent of MAXK elements that is not one-dimensional
-     * would each need a rank test past MAXK */
-    parent_1d = k <= 2 || relation_rank(off, (int)k) == k - 2;
-    if (k == MAXK && !parent_1d) {
-        PyErr_Format(PyExc_OverflowError,
-                     "the compiled chain_children takes parents of %d elements only when they "
-                     "are one-dimensional", MAXK);
-        goto done;
-    }
+    /* shifted_overlap reads up to tw + span / 64 + 1 words of amask and
+     * mw + 2 * span / 64 + 1 words of two: under mw + tw either way */
     mw = (Py_ssize_t)(span >> 6) + 1;
     tw = (Py_ssize_t)((2 * span) >> 6) + 1;
+    amask = PyMem_Calloc(2 * (mw + tw), sizeof(u64));
+    child = PyMem_Malloc(2 * (k + 1) * sizeof(i64));
+    if (amask == NULL || child == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    two = amask + mw + tw;
     for (i = 0; i < k; i++)
         amask[off[i] >> 6] |= 1ULL << (off[i] & 63);
     for (i = 0; i < k; i++)
@@ -750,25 +742,25 @@ static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs
         child[0] = 0;
         for (i = 0; i < k; i++)
             child[i + 1] = off[i] + d;
-        if (append_child(out, child, (int)k + 1, t, parent_1d) < 0)
+        if (append_child(out, child, child + k + 1, k + 1, t) < 0)
             goto fail;
     }
-    /* y > max A: the child is A | {y} */
-    memcpy(child, off, k * sizeof(i64));
+    /* y > max A: the child is A | {y}, in off's spare slot */
     for (d = span + 1; d <= 2 * span; d++) {
         int t = fresh - shifted_overlap(two, amask, mw, d);
         if (t == fresh || t > t_max)
             continue;
-        child[k] = d;
-        if (append_child(out, child, (int)k + 1, t, parent_1d) < 0)
+        off[k] = d;
+        if (append_child(out, off, child + k + 1, k + 1, t) < 0)
             goto fail;
     }
     goto done;
 fail:
     Py_CLEAR(out);
 done:
+    PyMem_Free(amask);
+    PyMem_Free(child);
     PyMem_Free(off);
-    Py_DECREF(seq);
     return out;
 }
 

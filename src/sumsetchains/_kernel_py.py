@@ -22,16 +22,12 @@ x > max A in 2A - A with the doubling of A ∪ {x} and the overlap
 
 chain_children serves the chain levels one call per parent: for a normal
 set A, the canonical form and doubling of A ∪ {y} for every y in 2A - A
-outside the hull, kept when the doubling is at most t_max and the child is
-one-dimensional. The compiled twin takes spans up to 511 and parents of at
-most 12 elements, of 12 only when they are one-dimensional.
-
-One rank test per parent: when A is one-dimensional (sets of at most two
-elements count as such), every such child is, and only the children of
-other parents get a rank test of their own. y in 2A - A gives a relation
+outside the hull, kept when the doubling is at most t_max. It runs no rank
+test: the chain levels grow from {0, 1, 2}, and every such child of a
+one-dimensional A is one-dimensional. y in 2A - A gives a relation
 y + a = b + c with y-coefficient 1, independent of A's relations, whose
-y-coefficient is 0; so rank(A ∪ {y}) >= (|A| - 2) + 1 = |A ∪ {y}| - 2,
-the most a rank can be.
+y-coefficient is 0; so rank(A ∪ {y}) >= (|A| - 2) + 1 = |A ∪ {y}| - 2, the
+most a rank can be. The compiled twin takes spans up to 2**20.
 """
 
 from __future__ import annotations
@@ -86,16 +82,11 @@ def chain_children(elements: tuple[int, ...], t_max: int) -> list[tuple[tuple[in
     """(canon, |2 canon|) for every y in 2A - A outside [0, max A], ascending
     in y, for a normal set A (strictly ascending, min 0, gcd 1; {0} counts):
     canon is the lexicographically larger of the normal form of A ∪ {y} and
-    its reflexion, kept when |2 canon| <= t_max and canon is one-dimensional.
+    its reflexion, kept when |2 canon| <= t_max. No child is rank tested.
 
     As A is normal, the normal form of A ∪ {y} is A + (y,) for y > max A and
     A shifted by -y for y < 0. y + A meets 2A in the overlap, and 2y is a new
-    sum, so |2(A ∪ {y})| = |2A| + |A| + 1 - overlap.
-
-    A one-dimensional A costs one rank test in all: y + a = b + c is a
-    relation with y-coefficient 1, independent of A's, so every child of a
-    one-dimensional A is one-dimensional. The children of any other A are
-    tested one by one."""
+    sum, so |2(A ∪ {y})| = |2A| + |A| + 1 - overlap."""
     elements = tuple(map(operator.index, elements))
     t_max = operator.index(t_max)
     if not elements:
@@ -112,15 +103,12 @@ def chain_children(elements: tuple[int, ...], t_max: int) -> list[tuple[tuple[in
     for e in elements:
         two |= amask << e
     fresh = two.bit_count() + len(elements) + 1
-    parent_1d = len(elements) <= 2 or is_one_dimensional(elements)
     out = []
 
     def keep(child: tuple[int, ...], t: int) -> None:
         m = child[-1]
         refl = tuple(m - e for e in reversed(child))
-        canon = refl if refl > child else child
-        if parent_1d or is_one_dimensional(canon):
-            out.append((canon, t))
+        out.append((refl if refl > child else child, t))
 
     for d in range(span, 0, -1):  # y = -d: a in A meets 2A + d
         t = fresh - (amask & (two << d)).bit_count()

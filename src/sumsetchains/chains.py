@@ -106,17 +106,23 @@ def _chain_level(k: int) -> dict[tuple[int, ...], int]:
     while len(_LEVELS) <= k:
         i = len(_LEVELS)
         cap = t_range(i)[1]
-        # by_t[t] maps each canonical child of doubling t to its maximum, in
-        # first-seen order; a canonical form is normal, so its volume is
-        # its maximum + 1
-        by_t: dict[int, dict[tuple[int, ...], int]] = {}
+        # per doubling t the largest maximum seen so far and the children
+        # at it, in first-seen order; a larger maximum starts the group
+        # afresh, and t keeps its first-seen place. A canonical form is
+        # normal, so its volume is its maximum + 1
+        tops: dict[int, int] = {}
+        groups: dict[int, dict[tuple[int, ...], int]] = {}
         for prev in _LEVELS[i - 1]:
             for canon, t in kernel.chain_children(prev, cap):
-                by_t.setdefault(t, {})[canon] = canon[-1]
+                top = canon[-1]
+                if top > tops.get(t, -1):
+                    tops[t] = top
+                    groups[t] = {}
+                if top == tops[t]:
+                    groups[t][canon] = t
         level: dict[tuple[int, ...], int] = {}
-        for t, group in by_t.items():
-            best = max(group.values())
-            level.update((canon, t) for canon, top in group.items() if top == best)
+        for group in groups.values():
+            level.update(group)
         _LEVELS.append(level)
     return _LEVELS[k]
 

@@ -22,9 +22,9 @@ BACKEND = "c" if _c is not None else "python"
 
 def _call(name, *args):
     # The compiled kernel raises OverflowError past the limits it states
-    # (element magnitude, rank size, slice maximum, extension and doubling
-    # spans, chain parent size); the pure twin takes any size, so such input
-    # goes there.
+    # (element magnitude, rank size, slice maximum, extension span, and the
+    # doubling and chain spans of 2**20); the pure twin takes any size, so
+    # such input goes there.
     if _c is not None:
         try:
             return getattr(_c, name)(*args)

@@ -32,9 +32,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
-    """sumsetchains._kernel built with ``setup.py build_ext`` into a temporary
-    directory and imported from there; skips when no C compiler is present,
-    fails when the build fails or the compiler warns about _kernel.c.
+    """sumsetchains._kernel built with ``setup.py build_ext`` and
+    ``CFLAGS=-Wall`` into a temporary directory and imported from there;
+    skips when no C compiler is present, fails when the build fails or the
+    compiler warns about _kernel.c (an unused variable, say).
 
     The suite imports the package from ``src``, where no extension is built,
     so this is how the compiled paths get tested against the pure ones.
@@ -49,6 +50,7 @@ def compiled_kernel(tmp_path_factory):
             "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp"),
         ],
         cwd=ROOT,
+        env={**os.environ, "CFLAGS": (os.environ.get("CFLAGS", "") + " -Wall").strip()},
         capture_output=True,
         text=True,
     )

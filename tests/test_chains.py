@@ -116,11 +116,32 @@ class TestEnumeration:
         assert len(levels["c"]) == 11_619
         assert levels["python"] == levels["c"]
 
-    @pytest.mark.slow
     def test_level_k12_past_the_cap(self, compiled_facade, monkeypatch):
         monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
         assert len(chains._chain_level(12)) == 31_496
         assert CHAIN_ENUM_CAP == 10
+
+    # the levels 13 and 14 grown compiled, pinned by count and by the sha256
+    # of repr(list(level.items())), their contents in order
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "k, count, digest",
+        [
+            pytest.param(
+                13, 81_700, "c37df77582eab75012cbd629a0dad110e4e2843a9d69ea00e918df41f1d30a60",
+                id="k13",
+            ),
+            pytest.param(
+                14, 204_417, "2cfad81b076cae4a939f0456b5bb2bece685fb4dc569e62d98dfc8898bba8518",
+                id="k14",
+            ),
+        ],
+    )
+    def test_levels_k13_and_k14_past_the_cap(self, compiled_facade, monkeypatch, k, count, digest):
+        monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
+        level = list(chains._chain_level(k).items())
+        assert len(level) == count
+        assert hashlib.sha256(repr(level).encode()).hexdigest() == digest
 
     def test_chain_enum_k10_output(self, compiled_facade, monkeypatch, capsys):
         monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])

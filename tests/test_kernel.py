@@ -351,13 +351,11 @@ def test_right_extensions_take_any_iterable_alike(compiled_kernel):
 def reference_chain_children(elements):
     """chain_children from first principles, before the t_max filter: the
     pool from out_of_hull_pool, each child sorted and made canonical by
-    _canonical_tuple, its doubling from the pure doubling_size and its
-    dimension from is_one_dimensional."""
+    _canonical_tuple, its doubling from the pure doubling_size."""
     out = []
     for y in out_of_hull_pool(IntSet(elements)):
         canon, _ = _canonical_tuple(tuple(sorted(elements + (y,))))
-        if pure.is_one_dimensional(canon):
-            out.append((canon, pure.doubling_size(canon)))
+        out.append((canon, pure.doubling_size(canon)))
     return out
 
 
@@ -411,8 +409,8 @@ def pool_children(elements):
 
 
 def test_every_pool_child_of_a_chain_parent_is_one_dimensional(compiled_kernel):
-    # what chain_children skips the children's rank tests on: y + a = b + c
-    # is a relation independent of A's, so the rank grows by one with |A|;
+    # why chain_children runs no rank test: y + a = b + c is a relation
+    # independent of A's, so the rank grows by one with |A|;
     # parents from every chain level to k = 9 on the compiled twin, to k = 7
     # on the pure one
     count = 0
@@ -434,94 +432,99 @@ def test_every_pool_child_of_a_one_dimensional_set_is_one_dimensional(values):
     children = pool_children(elems)
     for child in children:
         assert pure.lambda_rank(child) == len(child) - 2, (elems, child)
-    # so a one-dimensional parent keeps every child under the doubling cap
+    # and chain_children lists every one of them under the doubling cap
     assert len(pure.chain_children(elems, 10**6)) == len(children)
 
 
-def test_a_parent_of_higher_dimension_keeps_only_its_one_dimensional_children(twin):
-    # {0, 1, 3, 4} has the one relation 0 + 4 = 1 + 3, rank 1 < 2
+def test_every_chain_of_levels_3_to_10_is_one_dimensional(compiled_facade, monkeypatch):
+    # the chain levels trust chain_children's children to be one-dimensional
+    # without a rank test: every set of levels 3..10, grown compiled in a
+    # table of their own, has pure Bareiss rank |A| - 2
+    monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
+    count = 0
+    for k in range(3, 11):
+        for elems in _chain_level(k):
+            assert pure.lambda_rank(elems) == k - 2, elems
+            count += 1
+    assert count == 5_918
+
+
+def test_a_parent_of_higher_dimension_keeps_every_pool_child(twin):
+    # {0, 1, 3, 4} has the one relation 0 + 4 = 1 + 3, rank 1 < 2; no child
+    # is rank tested, so the two-dimensional ones stay too
     assert not pure.is_one_dimensional((0, 1, 3, 4))
-    assert len(pool_children((0, 1, 3, 4))) == 8
     got = twin.chain_children((0, 1, 3, 4), 10**6)
-    assert len(got) == 2
-    assert all(pure.is_one_dimensional(canon) for canon, _ in got)
+    assert got == reference_chain_children((0, 1, 3, 4))
+    assert len(got) == 8
+    assert sum(pure.is_one_dimensional(canon) for canon, _ in got) == 2
 
 
-def test_a_one_dimensional_parent_costs_one_rank_test(monkeypatch):
+def test_chain_children_run_no_rank_test(monkeypatch):
     tested = []
-    is_1d = pure.is_one_dimensional
 
-    def counted(elements):
-        tested.append(tuple(elements))
-        return is_1d(elements)
+    def counted(name):
+        rank = getattr(pure, name)
 
-    monkeypatch.setattr(pure, "is_one_dimensional", counted)
-    got = pure.chain_children((0, 1, 2, 4, 8), 10**6)
-    assert len(got) > 1 and tested == [(0, 1, 2, 4, 8)]
-    tested.clear()
-    assert len(pure.chain_children((0, 1, 3, 4), 10**6)) == 2
-    assert len(tested) == 1 + 8
-    tested.clear()
-    assert pure.chain_children((0, 1), 10**6) and tested == []
+        def wrapper(*args):
+            tested.append((name, args))
+            return rank(*args)
+
+        return wrapper
+
+    for name in ("is_one_dimensional", "lambda_rank", "rank_of_rows"):
+        monkeypatch.setattr(pure, name, counted(name))
+    for elems in [(0, 1, 2, 4, 8), (0, 1, 3, 4), (0, 1), (0,)]:
+        pure.chain_children(elems, 10**6)
+    assert tested == []
 
 
 def test_chain_children_of_11_12_and_13_elements_match_on_both_twins(
     compiled_facade, compiled_kernel, monkeypatch
 ):
     # parents from the chain levels 11 and 12, grown compiled in a table of
-    # their own, and 13-element parents from their children: the compiled
-    # twin takes the one-dimensional ones up to 12 elements of span <= 511,
-    # and the facade sends the rest to the pure twin
+    # their own, 13-element parents from their children, and parents of 12
+    # elements that are not one-dimensional: the compiled twin takes them
+    # all, spans past 511 too
     monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
     rng = random.Random(13)
     parents = {k: rng.sample(sorted(_chain_level(k)), 40) for k in (11, 12)}
     parents[13] = [canon for p in parents[12][:8] for canon, _ in pure.chain_children(p, 60)]
     two_dim = [p[:-1] + (p[-1] + 1,) for p in parents[12]]
     parents[12] += [p for p in two_dim if not pure.is_one_dimensional(p)][:10]
-    compiled = 0
+    assert max(p[-1] for p in parents[12]) > 511
     for k, sets in parents.items():
         assert sets and all(len(p) == k for p in sets)
         for parent in sets:
             t_max = t_range(k + 1)[1]
             want = pure.chain_children(parent, t_max)
+            assert compiled_kernel.chain_children(parent, t_max) == want, parent
             assert compiled_facade.chain_children(parent, t_max) == want, parent
-            if parent[-1] <= 511 and (k < 12 or k == 12 and pure.is_one_dimensional(parent)):
-                assert compiled_kernel.chain_children(parent, t_max) == want, parent
-                compiled += 1
-            else:
-                with pytest.raises(OverflowError):
-                    compiled_kernel.chain_children(parent, t_max)
-    assert compiled >= 60
 
 
-def test_chain_children_cap_straddles(compiled_facade, compiled_kernel):
-    # span 511 and one-dimensional parents of 12 elements run compiled; span
-    # 512, a 12-element parent that is not one-dimensional (its 13-element
-    # children would need rank tests past the compiled cap) or 13 elements
-    # run pure; a one-dimensional set that wide doubles its way up from
-    # {0, 1, 2}
-    powers = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
-    mirrored = tuple(511 - e for e in reversed(powers + (511,)))
-    wide_12 = powers + (384, 511)
-    for elems in [powers + (511,), mirrored, tuple(range(11)), tuple(range(12)), wide_12]:
-        got = compiled_kernel.chain_children(elems, 100)
-        assert got and got == pure.chain_children(elems, 100)
-    two_dim = tuple(range(11)) + (21,)  # 21 is in no relation
-    assert not pure.is_one_dimensional(two_dim)
-    for elems in [powers + (512,), powers + (384, 512), two_dim, tuple(range(13))]:
-        with pytest.raises(OverflowError):
-            compiled_kernel.chain_children(elems, 100)
-        got = compiled_facade.chain_children(elems, 100)
-        assert got and got == pure.chain_children(elems, 100)
+def test_chain_children_cap_straddles(compiled_kernel):
+    # the compiled twin sizes its masks from the span and its buffers from
+    # |A|: wide and long parents run compiled up to span 2**20; past it,
+    # OverflowError (the pure twin would take minutes at that span, so the
+    # refusal is tested on the compiled twin alone)
+    powers = tuple(1 << i for i in range(13))
+    for elems in [
+        (0, *powers),
+        tuple(4096 - e for e in reversed((0, *powers))),
+        (0, *powers[:9], 3000),
+        tuple(range(40)),
+        (0, 1, 2, 700),
+    ]:
+        got = compiled_kernel.chain_children(elems, 10**6)
+        assert got and got == pure.chain_children(elems, 10**6), elems
+    with pytest.raises(OverflowError):
+        compiled_kernel.chain_children((0, 1, (1 << 20) + 1), 100)
 
 
 def test_facade_hands_iterators_past_the_caps_to_the_pure_twin(compiled_facade):
     # the compiled twin reads the iterator before it refuses the input
-    wide = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
     calls = [
         ("lambda_rank", tuple(range(13)), ()),
         ("right_extensions", (0, 3, 200, 512), ()),
-        ("chain_children", wide, (100,)),
     ]
     for name, elems, rest in calls:
         got = getattr(compiled_facade, name)(iter(elems), *rest)
