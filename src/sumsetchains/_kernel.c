@@ -6,13 +6,14 @@
  * walks only the interiors with e[1] + e[k-2] <= m: the reflexion
  * x -> m - x covers the rest (see Slice below).
  * right_extensions lists the one-element right extensions of one set with
- * their doublings and overlaps, so a sweep makes one call per set.
- * chain_children lists the canonical out-of-hull children of one normal set
- * with their doublings, so a chain level makes one call per parent. It runs
- * no rank test: the chain levels grow from {0, 1, 2}, and every child of a
- * one-dimensional parent is one-dimensional (y in 2A - A gives a relation
- * y + a = b + c with y-coefficient 1, independent of A's relations). So it
- * sizes its masks from the span and its child buffers from |A|.
+ * their doublings and overlaps, so a sweep makes one call per set, and
+ * chain_children the canonical out-of-hull children of one normal set with
+ * their doublings, so a chain level makes one call per parent. Both read
+ * 2A - A off the masks of A and 2A (sumset_masks, shared with doubling_size)
+ * and count |2(A | {y})| = |2A| + |A| + 1 - |2A & (y + A)|. chain_children
+ * runs no rank test: the chain levels grow from {0, 1, 2}, and every child
+ * of a one-dimensional parent is one-dimensional (y in 2A - A gives a
+ * relation y + a = b + c with y-coefficient 1, independent of A's relations).
  * Both slice walks (sweep_slice, collect_slice) release the GIL while they
  * walk, so callers can run slices on threads: the walk touches no Python
  * object, and collect_slice builds its tuples after taking the GIL back.
@@ -25,10 +26,10 @@
  * at most 8^5 = 32,768 < p in absolute value and cannot vanish mod p unless
  * it is 0 (see relation_rank).
  * Limits: elements with |e| <= 2^60 (the IntSet range), at most 12 elements
- * for rank work (the prime bound above), slice maxima m <= 511,
- * right_extensions spans <= 511, doubling_size and chain_children spans
- * <= 2^20. Past a limit it raises OverflowError; kernel.py routes such input
- * to the pure-Python reference instead. */
+ * for rank work (the prime bound above), slice maxima m <= 511, and spans
+ * <= 2^20 for doubling_size, right_extensions and chain_children. Past a
+ * limit it raises OverflowError; kernel.py routes such input to the
+ * pure-Python reference instead. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -137,30 +138,37 @@ static void shift_or(u64 *acc, const u64 *mask, Py_ssize_t mw, i64 x)
     }
 }
 
-/* |A + A| for offsets off[0..k-1] in [0, 64 * mw), OR-ing the element mask
- * (amask, mw words) shifted by each offset into acc (aw + 1 words, where
- * aw = ceil((2 * max offset + 1) / 64)). */
-static int bitset_doubling(const i64 *off, Py_ssize_t k, u64 *amask, Py_ssize_t mw,
-                           u64 *acc, Py_ssize_t aw)
+/* The masks of A and 2A for offsets off[0..k-1] in [0, 64 * mw), in one
+ * zeroed heap block that the caller frees: *amask takes na >= mw words and
+ * 2A the nt words after it, at least one more than 2A spans (shift_or's
+ * spare word). Each caller sizes na and nt to what it reads. Returns |2A|,
+ * or -1 with MemoryError set. */
+static int sumset_masks(const i64 *off, Py_ssize_t k, Py_ssize_t mw, Py_ssize_t na,
+                        Py_ssize_t nt, u64 **amask)
 {
-    Py_ssize_t i, w;
-    memset(amask, 0, mw * sizeof(u64));
-    memset(acc, 0, (aw + 1) * sizeof(u64));
+    Py_ssize_t i;
+    u64 *a = PyMem_Calloc(na + nt, sizeof(u64)), *two;
+    if ((*amask = a) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    two = a + na;
     for (i = 0; i < k; i++)
-        amask[off[i] >> 6] |= 1ULL << (off[i] & 63);
+        a[off[i] >> 6] |= 1ULL << (off[i] & 63);
     for (i = 0; i < k; i++)
-        shift_or(acc, amask, mw, off[i]);
+        shift_or(two, a, mw, off[i]);
     int total = 0;
-    for (w = 0; w < aw; w++)
-        total += popcount(acc[w]);
+    for (i = 0; i < nt; i++)
+        total += popcount(two[i]);
     return total;
 }
 
 static PyObject *doubling_size(PyObject *self, PyObject *elements)
 {
-    Py_ssize_t n = PyObject_Length(elements), k, mw, aw;
+    Py_ssize_t n = PyObject_Length(elements), k, mw;
     PyObject *result = NULL;
     u64 *words = NULL;
+    int total;
     i64 base, span = 0, *off = n < 0 ? NULL : PyMem_Malloc((n + 1) * sizeof(i64));
     if (off == NULL)
         return n < 0 ? NULL : PyErr_NoMemory();
@@ -186,13 +194,9 @@ static PyObject *doubling_size(PyObject *self, PyObject *elements)
         goto done;
     }
     mw = (Py_ssize_t)(span >> 6) + 1;
-    aw = (Py_ssize_t)((2 * span) >> 6) + 1;
-    words = PyMem_Malloc((mw + aw + 1) * sizeof(u64));
-    if (words == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    result = PyLong_FromLong(bitset_doubling(off, k, words, mw, words + mw, aw));
+    total = sumset_masks(off, k, mw, mw, (Py_ssize_t)((2 * span) >> 6) + 2, &words);
+    if (total >= 0)
+        result = PyLong_FromLong(total);
 done:
     PyMem_Free(words);
     PyMem_Free(off);
@@ -614,44 +618,36 @@ static int shifted_overlap(const u64 *two, const u64 *mask, Py_ssize_t mw, i64 x
     return total;
 }
 
-/* x - min A reaches 2 * span, so the offsets of A | {x} reach 2 * MAX_M */
-#define EXT_MASK_WORDS ((2 * MAX_M + 1 + 63) / 64)
-#define EXT_ACC_WORDS ((4 * MAX_M + 1 + 63) / 64)
-
 /* (x, |2(A | {x})|, |2A & (x + A)|) for every x > max A in 2A - A, ascending,
  * as in _kernel_py: x + A meets 2A exactly when x is in 2A - A, so the
- * overlap picks the xs, and |2(A | {x})| is counted afresh by
- * bitset_doubling on the k + 1 offsets. Spans up to MAX_M. */
+ * overlap picks the xs, and x adds |A| + 1 - overlap sums to 2A. The masks
+ * are sized from the span: spans up to MAX_SPAN, any |A|. */
 static PyObject *right_extensions(PyObject *self, PyObject *elements)
 {
     PyObject *out = NULL;
-    Py_ssize_t k, i, mw;
+    Py_ssize_t k, mw;
     i64 base, span, shift, *off = read_set(elements, "right_extensions", &k, &base);
-    /* shifted_overlap reads up to mw + 2 * span / 64 + 1 words of two */
-    u64 amask[SLICE_MASK_WORDS] = {0}, two[SLICE_MASK_WORDS + EXT_MASK_WORDS + 1] = {0};
-    u64 xmask[EXT_MASK_WORDS], xacc[EXT_ACC_WORDS + 1];
+    u64 *amask = NULL, *two;
+    int fresh;
     if (off == NULL)
         return NULL;
     span = off[k - 1];
-    if (span > MAX_M) {
-        PyErr_Format(PyExc_OverflowError, "the compiled right_extensions takes spans <= %d", MAX_M);
+    if (span > MAX_SPAN) {
+        PyErr_SetString(PyExc_OverflowError, "the compiled right_extensions takes spans <= 2**20");
         goto done;
     }
+    /* shifted_overlap reads up to mw + 2 * span / 64 + 1 words of two */
     mw = (Py_ssize_t)(span >> 6) + 1;
-    for (i = 0; i < k; i++)
-        amask[off[i] >> 6] |= 1ULL << (off[i] & 63);
-    for (i = 0; i < k; i++)
-        shift_or(two, amask, mw, off[i]);
-    if ((out = PyList_New(0)) == NULL)
+    fresh = sumset_masks(off, k, mw, mw, mw + (Py_ssize_t)((2 * span) >> 6) + 1, &amask);
+    if (fresh < 0 || (out = PyList_New(0)) == NULL)
         goto done;
+    two = amask + mw;
+    fresh += (int)k + 1;
     for (shift = span + 1; shift <= 2 * span; shift++) {
         int overlap = shifted_overlap(two, amask, mw, shift);
         if (overlap == 0)
             continue;
-        off[k] = shift;
-        int tx = bitset_doubling(off, k + 1, xmask, (Py_ssize_t)(shift >> 6) + 1, xacc,
-                                 (Py_ssize_t)((2 * shift) >> 6) + 1);
-        PyObject *item = Py_BuildValue("(Lii)", base + shift, tx, overlap);
+        PyObject *item = Py_BuildValue("(Lii)", base + shift, fresh - overlap, overlap);
         int rc = item == NULL ? -1 : PyList_Append(out, item);
         Py_XDECREF(item);
         if (rc < 0) {
@@ -660,6 +656,7 @@ static PyObject *right_extensions(PyObject *self, PyObject *elements)
         }
     }
 done:
+    PyMem_Free(amask);
     PyMem_Free(off);
     return out;
 }
@@ -687,9 +684,9 @@ static int append_child(PyObject *out, const i64 *child, i64 *refl, Py_ssize_t n
  * a normal set A, as in _kernel_py: canon is the larger of the normal form
  * of A | {y} and its reflexion, kept when |2 canon| <= t_max. The pool comes
  * from the masks of A and 2A, as in right_extensions: y < 0 when A meets
- * 2A - y, y > max A when 2A meets y + A. Each y adds |A| + 1 - overlap sums
- * to 2A. The masks take mw + tw words each, sized from the span, and the
- * children 2 (|A| + 1) offsets: spans up to MAX_SPAN, any |A|. */
+ * 2A - y, y > max A when 2A meets y + A. The masks take mw + tw words each,
+ * sized from the span, and the children 2 (|A| + 1) offsets: spans up to
+ * MAX_SPAN, any |A|. */
 static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"elements", "t_max", NULL};
@@ -697,7 +694,7 @@ static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs
     Py_ssize_t t_max, k, i, mw, tw;
     i64 base, span, d, g = 0, *off, *child = NULL;
     u64 *amask = NULL, *two;
-    int fresh;
+    int fresh = -1;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "On:chain_children", kwlist, &elements,
                                      &t_max))
         return NULL;
@@ -718,22 +715,15 @@ static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs
      * mw + 2 * span / 64 + 1 words of two: under mw + tw either way */
     mw = (Py_ssize_t)(span >> 6) + 1;
     tw = (Py_ssize_t)((2 * span) >> 6) + 1;
-    amask = PyMem_Calloc(2 * (mw + tw), sizeof(u64));
     child = PyMem_Malloc(2 * (k + 1) * sizeof(i64));
-    if (amask == NULL || child == NULL) {
+    if (child == NULL)
         PyErr_NoMemory();
+    else
+        fresh = sumset_masks(off, k, mw, mw + tw, mw + tw, &amask);
+    if (fresh < 0 || (out = PyList_New(0)) == NULL)
         goto done;
-    }
     two = amask + mw + tw;
-    for (i = 0; i < k; i++)
-        amask[off[i] >> 6] |= 1ULL << (off[i] & 63);
-    for (i = 0; i < k; i++)
-        shift_or(two, amask, mw, off[i]);
-    fresh = (int)k + 1;
-    for (i = 0; i < tw; i++)
-        fresh += popcount(two[i]);
-    if ((out = PyList_New(0)) == NULL)
-        goto done;
+    fresh += (int)k + 1;
     /* y = -d, ascending: the child is {0} | (A + d) */
     for (d = span; d >= 1; d--) {
         int t = fresh - shifted_overlap(amask, two, tw, d);

@@ -18,7 +18,7 @@ Both walk a slice (the normal k-sets with maximum m) the same way:
 
 right_extensions serves the extension sweep one call per set: every
 x > max A in 2A - A with the doubling of A ∪ {x} and the overlap
-|2A ∩ (x + A)|. The compiled twin takes sets of span up to 511.
+|2A ∩ (x + A)|.
 
 chain_children serves the chain levels one call per parent: for a normal
 set A, the canonical form and doubling of A ∪ {y} for every y in 2A - A
@@ -27,7 +27,12 @@ test: the chain levels grow from {0, 1, 2}, and every such child of a
 one-dimensional A is one-dimensional. y in 2A - A gives a relation
 y + a = b + c with y-coefficient 1, independent of A's relations, whose
 y-coefficient is 0; so rank(A ∪ {y}) >= (|A| - 2) + 1 = |A ∪ {y}| - 2, the
-most a rank can be. The compiled twin takes spans up to 2**20.
+most a rank can be.
+
+Both read the pool off the masks of A and 2A that _sumset_masks builds for
+doubling_size too: y + A meets 2A in the overlap, and 2y is a new sum, so
+|2(A ∪ {y})| = |2A| + |A| + 1 - overlap, with no recount. The compiled twin
+takes spans up to 2**20 in all three.
 """
 
 from __future__ import annotations
@@ -38,16 +43,21 @@ import operator
 BACKEND = "python"
 
 
-def doubling_size(elements: tuple[int, ...]) -> int:
-    """|A + A| for a sorted tuple of distinct ints."""
+def _sumset_masks(elements: tuple[int, ...]) -> tuple[int, int]:
+    """The masks of A and 2A, bit i of A's standing for elements[0] + i."""
     base = elements[0]
     amask = 0
     for e in elements:
         amask |= 1 << (e - base)
-    acc = 0
+    two = 0
     for e in elements:
-        acc |= amask << (e - base)
-    return acc.bit_count()
+        two |= amask << (e - base)
+    return amask, two
+
+
+def doubling_size(elements: tuple[int, ...]) -> int:
+    """|A + A| for a sorted tuple of distinct ints."""
+    return _sumset_masks(elements)[1].bit_count()
 
 
 def right_extensions(elements: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -55,7 +65,7 @@ def right_extensions(elements: tuple[int, ...]) -> list[tuple[int, int, int]]:
     ascending in x, for a sorted tuple A of distinct ints.
 
     x lies in 2A - A exactly when x + A meets 2A, so the overlap picks the
-    xs; the doubling of A ∪ {x} is counted afresh with doubling_size."""
+    xs, and x adds |A| + 1 - overlap sums to 2A."""
     elements = tuple(map(operator.index, elements))
     if not elements:
         raise IndexError("right_extensions of an empty sequence")
@@ -63,18 +73,13 @@ def right_extensions(elements: tuple[int, ...]) -> list[tuple[int, int, int]]:
         raise ValueError("right_extensions takes strictly ascending elements")
     base = elements[0]
     span = elements[-1] - base
-    amask = 0
-    for e in elements:
-        amask |= 1 << (e - base)
-    two = 0
-    for e in elements:
-        two |= amask << (e - base)
+    amask, two = _sumset_masks(elements)
+    fresh = two.bit_count() + len(elements) + 1
     out = []
     for shift in range(span + 1, 2 * span + 1):
         overlap = (two & (amask << shift)).bit_count()
         if overlap:
-            x = base + shift
-            out.append((x, doubling_size(elements + (x,)), overlap))
+            out.append((base + shift, fresh - overlap, overlap))
     return out
 
 
@@ -85,8 +90,7 @@ def chain_children(elements: tuple[int, ...], t_max: int) -> list[tuple[tuple[in
     its reflexion, kept when |2 canon| <= t_max. No child is rank tested.
 
     As A is normal, the normal form of A ∪ {y} is A + (y,) for y > max A and
-    A shifted by -y for y < 0. y + A meets 2A in the overlap, and 2y is a new
-    sum, so |2(A ∪ {y})| = |2A| + |A| + 1 - overlap."""
+    A shifted by -y for y < 0."""
     elements = tuple(map(operator.index, elements))
     t_max = operator.index(t_max)
     if not elements:
@@ -96,12 +100,7 @@ def chain_children(elements: tuple[int, ...], t_max: int) -> list[tuple[tuple[in
     if elements[0] != 0 or (len(elements) > 1 and math.gcd(*elements) != 1):
         raise ValueError("chain_children takes a normal set (min 0, gcd 1)")
     span = elements[-1]
-    amask = 0
-    for e in elements:
-        amask |= 1 << e
-    two = 0
-    for e in elements:
-        two |= amask << e
+    amask, two = _sumset_masks(elements)
     fresh = two.bit_count() + len(elements) + 1
     out = []
 

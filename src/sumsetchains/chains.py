@@ -59,23 +59,6 @@ def canonical_form(a: IntSet) -> IntSet:
     return IntSet(_canonical_tuple(a.elements)[0])
 
 
-def _extension_ok(prev: tuple[int, ...], nxt: tuple[int, ...]) -> bool:
-    t_next = kernel.doubling_size(nxt)
-    if t_next > t_range(len(nxt))[1]:
-        return False
-    if not kernel.is_one_dimensional(nxt):
-        return False
-    vol_next = _raw_volume(nxt)
-    best = vol_next
-    for y in out_of_hull_pool(IntSet(prev)):
-        cand = tuple(sorted(prev + (y,)))
-        if cand == nxt:
-            continue
-        if kernel.doubling_size(cand) == t_next:
-            best = max(best, _raw_volume(cand))
-    return vol_next == best
-
-
 def is_chain_extension(prev: IntSet, nxt: IntSet) -> bool:
     """Does nxt extend prev by one admissible element?
 
@@ -94,7 +77,14 @@ def is_chain_extension(prev: IntSet, nxt: IntSet) -> bool:
         raise ValueError(f"the new element {y} must lie outside the hull of prev")
     if not is_one_dimensional(prev):
         raise ValueError("prev must be one-dimensional")
-    return _extension_ok(prev.elements, nxt.elements)
+    # as prev is one-dimensional, nxt is exactly when y is in the pool
+    pool = dict(out_of_hull_pool(prev))
+    t_next = pool.get(y)
+    if t_next is None or t_next > t_range(len(nxt))[1]:
+        return False
+    vol_next = _raw_volume(nxt.elements)
+    rivals = (z for z, t in pool.items() if t == t_next)
+    return all(_raw_volume(prev.adjoin(z).elements) <= vol_next for z in rivals)
 
 
 # _LEVELS[k] maps each canonical k-element chain to its doubling; levels are

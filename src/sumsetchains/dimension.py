@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import kernel
 from .errors import CapacityError
-from .intset import IntSet, _bits_to_elements, normalize, require_normal
+from .intset import IntSet, normalize, require_normal
 
 FISO_CAP = 10
 
@@ -45,39 +45,21 @@ def is_one_dimensional(a: IntSet) -> bool:
     return kernel.is_one_dimensional(a.elements)
 
 
-def _sumset_mask(a: IntSet) -> int:
-    """2A as a mask: bit i stands for 2 min A + i."""
-    mask = a.mask()
-    low = a.min
-    two = 0
-    for e in a.elements:
-        two |= mask << (e - low)
-    return two
-
-
-def _difference_mask(a: IntSet) -> int:
-    """2A - A as a mask: bit i stands for 2 min A - max A + i."""
-    two = _sumset_mask(a)
-    high = a.max
-    diff = 0
-    for e in a.elements:
-        diff |= two << (high - e)
-    return diff
-
-
-def out_of_hull_pool(a: IntSet) -> tuple[int, ...]:
-    """The points of 2A - A outside [min A, max A], ascending.
+def out_of_hull_pool(a: IntSet) -> tuple[tuple[int, int], ...]:
+    """(y, |2(A ∪ {y})|) for every y in 2A - A outside [min A, max A],
+    ascending in y: kernel.right_extensions of A, and of its mirror
+    x -> min A + max A - x for the ys below min A.
 
     These are the only single-element extensions beyond the hull that can
     keep a one-dimensional set one-dimensional: an element outside 2A - A
     contributes |A| + 1 fresh sums, which leaves the relation rank unchanged
     and forces dimension 2.
     """
-    diff = _difference_mask(a)
-    span = a.max - a.min
-    # bit span stands for min A and bit 2 span for max A
-    below = _bits_to_elements(diff & ((1 << span) - 1), 2 * a.min - a.max)
-    return below + _bits_to_elements(diff >> (2 * span + 1), a.max + 1)
+    turn = a.min + a.max
+    below = kernel.right_extensions(turn - e for e in reversed(a.elements))
+    return tuple((turn - x, tx) for x, tx, _ in reversed(below)) + tuple(
+        (x, tx) for x, tx, _ in kernel.right_extensions(a.elements)
+    )
 
 
 def extension_candidates(a: IntSet) -> IntSet:
@@ -89,7 +71,7 @@ def extension_candidates(a: IntSet) -> IntSet:
     require_normal(a, "extension_candidates")
     if not is_one_dimensional(a):
         raise ValueError("extension_candidates requires a one-dimensional set")
-    return IntSet(_bits_to_elements(_difference_mask(a) >> (2 * a.max + 1), a.max + 1))
+    return IntSet(x for x, _, _ in kernel.right_extensions(a.elements))
 
 
 def _compatible(a: tuple[int, ...], b: tuple[int, ...], images: list[int], n: int) -> bool:

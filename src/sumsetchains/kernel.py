@@ -22,8 +22,8 @@ BACKEND = "c" if _c is not None else "python"
 
 def _call(name, *args):
     # The compiled kernel raises OverflowError past the limits it states
-    # (element magnitude, rank size, slice maximum, extension span, and the
-    # doubling and chain spans of 2**20); the pure twin takes any size, so
+    # (element magnitude, rank size, slice maximum, and the doubling,
+    # extension and chain spans of 2**20); the pure twin takes any size, so
     # such input goes there.
     if _c is not None:
         try:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import chains, kernel
 from .chains import is_chain_member
-from .dimension import extension_candidates, is_one_dimensional, out_of_hull_pool
+from .dimension import is_one_dimensional, out_of_hull_pool
 from .doubling import DoublingProfile, mu, profile, t_range
 from .errors import CapacityError, DecompositionNotUnique, NotDecomposable
 from .growth import adjoin_double_max
@@ -385,10 +385,12 @@ def is_1_extremal(a: IntSet, *, threads: int = 1, use_cache: bool = True) -> boo
     cardinality and doubling? Decided by the exhaustive oracle's slice table
     up to its default bound, without collecting witnesses; a sweep over the
     budget raises CapacityError."""
-    from .chains import volume_1d
+    return _top_volume(len(a), doubling(a), chains.volume_1d(a), threads, use_cache)
 
-    vol = volume_1d(a)
-    k, t = len(a), doubling(a)
+
+def _top_volume(k: int, t: int, vol: int, threads: int, use_cache: bool) -> bool:
+    """is_1_extremal for a one-dimensional k-set of doubling t and volume
+    vol, which the caller already knows."""
     ms = _realizing_maxima(
         k, t, mu(k, t) + k, threads=threads, use_cache=use_cache, force=False
     )
@@ -531,17 +533,15 @@ def _extension_checks(
     triples: list[tuple[int, int, int]],
     *,
     deep: bool,
-    failing_only: bool = False,
 ) -> list[ExtensionCheck]:
     """check_extension_lemmas for the normal one-dimensional set with these
     elements and doubling t, on each (x, T_x, overlap) of
     kernel.right_extensions in triples, in order. The set is decomposed only
     when max A = mu(k, t), the one case that reads the decomposition. deep
-    adds the oracle-decided identities; the sweep leaves them out.
-    failing_only evaluates every identity on every x but returns the checks
-    with a violation only. A T_x outside the legal range for k + 1 is itself
-    a violation, and the checks that need its profile are skipped. The
-    checks that read only (k, t, T_x, overlap) come from _pair_verdict."""
+    adds the oracle-decided identities; the sweep leaves them out. A T_x
+    outside the legal range for k + 1 is itself a violation, and the checks
+    that need its profile are skipped. The checks that read only
+    (k, t, T_x, overlap) come from _pair_verdict."""
     k = len(elements)
     a_max = elements[-1]
     prof = profile(k, t)
@@ -569,7 +569,8 @@ def _extension_checks(
             and t >= 2 * k  # doubling 2k-1+b with b >= 1
             and tx > large
             and _oracle_affordable(k + 1)
-            and is_1_extremal(IntSet(elements + (x,)))
+            # A ∪ {x} is normal, so its volume is x + 1
+            and _top_volume(k + 1, tx, x + 1, threads=1, use_cache=True)
         )
         if identities:
             if x != after.mu:
@@ -581,26 +582,25 @@ def _extension_checks(
                     f"overlap of A with (x-a)+A is {got}, expected {want}"
                 )
 
-        if violations or not failing_only:
-            applied = ["increment-overlap identity", "increment range"]
-            if after is not None:
-                applied.append("constant drift")
-            if bounded:
-                applied.append("extension lower bound")
-            if identities:
-                applied.append("extremal extension identities")
-            checks.append(
-                ExtensionCheck(
-                    x=x,
-                    delta_t=delta_t,
-                    overlap=overlap,
-                    c_before=c,
-                    c_after=None if after is None else after.c,
-                    crossing=tx > large and t <= 3 * k - 4,
-                    applied=tuple(applied),
-                    violations=tuple(violations),
-                )
+        applied = ["increment-overlap identity", "increment range"]
+        if after is not None:
+            applied.append("constant drift")
+        if bounded:
+            applied.append("extension lower bound")
+        if identities:
+            applied.append("extremal extension identities")
+        checks.append(
+            ExtensionCheck(
+                x=x,
+                delta_t=delta_t,
+                overlap=overlap,
+                c_before=c,
+                c_after=None if after is None else after.c,
+                crossing=tx > large and t <= 3 * k - 4,
+                applied=tuple(applied),
+                violations=tuple(violations),
             )
+        )
     return checks
 
 
@@ -629,9 +629,10 @@ def extension_lemma_sweep(k: int, *, threads: int = 1) -> ExtensionSweepReport:
     fan out on threads workers; the checks run in this thread, slice by
     slice in order, so the report does not depend on threads.
 
-    A set with max A != mu(k, T) is never decomposed, so its pairs read only
-    _pair_verdict: one subset test against _passing_pairs(k, T) clears it,
-    and it goes through _extension_checks only when some pair fails."""
+    A set is decomposed only when max A = mu(k, T) and T <= 3k - 4 (see
+    _try_decompose). Any other set's pairs read only _pair_verdict: one
+    subset test against _passing_pairs(k, T) clears it, and it goes through
+    _extension_checks only when some pair fails."""
     start = time.perf_counter()
     slices = _realized_slices(
         k, mu(k, t_range(k)[1]) + k, threads=threads, use_cache=True, force=False
@@ -654,14 +655,15 @@ def extension_lemma_sweep(k: int, *, threads: int = 1) -> ExtensionSweepReport:
                     triples = kernel.right_extensions(elements)
                     sets_checked += 1
                     pairs_checked += len(triples)
-                    # only a set with max A = mu(k, t) is decomposed, so the
-                    # others need the per-pair checks only when a pair fails
-                    if m != top and passing.issuperset(map(tx_overlap, triples)):
+                    # a set is decomposed only when max A = mu(k, t) and
+                    # t <= 3k - 4; any other needs the per-pair checks only
+                    # when a pair fails
+                    undecomposed = m != top or t > 3 * k - 4
+                    if undecomposed and passing.issuperset(map(tx_overlap, triples)):
                         continue
-                    for chk in _extension_checks(
-                        elements, t, triples, deep=False, failing_only=True
-                    ):
-                        bad.append((IntSet(elements), chk))
+                    for chk in _extension_checks(elements, t, triples, deep=False):
+                        if not chk.ok:
+                            bad.append((IntSet(elements), chk))
     return ExtensionSweepReport(
         k=k,
         sets_checked=sets_checked,
@@ -696,17 +698,16 @@ def _is_double_max_form(a: IntSet) -> bool:
 
 
 def _extremal_right_extensions(
-    b_set: IntSet, a_max: int, threads: int, use_cache: bool
+    b_set: IntSet, threads: int, use_cache: bool
 ) -> list[int]:
-    """The x in (2a, 4a] with b_set ∪ {x} one-dimensional and 1-extremal."""
-    survivors = []
-    for x in range(2 * a_max + 1, 4 * a_max + 1):
-        bx = b_set.adjoin(x)
-        if is_one_dimensional(bx) and is_1_extremal(
-            bx, threads=threads, use_cache=use_cache
-        ):
-            survivors.append(x)
-    return survivors
+    """The x > max B with B ∪ {x} one-dimensional and 1-extremal, for a normal
+    one-dimensional B: the x of kernel.right_extensions(B), as an x outside
+    2B - B leaves B ∪ {x} two-dimensional."""
+    return [
+        x
+        for x, tx, _ in kernel.right_extensions(b_set.elements)
+        if _top_volume(len(b_set) + 1, tx, x + 1, threads, use_cache)
+    ]
 
 
 def check_uniqueness_lemmas(
@@ -732,6 +733,7 @@ def check_uniqueness_lemmas(
     t = doubling(a)
     a_max = a.max
     one_dim = is_one_dimensional(a)
+    pool = dict(out_of_hull_pool(a))  # y -> |2(A ∪ {y})|
     try:
         prof = profile(k, t)
     except ValueError:
@@ -760,7 +762,7 @@ def check_uniqueness_lemmas(
         skip(name, "not 1-extremal")
     else:
         b_set = adjoin_double_max(a)
-        survivors = _extremal_right_extensions(b_set, a_max, threads, use_cache)
+        survivors = _extremal_right_extensions(b_set, threads, use_cache)
         strong = a_max == prof.mu and prof.mu > 2**prof.c
         if strong:
             passed = survivors == [4 * a_max]
@@ -793,13 +795,16 @@ def check_uniqueness_lemmas(
     elif not is_chain_member(a):
         skip(name, "not a chain")
     elif any(
-        y >= min(_mu_or_inf(k + 1, doubling(s.adjoin(y))) for s in (a, reflexion(a)))
+        # y on a and on its reflexion, whose y is a_max - y on a; a y
+        # outside the pool adds |A| + 1 sums
+        y >= _mu_or_inf(k + 1, pool.get(z, t + k + 1))
         for y in range(a_max + 1, 2 * a_max)
+        for z in (y, a_max - y)
     ):
         skip(name, "some mid-range y reaches mu(k+1, T_y)")
     else:
         b_set = reflexion(adjoin_double_max(a))
-        survivors = _extremal_right_extensions(b_set, a_max, threads, use_cache)
+        survivors = _extremal_right_extensions(b_set, threads, use_cache)
         detail = (
             f"1-extremal right extensions of {b_set.to_text()} at {survivors}, "
             f"expected [{4 * a_max}]"
@@ -825,16 +830,17 @@ def check_uniqueness_lemmas(
     else:
         failures = []
         swept = 0
-        for x in extension_candidates(a):
-            ax = a.adjoin(x)
-            if doubling(ax) <= 3 * (k + 1) - 4:
+        # a is normal and one-dimensional, so are its pool children ax and rx
+        for x, tx, _ in kernel.right_extensions(a.elements):
+            if tx <= 3 * (k + 1) - 4:
                 continue
-            for y in extension_candidates(ax):
+            ax = a.adjoin(x)
+            for y, _, _ in kernel.right_extensions(ax.elements):
                 swept += 1
                 if is_chain_member(ax.adjoin(y)) and y != 2 * x:
                     failures.append(f"A+{{{x},{y}}} is a chain but y != {2 * x}")
             rx = reflexion(ax)
-            for y in extension_candidates(rx):
+            for y, _, _ in kernel.right_extensions(rx.elements):
                 if y <= x + 2:
                     continue
                 swept += 1
@@ -867,9 +873,9 @@ def check_uniqueness_lemmas(
         failures = []
         if not is_chain_member(halved):
             failures.append(f"halved even part {halved.to_text()} is not a chain")
-        for y in out_of_hull_pool(a):
+        for y, ty in pool.items():
             b = a.adjoin(y)
-            if doubling(b) > 3 * (k + 1) - 4 and is_chain_member(b):
+            if ty > 3 * (k + 1) - 4 and is_chain_member(b):
                 b_odds = [e for e in b if e % 2]
                 if len(b_odds) != 1:
                     failures.append(

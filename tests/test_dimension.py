@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sumsetchains import _kernel_py as pure
 from sumsetchains.dimension import (
     FISO_CAP,
     additive_dim,
@@ -130,17 +131,29 @@ class TestExtensionCandidates:
                 assert not is_one_dimensional(a.adjoin(x))
 
 
+def pool_from_the_definition(a: IntSet) -> tuple[tuple[int, int], ...]:
+    """(y, |2(A ∪ {y})|) for the y of 2A - A outside the hull, ascending,
+    the doubling from the pure doubling_size of the sorted union."""
+    ys = sorted(y for y in difference_points(a) if not a.min <= y <= a.max)
+    return tuple((y, pure.doubling_size(tuple(sorted(a.elements + (y,))))) for y in ys)
+
+
 class TestOutOfHullPool:
     def test_examples(self):
-        # 2A - A of {0, 1, 3} is [-3, 6]
-        assert out_of_hull_pool(IntSet((0, 1, 3))) == (-3, -2, -1, 4, 5, 6)
-        assert out_of_hull_pool(IntSet((-4, 2))) == (-10, 8)
+        # 2A - A of {0, 1, 3} is [-3, 6]; 2A has 6 sums, and y adds
+        # |A| + 1 = 4 less its overlap with 2A
+        assert out_of_hull_pool(IntSet((0, 1, 3))) == (
+            (-3, 9), (-2, 9), (-1, 8), (4, 9), (5, 9), (6, 9),
+        )
+        assert out_of_hull_pool(IntSet((-4, 2))) == ((-10, 5), (8, 5))
         assert out_of_hull_pool(IntSet((7,))) == ()
+        for elems in [(0, 1, 3), (-4, 2), (7,), (0, 2, 3, 4)]:
+            a = IntSet(elems)
+            assert out_of_hull_pool(a) == pool_from_the_definition(a)
 
     @given(any_sets)
     def test_matches_the_definition(self, a):
-        want = sorted(y for y in difference_points(a) if not a.min <= y <= a.max)
-        assert out_of_hull_pool(a) == tuple(want)
+        assert out_of_hull_pool(a) == pool_from_the_definition(a)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_candidates_match_the_definition(self, k):

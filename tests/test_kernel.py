@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from sumsetchains import _kernel_py as pure
 from sumsetchains import chains, kernel
 from sumsetchains.chains import _canonical_tuple, _chain_level
-from sumsetchains.dimension import extension_candidates, out_of_hull_pool
 from sumsetchains.doubling import mu, t_range
 from sumsetchains.intset import IntSet, doubling, sumset
 
@@ -300,7 +299,8 @@ def test_right_extensions_match_a_walk_free_reference(twin):
 
 
 def test_right_extension_xs_are_the_extension_candidates():
-    # on every one-dimensional normal set with k = 3..6 and max <= mu(k, T) + k
+    # on every one-dimensional normal set with k = 3..6 and max <= mu(k, T) + k,
+    # the xs are the points of 2A - A beyond max A, from the definition
     for k in range(3, 7):
         lo, hi = t_range(k)
         for m in range(k - 1, mu(k, hi) + k + 1):
@@ -309,18 +309,44 @@ def test_right_extension_xs_are_the_extension_candidates():
                     continue
                 for elems in sets:
                     xs = [x for x, _, _ in kernel.right_extensions(elems)]
-                    assert xs == list(extension_candidates(IntSet(elems)).elements)
+                    assert xs == [y for y in brute_pool(elems) if y > m], elems
 
 
-def test_right_extensions_cap_straddles(compiled_facade, compiled_kernel):
-    # span 511 runs compiled, 512 pure
-    for elems in [(0, 511), (0, 3, 200, 511), (-600, -598, -89)]:
-        got = compiled_kernel.right_extensions(elems)
-        assert got and got == pure.right_extensions(elems)
-    for elems in [(0, 512), (0, 3, 200, 512), (-600, -598, -88)]:
+def test_right_extensions_cap_straddles(compiled_kernel):
+    # the compiled twin sizes its masks from the span, so it refuses only
+    # spans past 2**20; the pure twin would take minutes at such spans, so
+    # the compiled twin is checked against the walk-free reference. Its walk
+    # costs span**2 / 64 word operations, which puts span 2**20 itself (about
+    # 90 s) in the slow test below and 2**14 here
+    for span in (1 << 14, (1 << 14) + 1):
+        for elems in [(0, span), (0, 1, span), (0, 3, span // 2, span), (-5, 3, span - 5)]:
+            got = compiled_kernel.right_extensions(elems)
+            assert got and got == reference_right_extensions(elems), elems
+    span = 1 << 20
+    for elems in [(0, span + 1), (0, 1, span + 1), (-5, 3, span - 4)]:
         with pytest.raises(OverflowError):
             compiled_kernel.right_extensions(elems)
-        assert compiled_facade.right_extensions(elems) == pure.right_extensions(elems)
+
+
+@pytest.mark.slow
+def test_right_extensions_take_span_2_to_the_20(compiled_kernel):
+    elems = (-5, 3, (1 << 20) - 5)
+    got = compiled_kernel.right_extensions(elems)
+    assert got and got == reference_right_extensions(elems)
+
+
+def test_right_extensions_match_the_reference_on_spans_512_to_4096(twin):
+    # spans the compiled twin once sent to the pure one, word edges included
+    rng = random.Random(4096)
+    cases = [(0, 512), (0, 3, 200, 512), (-600, -598, -88), tuple(range(0, 4097, 64))]
+    cases += [(0, 1, span - 1, span) for span in (575, 576, 577, 1023, 1024, 4095, 4096)]
+    for _ in range(60):
+        span = rng.randint(512, 4096)
+        low = rng.randint(-5000, 5000)
+        inner = rng.sample(range(low + 1, low + span), rng.randint(0, 10))
+        cases.append(tuple(sorted({low, low + span, *inner})))
+    for elems in cases:
+        assert twin.right_extensions(elems) == reference_right_extensions(elems), elems
 
 
 @pytest.mark.parametrize(
@@ -348,12 +374,20 @@ def test_right_extensions_take_any_iterable_alike(compiled_kernel):
         assert backend.right_extensions(e for e in (0, 1, 3)) == want
 
 
+def brute_pool(elements):
+    """The points of 2A - A outside [min A, max A], ascending, from the
+    definition, element by element."""
+    low, high = elements[0], elements[-1]
+    diff = {s + t - e for s in elements for t in elements for e in elements}
+    return sorted(y for y in diff if not low <= y <= high)
+
+
 def reference_chain_children(elements):
     """chain_children from first principles, before the t_max filter: the
-    pool from out_of_hull_pool, each child sorted and made canonical by
+    pool from brute_pool, each child sorted and made canonical by
     _canonical_tuple, its doubling from the pure doubling_size."""
     out = []
-    for y in out_of_hull_pool(IntSet(elements)):
+    for y in brute_pool(elements):
         canon, _ = _canonical_tuple(tuple(sorted(elements + (y,))))
         out.append((canon, pure.doubling_size(canon)))
     return out
@@ -405,7 +439,7 @@ def test_chain_children_match_a_walk_free_reference(twin):
 
 def pool_children(elements):
     """Every out-of-hull child A ∪ {y}, y in 2A - A, sorted, with no filter."""
-    return [tuple(sorted(elements + (y,))) for y in out_of_hull_pool(IntSet(elements))]
+    return [tuple(sorted(elements + (y,))) for y in brute_pool(elements)]
 
 
 def test_every_pool_child_of_a_chain_parent_is_one_dimensional(compiled_kernel):
@@ -521,14 +555,12 @@ def test_chain_children_cap_straddles(compiled_kernel):
 
 
 def test_facade_hands_iterators_past_the_caps_to_the_pure_twin(compiled_facade):
-    # the compiled twin reads the iterator before it refuses the input
-    calls = [
-        ("lambda_rank", tuple(range(13)), ()),
-        ("right_extensions", (0, 3, 200, 512), ()),
-    ]
-    for name, elems, rest in calls:
-        got = getattr(compiled_facade, name)(iter(elems), *rest)
-        assert got and got == getattr(pure, name)(elems, *rest), name
+    # the compiled twin reads the iterator before it refuses the input; past
+    # the span cap of right_extensions and chain_children the pure twin
+    # would take minutes, so lambda_rank's |A| cap stands for them
+    elems = tuple(range(13))
+    got = compiled_facade.lambda_rank(iter(elems))
+    assert got and got == pure.lambda_rank(elems)
 
 
 @pytest.mark.parametrize(

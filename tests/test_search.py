@@ -14,7 +14,8 @@ from sumsetchains import chains, cli, dimension, search
 from sumsetchains.dimension import extension_candidates, is_one_dimensional
 from sumsetchains.doubling import mu, profile, t_range
 from sumsetchains.errors import CapacityError
-from sumsetchains.intset import IntSet, doubling, sumset
+from sumsetchains.growth import adjoin_double_max
+from sumsetchains.intset import IntSet, doubling, reflexion, sumset
 from sumsetchains.search import (
     CACHE_ENV,
     attainment_construction,
@@ -314,24 +315,37 @@ class TestFanOut:
     ):
         # the checks run in the calling thread; when one raises, no
         # collection may start after the sweep has returned, even while the
-        # traceback, and with it the sweep's frame, is still held
+        # traceback, and with it the sweep's frame, is still held. Every
+        # collection after the first waits for the failing check's marker,
+        # so the two workers hold the second and third while the check
+        # runs, however late this thread gets to it; a process pool has
+        # queued three more that it cannot cancel, so at most 6 start
+        calls, failed = tmp_path / "calls", tmp_path / "failed"
+        calls.mkdir()
+        top = mu(6, t_range(6)[1]) + 6
+        slices = search._realized_slices(6, top, threads=1, use_cache=True, force=False)
+        first = next(m for m, realized in slices.items() if realized)
         collect = search.kernel.collect_slice
 
-        def slow_collect(k, m, ts):
-            (tmp_path / f"call-{m}").touch()
+        def gated_collect(k, m, ts):
+            (calls / f"call-{m}").touch()
+            deadline = time.monotonic() + 10
+            while m != first and not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
             time.sleep(0.05)
             return collect(k, m, ts)
 
         def failing(elements):
+            failed.touch()
             raise RuntimeError("check failed")
 
-        monkeypatch.setattr(search.kernel, "collect_slice", slow_collect)
+        monkeypatch.setattr(search.kernel, "collect_slice", gated_collect)
         monkeypatch.setattr(search.kernel, "right_extensions", failing)
         with pytest.raises(RuntimeError, match="check failed") as failure:
             extension_lemma_sweep(6, threads=2)
-        calls = len(list(tmp_path.iterdir()))
+        started = len(list(calls.iterdir()))
         time.sleep(0.3)
-        assert len(list(tmp_path.iterdir())) == calls <= 6
+        assert len(list(calls.iterdir())) == started <= 6
         assert failure.traceback
 
     def test_compiled_fan_out_starts_no_process(self, compiled_facade, monkeypatch):
@@ -529,7 +543,6 @@ class TestExtensionChecks:
 
         for name in ("right_extensions", "doubling_size", "is_one_dimensional"):
             counted(search.kernel, name)
-        counted(search, "extension_candidates")
         counted(dimension, "extension_candidates")
         report = extension_lemma_sweep(5)
         assert (report.sets_checked, report.pairs_checked) == (20, 122)
@@ -629,8 +642,14 @@ class TestExtensionChecks:
         monkeypatch.setattr(search, "_extension_checks", recording_checks)
         report = extension_lemma_sweep(k)
         assert report.violations == () and len(swept) == report.sets_checked
-        extremal = [a for a in swept if a[-1] == mu(k, search.kernel.doubling_size(a))]
+        # an extremal set with T > 3k - 4 has no stable decomposition, so its
+        # pairs read only _pair_verdict, as a non-extremal set's do
+        doublings = {a: search.kernel.doubling_size(a) for a in swept}
+        extremal = [
+            a for a, t in doublings.items() if a[-1] == mu(k, t) and t <= 3 * k - 4
+        ]
         assert checked == extremal and len(extremal) < len(swept)
+        assert any(a[-1] == mu(k, t) and t > 3 * k - 4 for a, t in doublings.items())
         # a set with a failing pair is checked pair by pair too
         target = swept[len(swept) // 2]
         assert target not in extremal
@@ -653,6 +672,27 @@ def test_the_oracle_serves_exactly_the_cardinalities_under_the_budget():
 
 
 class TestUniquenessChecks:
+    def test_extremal_right_extensions_match_a_range_scan(self):
+        # every b_set of the first two checks, the double-max step of a
+        # 1-extremal chain with k = 3..5 and its reflexion, against the scan
+        # of (2a, 4a] with a rank test per x
+        b_sets = []
+        for k in (3, 4, 5):
+            for chain in chains.enumerate_chains(k):
+                if is_1_extremal(chain.set):
+                    b_set = adjoin_double_max(chain.set)
+                    b_sets += [b_set, reflexion(b_set)]
+        survivors = 0
+        for b_set in b_sets:
+            want = [
+                x
+                for x in range(b_set.max + 1, 2 * b_set.max + 1)
+                if is_one_dimensional(b_set.adjoin(x)) and is_1_extremal(b_set.adjoin(x))
+            ]
+            assert search._extremal_right_extensions(b_set, 1, True) == want, b_set
+            survivors += len(want)
+        assert (len(b_sets), survivors) == (20, 41)
+
     def test_expected_outcomes(self):
         names = [
             "right extensions of the double-max step",
