@@ -1,10 +1,11 @@
 /* Compiled kernel: the hot primitives behind the search sweeps, built by
  * setup.py with any C compiler. Mirrors _kernel_py, the reference, function
  * for function, with identical results down to list and dict key order.
- * The slice walk keeps one level (gcd, element mask, sumset mask) per
- * interior depth, so a leaf costs one shifted OR and a popcount, and it
- * walks only the interiors with e[1] + e[k-2] <= m: the reflexion
- * x -> m - x covers the rest (see Slice below).
+ * The one slice walk, scan_slice, keeps one level (gcd, element mask,
+ * sumset mask) per interior depth, so a leaf costs one shifted OR and a
+ * popcount, and it walks only the interiors with e[1] + e[k-2] <= m: the
+ * reflexion x -> m - x covers the rest (see Slice below). It keeps every
+ * one-dimensional set, or one per doubling for the sweep's table (see scan).
  * right_extensions lists the one-element right extensions of one set with
  * their doublings and overlaps, so a sweep makes one call per set, and
  * chain_children the canonical out-of-hull children of one normal set with
@@ -14,10 +15,10 @@
  * runs no rank test: the chain levels grow from {0, 1, 2}, and every child
  * of a one-dimensional parent is one-dimensional (y in 2A - A gives a
  * relation y + a = b + c with y-coefficient 1, independent of A's relations).
- * Both slice walks (sweep_slice, collect_slice) release the GIL while they
- * walk, so callers can run slices on threads: the walk touches no Python
- * object, and collect_slice builds its tuples after taking the GIL back.
- * Every rank test (lambda_rank, is_one_dimensional, both slice walks) is
+ * scan_slice releases the GIL while it walks, so callers can run slices on
+ * threads: the walk touches no Python object, and the tuples are built after
+ * taking the GIL back.
+ * Every rank test (lambda_rank, is_one_dimensional, the slice walk) is
  * relation_rank, which eliminates over F_p, p = 2^31 - 1, by
  * cross-multiplication, with no division. It gives the rank over Q that
  * the pure twin computes by Bareiss elimination, capped at k - 2, on every
@@ -368,9 +369,8 @@ static void slice_level(Slice *s, int i)
     shift_or(s->sums[i], s->mask[i], s->mw, x);
 }
 
-/* Checks k and m and sets up the first interior and its levels; 0 means the
- * slice is empty, -1 that an exception is set. */
-static int slice_start(Slice *s, int k, int m, const char *what)
+/* Checks k and m as every slice walk takes them; -1 with an exception set. */
+static int slice_check(int k, int m, const char *what)
 {
     if (k < 3) {
         PyErr_Format(PyExc_ValueError, "%s requires k >= 3", what);
@@ -381,6 +381,13 @@ static int slice_start(Slice *s, int k, int m, const char *what)
                      MAXK, MAX_M);
         return -1;
     }
+    return 0;
+}
+
+/* Sets up the first interior of a checked slice and its levels; 0 means the
+ * slice is empty. */
+static int slice_start(Slice *s, int k, int m)
+{
     if (m - 1 < k - 2)
         return 0;
     *s = (Slice){.k = k, .r = k - 2, .m = m, .mw = m / 64 + 1, .aw = m / 32 + 1};
@@ -433,37 +440,6 @@ static int slice_doubling(const Slice *s)
     return total;
 }
 
-static PyObject *sweep_slice(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"k", "m", "t_max", NULL};
-    int k, m;
-    Py_ssize_t t_max;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iin:sweep_slice", kwlist, &k, &m, &t_max))
-        return NULL;
-    Slice s;
-    int started = slice_start(&s, k, m, "sweep_slice");
-    if (started < 0)
-        return NULL;
-    char realized[MAXPAIRS + 1] = {0};
-    if (started && t_max >= 0) {
-        Py_BEGIN_ALLOW_THREADS
-        do {
-            int t = slice_doubling(&s);
-            if (t >= 0 && t <= t_max && !realized[t] && relation_rank(s.e, k) == k - 2)
-                realized[t] = 1;
-        } while (slice_advance(&s));
-        Py_END_ALLOW_THREADS
-    }
-    PyObject *out = PyList_New(0);
-    for (int t = 0; out != NULL && t <= MAXPAIRS; t++) {
-        PyObject *v = realized[t] ? PyLong_FromLong(t) : NULL;
-        if (realized[t] && (v == NULL || PyList_Append(out, v) < 0))
-            Py_CLEAR(out);
-        Py_XDECREF(v);
-    }
-    return out;
-}
-
 /* A new tuple of the ints e[0..n-1], or NULL with an exception set. */
 static PyObject *int_tuple(const i64 *e, Py_ssize_t n)
 {
@@ -494,17 +470,16 @@ static int append_set(PyObject *sets, int k, int m, const unsigned short *interi
     return rc;
 }
 
-/* The hits of a collect_slice walk, recorded without the GIL: k shorts per
- * hit, the doubling t, a mirror flag (the mirror set belongs to the slice
- * too) and the interior e[1..k-2]. The raw allocators need no GIL. */
+/* The hits of a scan, recorded without the GIL: k - 1 shorts per hit, the
+ * doubling t and the interior e[1..k-2]. The raw allocators need no GIL. */
 typedef struct {
     unsigned short *data;
     Py_ssize_t used, cap; /* in shorts */
 } Hits;
 
-static int hits_add(Hits *h, const Slice *s, int t, int mirror)
+static int hits_add(Hits *h, const Slice *s, int t)
 {
-    if (h->used + s->k > h->cap) {
+    if (h->used + s->k - 1 > h->cap) {
         Py_ssize_t cap = h->cap ? 2 * h->cap : 64 * s->k;
         unsigned short *data = PyMem_RawRealloc(h->data, cap * sizeof(unsigned short));
         if (data == NULL)
@@ -514,94 +489,113 @@ static int hits_add(Hits *h, const Slice *s, int t, int mirror)
     }
     unsigned short *rec = h->data + h->used;
     rec[0] = (unsigned short)t;
-    rec[1] = (unsigned short)mirror;
     for (int i = 1; i <= s->r; i++)
-        rec[i + 1] = (unsigned short)s->e[i];
-    h->used += s->k;
+        rec[i] = (unsigned short)s->e[i];
+    h->used += s->k - 1;
     return 0;
 }
 
-static PyObject *collect_slice(PyObject *self, PyObject *args, PyObject *kwargs)
+/* The one slice walk: {t: sorted sets} in ascending t over the normal
+ * one-dimensional k-sets with max m whose doubling t has want[t] set, for a
+ * slice that passed slice_check. With every, a hit with e[1] + e[k-2] < m
+ * also adds its mirror; without, the first hit per t is kept and t is not
+ * rank tested again. The walk runs without the GIL. */
+static PyObject *scan(int k, int m, char *want, int every)
 {
-    static char *kwlist[] = {"k", "m", "ts", NULL};
-    int k, m;
-    PyObject *ts;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiO:collect_slice", kwlist, &k, &m, &ts))
-        return NULL;
     Slice s;
-    int started = slice_start(&s, k, m, "collect_slice");
-    if (started < 0)
-        return NULL;
-    /* out is keyed by sorted(set(ts)), as in _kernel_py; group[t] is the
-     * list (borrowed) that a set of doubling t joins, NULL if t is unwanted */
-    PyObject *keys = NULL, *out = PyDict_New(), *group[MAXPAIRS + 1] = {NULL}, *sets;
-    PyObject *wanted = out == NULL ? NULL : PySet_New(ts);
-    char want[MAXPAIRS + 1];
     Hits hits = {NULL, 0, 0};
+    PyObject *out = NULL, *group[MAXPAIRS + 1] = {NULL};
     Py_ssize_t i;
-    int no_memory = 0;
-    if (wanted == NULL || (keys = PySequence_List(wanted)) == NULL || PyList_Sort(keys) < 0)
-        goto fail;
-    for (i = 0; i < PyList_GET_SIZE(keys); i++) {
-        sets = PyList_New(0);
-        int rc = sets == NULL ? -1 : PyDict_SetItem(out, PyList_GET_ITEM(keys, i), sets);
-        Py_XDECREF(sets);
-        if (rc < 0)
-            goto fail;
-    }
-    for (int t = 0; t <= MAXPAIRS; t++) {
-        PyObject *t_obj = PyLong_FromLong(t);
-        if (t_obj == NULL)
-            goto fail;
-        group[t] = PyDict_GetItemWithError(out, t_obj);
-        Py_DECREF(t_obj);
-        if (group[t] == NULL && PyErr_Occurred())
-            goto fail;
-        want[t] = group[t] != NULL;
-    }
-    if (started) {
+    int t, no_memory = 0;
+    if (memchr(want, 1, MAXPAIRS + 1) != NULL && slice_start(&s, k, m)) {
         Py_BEGIN_ALLOW_THREADS
         do {
-            int t = slice_doubling(&s);
+            t = slice_doubling(&s);
             if (t < 0 || !want[t] || relation_rank(s.e, k) != k - 2)
                 continue;
-            if (hits_add(&hits, &s, t, s.e[1] + s.e[k - 2] < m) < 0) {
+            if (hits_add(&hits, &s, t) < 0) {
                 no_memory = 1;
                 break;
             }
+            if (!every)
+                want[t] = 0;
         } while (slice_advance(&s));
         Py_END_ALLOW_THREADS
     }
     if (no_memory) {
         PyErr_NoMemory();
-        goto fail;
+        goto done;
     }
-    for (i = 0; i < hits.used; i += k) {
+    for (i = 0; i < hits.used; i += k - 1) {
         const unsigned short *rec = hits.data + i;
-        if (append_set(group[rec[0]], k, m, rec + 2, 0) < 0
-            || (rec[1] && append_set(group[rec[0]], k, m, rec + 2, 1) < 0))
-            goto fail;
+        PyObject **sets = &group[rec[0]];
+        if ((*sets == NULL && (*sets = PyList_New(0)) == NULL)
+            || append_set(*sets, k, m, rec + 1, 0) < 0
+            || (every && rec[1] + rec[k - 2] < m && append_set(*sets, k, m, rec + 1, 1) < 0))
+            goto done;
     }
-    /* drop the groups that stayed empty; sort the others, whose mirrors
-     * joined them out of order */
-    for (i = 0; i < PyList_GET_SIZE(keys); i++) {
-        PyObject *key = PyList_GET_ITEM(keys, i);
-        sets = PyDict_GetItemWithError(out, key);
-        if (sets == NULL)
-            goto fail;
-        if (PyList_GET_SIZE(sets) == 0 ? PyDict_DelItem(out, key) < 0 : PyList_Sort(sets) < 0)
-            goto fail;
+    if ((out = PyDict_New()) == NULL)
+        goto done;
+    for (t = 0; t <= MAXPAIRS; t++) {
+        if (group[t] == NULL)
+            continue;
+        /* mirrors joined their groups out of order */
+        PyObject *key = PyList_Sort(group[t]) < 0 ? NULL : PyLong_FromLong(t);
+        int rc = key == NULL ? -1 : PyDict_SetItem(out, key, group[t]);
+        Py_XDECREF(key);
+        if (rc < 0) {
+            Py_CLEAR(out);
+            break;
+        }
     }
+done:
+    for (t = 0; t <= MAXPAIRS; t++)
+        Py_XDECREF(group[t]);
     PyMem_RawFree(hits.data);
-    Py_DECREF(wanted);
-    Py_DECREF(keys);
     return out;
-fail:
-    PyMem_RawFree(hits.data);
-    Py_XDECREF(out);
-    Py_XDECREF(wanted);
-    Py_XDECREF(keys);
-    return NULL;
+}
+
+static PyObject *scan_slice(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"k", "m", "ts", "every", NULL};
+    int k, m, every;
+    PyObject *ts, *iter, *item;
+    char want[MAXPAIRS + 1] = {0};
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOp:scan_slice", kwlist, &k, &m, &ts,
+                                     &every)
+        || slice_check(k, m, "scan_slice") < 0 || (iter = PyObject_GetIter(ts)) == NULL)
+        return NULL;
+    /* a non-integer t raises TypeError, as operator.index does on the pure
+     * path; a t outside 0..MAXPAIRS (clipped, when huge) is no doubling */
+    while ((item = PyIter_Next(iter)) != NULL) {
+        Py_ssize_t t = PyNumber_AsSsize_t(item, NULL);
+        Py_DECREF(item);
+        if (t == -1 && PyErr_Occurred())
+            break;
+        if (t >= 0 && t <= MAXPAIRS)
+            want[t] = 1;
+    }
+    Py_DECREF(iter);
+    return PyErr_Occurred() ? NULL : scan(k, m, want, every);
+}
+
+/* The keys of scan_slice(k, m, range(t_max + 1), False): the entry point of
+ * the benchmark's kernel probe, which goes when the probe calls scan_slice
+ * (ROADMAP item 1). */
+static PyObject *sweep_slice(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"k", "m", "t_max", NULL};
+    int k, m;
+    Py_ssize_t t_max;
+    char want[MAXPAIRS + 1] = {0};
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iin:sweep_slice", kwlist, &k, &m, &t_max)
+        || slice_check(k, m, "sweep_slice") < 0)
+        return NULL;
+    for (Py_ssize_t t = 0; t <= t_max && t <= MAXPAIRS; t++)
+        want[t] = 1;
+    PyObject *found = scan(k, m, want, 0), *keys = found == NULL ? NULL : PyDict_Keys(found);
+    Py_XDECREF(found);
+    return keys;
 }
 
 /* The popcount of two AND (mask << x) for a mask of mw words and x >= 0;
@@ -762,10 +756,10 @@ static PyMethodDef kernel_methods[] = {
      "(x, |2(A | {x})|, |2A & (x + A)|) for every x > max A in 2A - A, ascending."},
     {"chain_children", (PyCFunction)(void (*)(void))chain_children, METH_VARARGS | METH_KEYWORDS,
      "(canon, |2 canon|) for every y in 2A - A outside the hull of a normal set A, ascending."},
+    {"scan_slice", (PyCFunction)(void (*)(void))scan_slice, METH_VARARGS | METH_KEYWORDS,
+     "The normal one-dimensional k-sets with max m and doubling in ts: all, or one per t."},
     {"sweep_slice", (PyCFunction)(void (*)(void))sweep_slice, METH_VARARGS | METH_KEYWORDS,
      "Sorted doublings <= t_max of the normal one-dimensional k-sets with max m."},
-    {"collect_slice", (PyCFunction)(void (*)(void))collect_slice, METH_VARARGS | METH_KEYWORDS,
-     "The normal one-dimensional k-sets with max m and doubling in ts, by doubling."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -11,10 +11,10 @@ Both walk a slice (the normal k-sets with maximum m) the same way:
   the levels from j on, and each set adds only its last interior element to
   the level above it.
 - Mirror half. The reflexion x -> m - x maps the slice onto itself and keeps
-  gcd, doubling and relation rank, so sweep_slice and collect_slice walk only
-  the interiors with e[1] + e[-2] <= m. collect_slice adds the mirror of each
-  hit whose sum is < m (a sum of m has its mirror walked itself) and sorts
-  each group, so its output stays in lexicographic order.
+  gcd, doubling and relation rank, so scan_slice walks only the interiors
+  with e[1] + e[-2] <= m. Keeping every set, it adds the mirror of each hit
+  whose sum is < m (a sum of m has its mirror walked itself) and sorts each
+  group, so its output stays in lexicographic order.
 
 right_extensions serves the extension sweep one call per set: every
 x > max A in 2A - A with the doubling of A ∪ {x} and the overlap
@@ -237,31 +237,32 @@ def normal_tuples(k: int, m: int):
             e[i] = e[i - 1] + 1
 
 
-def sweep_slice(k: int, m: int, t_max: int) -> list[int]:
-    """Doubling values T <= t_max realized by some normal-form (gcd 1)
-    one-dimensional k-set with min 0 and max m. Sorted ascending."""
+def scan_slice(k: int, m: int, ts, every: bool) -> dict[int, list[tuple[int, ...]]]:
+    """The normal-form one-dimensional k-sets with max m whose doubling is in
+    ts, as {doubling: sets in lexicographic order} in ascending doubling:
+    every such set when every is true, else the first one the half walk
+    finds, after which that doubling is not rank tested again."""
+    k, m = operator.index(k), operator.index(m)
     if k < 3:
-        raise ValueError("sweep_slice requires k >= 3")
-    t_max = operator.index(t_max)
-    realized: set[int] = set()
-    for elems, t in normal_tuples(k, m):
-        if t <= t_max and t not in realized and is_one_dimensional(elems):
-            realized.add(t)
-    return sorted(realized)
-
-
-def collect_slice(k: int, m: int, ts) -> dict[int, list[tuple[int, ...]]]:
-    """All normal-form one-dimensional k-sets with max m whose doubling is in
-    ts, grouped by doubling, in lexicographic order."""
-    if k < 3:
-        raise ValueError("collect_slice requires k >= 3")
-    wanted = set(ts)
-    out: dict[int, list[tuple[int, ...]]] = {t: [] for t in sorted(wanted)}
+        raise ValueError("scan_slice requires k >= 3")
+    wanted = set(map(operator.index, ts))
+    found: dict[int, list[tuple[int, ...]]] = {}
+    if not wanted:
+        return found
     for elems, t in normal_tuples(k, m):
         if t in wanted and is_one_dimensional(elems):
-            out[t].append(elems)
-            if elems[1] + elems[-2] < m:
-                out[t].append(tuple(m - x for x in reversed(elems)))
-    for sets in out.values():
-        sets.sort()
-    return {t: sets for t, sets in out.items() if sets}
+            sets = found.setdefault(t, [])
+            sets.append(elems)
+            if not every:
+                wanted.discard(t)
+            elif elems[1] + elems[-2] < m:
+                sets.append(tuple(m - x for x in reversed(elems)))
+    return {t: sorted(found[t]) for t in sorted(found)}
+
+
+def sweep_slice(k: int, m: int, t_max: int) -> list[int]:
+    """The doublings <= t_max of scan_slice(k, m, ..., False), ascending: the
+    benchmark probe's entry, which goes when the probe calls scan_slice
+    (ROADMAP item 1). No doubling of a k-set exceeds C(k + 1, 2)."""
+    top = min(operator.index(t_max), k * (k + 1) // 2)
+    return list(scan_slice(k, m, range(top + 1), False))

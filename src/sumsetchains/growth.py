@@ -43,10 +43,6 @@ class GrowthStep(NamedTuple):
     def as_dict(self) -> dict:
         return {"variant": self.variant.value, "x": self.x}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GrowthStep":
-        return cls(variant=GrowthVariant(d["variant"]), x=d.get("x"))
-
 
 def adjoin_double_max(a: IntSet) -> IntSet:
     """A ∪ {2 max(A)}; needs normal form and |A| >= 2."""

@@ -22,7 +22,7 @@ MAX_ABS_ELEMENT = 1 << 60
 class IntSet:
     """Immutable finite set of integers, kept sorted."""
 
-    __slots__ = ("elements", "_mask")
+    __slots__ = ("elements",)
 
     elements: tuple[int, ...]
 
@@ -39,7 +39,6 @@ class IntSet:
                     "doubled values stay machine-representable"
                 )
         object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_mask", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntSet is immutable")
@@ -85,13 +84,10 @@ class IntSet:
 
     def mask(self) -> int:
         """Bitmask of the set relative to its minimum."""
-        m = object.__getattribute__(self, "_mask")
-        if m is None:
-            base = self.min
-            m = 0
-            for e in self.elements:
-                m |= 1 << (e - base)
-            object.__setattr__(self, "_mask", m)
+        base = self.min
+        m = 0
+        for e in self.elements:
+            m |= 1 << (e - base)
         return m
 
     # ------------------------------------------------------------------

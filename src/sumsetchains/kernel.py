@@ -3,6 +3,7 @@ pure-Python twin otherwise (with a warning)."""
 
 from __future__ import annotations
 
+import operator
 import warnings
 
 from . import _kernel_py as _py
@@ -24,7 +25,8 @@ def _call(name, *args):
     # The compiled kernel raises OverflowError past the limits it states
     # (element magnitude, rank size, slice maximum, and the doubling,
     # extension and chain spans of 2**20); the pure twin takes any size, so
-    # such input goes there.
+    # such input goes there. scan_slice checks k and m before it reads ts,
+    # so a one-shot iterator reaches the pure twin whole.
     if _c is not None:
         try:
             return getattr(_c, name)(*args)
@@ -48,12 +50,18 @@ def is_one_dimensional(elements):
     return _call("is_one_dimensional", elements)
 
 
+def scan_slice(k, m, ts, every):
+    return _call("scan_slice", k, m, ts, every)
+
+
+# no doubling of a k-set exceeds C(k + 1, 2), so the wanted range stops there
 def sweep_slice(k, m, t_max):
-    return _call("sweep_slice", k, m, t_max)
+    top = min(operator.index(t_max), k * (k + 1) // 2)
+    return list(scan_slice(k, m, range(top + 1), False))
 
 
 def collect_slice(k, m, ts):
-    return _call("collect_slice", k, m, ts)
+    return scan_slice(k, m, ts, True)
 
 
 def right_extensions(elements):

@@ -130,8 +130,12 @@ def test_compiled_slices_match_pure(compiled_kernel):
         for t_max in (-1, 0, t_cap - 3, t_cap, 10**9):
             assert_same(compiled_kernel, "sweep_slice", k, m, t_max)
         ts = tuple(pure.sweep_slice(k, m, t_cap))
-        for wanted in (ts, ts[::-1], ts[:1], (), (t_cap + 5, -1) + ts, [3.0, *ts]):
-            assert_same(compiled_kernel, "collect_slice", k, m, wanted)
+        for wanted in (ts, ts[::-1], ts[:1], (), (t_cap + 5, -1) + ts):
+            for every in (True, False):
+                assert_same(compiled_kernel, "scan_slice", k, m, wanted, every)
+        for backend in (pure, compiled_kernel):
+            with pytest.raises(TypeError):
+                backend.scan_slice(k, m, [3.0, *ts], True)
 
 
 def test_compiled_slices_match_pure_at_k7(compiled_kernel):
@@ -139,15 +143,15 @@ def test_compiled_slices_match_pure_at_k7(compiled_kernel):
     for m in (6, 11, 17, 23, 32):
         assert_same(compiled_kernel, "sweep_slice", 7, m, 23)
         ts = range(13, 24)
-        assert_same(compiled_kernel, "collect_slice", 7, m, ts)
+        assert_same(compiled_kernel, "scan_slice", 7, m, ts, True)
 
 
 def test_compiled_slice_walks_run_on_threads(compiled_kernel):
-    # both walks release the GIL: four threads at once, more than the cores,
+    # the walk releases the GIL: four threads at once, more than the cores,
     # under a short switch interval, each running every k = 7 slice in its
     # own order, must get what serial calls get, order included
     jobs = [("sweep_slice", 7, m, 23) for m in range(6, 34)]
-    jobs += [("collect_slice", 7, m, range(13, 24)) for m in range(6, 34)]
+    jobs += [("scan_slice", 7, m, range(13, 24), True) for m in range(6, 34)]
 
     def run(job):
         got = getattr(compiled_kernel, job[0])(*job[1:])
@@ -181,8 +185,8 @@ def test_compiled_slice_walks_run_on_threads(compiled_kernel):
 
 
 def reference_collect(k, m, ts):
-    """collect_slice from first principles, sharing no walker with the
-    kernels: every interior from itertools.combinations, the pure
+    """scan_slice(k, m, ts, True) from first principles, sharing no walker
+    with the kernels: every interior from itertools.combinations, the pure
     doubling_size and is_one_dimensional, groups keyed by sorted doubling."""
     out = {}
     for inner in itertools.combinations(range(1, m), k - 2):
@@ -212,12 +216,18 @@ HALF_WALK_SLICES = (
 def test_slices_match_a_walk_free_reference(twin, k, m):
     every_t = range(k * (k + 1) // 2 + 1)
     want = reference_collect(k, m, every_t)
-    got = twin.collect_slice(k, m, every_t)
+    got = twin.scan_slice(k, m, every_t, True)
     assert got == want and list(got) == list(want)
     for t_max in (2 * k - 2, 2 * k, k * (k - 1) // 2 + 2):
         assert twin.sweep_slice(k, m, t_max) == [t for t in want if t <= t_max]
     picked = list(want)[1::2]
-    assert twin.collect_slice(k, m, picked) == {t: want[t] for t in picked}
+    assert twin.scan_slice(k, m, picked, True) == {t: want[t] for t in picked}
+    # one set per doubling: the lexicographically first on the walked half
+    # e[1] + e[-2] <= m, which holds each set or its mirror
+    first = {t: [next(s for s in sets if s[1] + s[-2] <= m)] for t, sets in want.items()}
+    got = twin.scan_slice(k, m, every_t, False)
+    assert got == first and list(got) == list(first)
+    assert twin.scan_slice(k, m, picked, False) == {t: first[t] for t in picked}
 
 
 def test_the_reference_slices_hold_mirror_pairs_and_palindromes():
@@ -276,7 +286,7 @@ def test_compiled_right_extensions_match_pure_on_the_k7_slices(compiled_kernel):
     every_t = range(13, 24)
     count = 0
     for m in range(6, 33):
-        for sets in compiled_kernel.collect_slice(7, m, every_t).values():
+        for sets in compiled_kernel.scan_slice(7, m, every_t, True).values():
             for elems in sets:
                 assert_same(compiled_kernel, "right_extensions", elems)
                 count += 1
@@ -591,7 +601,8 @@ def test_every_compiled_primitive_has_a_pure_twin_and_a_wrapper(compiled_kernel)
         for name in dir(compiled_kernel)
         if not name.startswith("_") and callable(getattr(compiled_kernel, name))
     ]
-    assert "chain_children" in names
+    assert "chain_children" in names and "scan_slice" in names
+    assert "collect_slice" not in names
     for name in names:
         assert callable(getattr(pure, name, None)), f"{name} has no pure twin"
         wrapper = getattr(kernel, name, None)
@@ -610,7 +621,7 @@ def test_slice_functions_agree():
         t_cap = k * (k + 1) // 2
         assert kernel.sweep_slice(k, m, t_cap) == pure.sweep_slice(k, m, t_cap)
         ts = tuple(pure.sweep_slice(k, m, t_cap))
-        assert kernel.collect_slice(k, m, ts) == pure.collect_slice(k, m, ts)
+        assert kernel.collect_slice(k, m, ts) == pure.scan_slice(k, m, ts, True)
 
 
 def test_sweep_slice_reports_realized_doublings():
@@ -640,7 +651,7 @@ def test_compiled_refuses_input_past_its_caps(compiled_kernel):
     with pytest.raises(OverflowError):
         compiled_kernel.sweep_slice(3, 512, 6)
     with pytest.raises(OverflowError):
-        compiled_kernel.collect_slice(13, 20, (20,))
+        compiled_kernel.scan_slice(13, 20, (20,), True)
     with pytest.raises(OverflowError):
         compiled_kernel.doubling_size((0, (1 << 20) + 1))
     with pytest.raises(OverflowError):
@@ -660,12 +671,13 @@ def test_facade_straddles_the_caps(compiled_facade):
         t_cap = k * (k + 1) // 2
         ts = pure.sweep_slice(k, k + 1, t_cap)
         assert ts and compiled_facade.sweep_slice(k, k + 1, t_cap) == ts
-        assert compiled_facade.collect_slice(k, k + 1, ts) == pure.collect_slice(k, k + 1, ts)
+        assert compiled_facade.collect_slice(k, k + 1, ts) == pure.scan_slice(k, k + 1, ts, True)
     # m = 511 runs compiled, m = 512 pure
     for m in (511, 512):
         assert compiled_facade.sweep_slice(3, m, 6) == pure.sweep_slice(3, m, 6)
+        # an iterator ts reaches the pure twin whole past the cap
         ts = range(7)
-        assert compiled_facade.collect_slice(3, m, ts) == pure.collect_slice(3, m, ts)
+        assert compiled_facade.collect_slice(3, m, iter(ts)) == pure.scan_slice(3, m, ts, True)
     # doubling span 2**20 runs compiled, 2**20 + 1 pure
     for span in (1 << 20, (1 << 20) + 1):
         for elems in [(0, span), (0, 1, span // 2, span), (-5, 3, span - 5)]:
@@ -690,11 +702,13 @@ def test_facade_straddles_the_caps(compiled_facade):
         ("is_one_dimensional", ((0, 1.5, 3),)),
         ("sweep_slice", (4, 5, 10.5)),
         ("sweep_slice", (4, 5.0, 10)),
-        ("collect_slice", (4, 5.0, (9,))),
+        ("scan_slice", (4, 5.0, (9,), True)),
         ("right_extensions", ((0, 1.5, 3),)),
         ("right_extensions", ((0.0, 1, 3),)),
         ("chain_children", ((0, 1.5, 3), 10)),
         ("chain_children", ((0, 1, 3), 10.5)),
+        ("scan_slice", (4, 5, ("a",), True)),
+        ("scan_slice", (4, 5, (9.0,), False)),
     ],
 )
 def test_non_integers_raise_type_error_on_both_backends(compiled_kernel, name, args):
