@@ -1,11 +1,14 @@
 /* Compiled kernel: the hot primitives behind the search sweeps, built by
  * setup.py with any C compiler. Mirrors _kernel_py, the reference, function
  * for function, with identical results down to list and dict key order.
- * The one slice walk, scan_slice, keeps one level (gcd, element mask,
- * sumset mask) per interior depth, so a leaf costs one shifted OR and a
- * popcount, and it walks only the interiors with e[1] + e[k-2] <= m: the
- * reflexion x -> m - x covers the rest (see Slice below). It keeps every
- * one-dimensional set, or one per doubling for the sweep's table (see scan).
+ * The one slice walk, scan_slice, keeps one level (gcd, element mask, sumset
+ * mask, repeated-sum mask) per interior depth up to the prefix, the set less
+ * its last interior element, and it walks only the interiors with
+ * e[1] + e[k-2] <= m: the reflexion x -> m - x covers the rest (see Slice
+ * below). One loop per prefix runs every last element x and reads |2A| off
+ * the prefix's words in place, a shifted AND and a popcount per word. It
+ * keeps every one-dimensional set, or one per doubling for the sweep's table
+ * (see scan).
  * right_extensions lists the one-element right extensions of one set with
  * their doublings and overlaps, so a sweep makes one call per set, and
  * chain_children the canonical out-of-hull children of one normal set with
@@ -26,6 +29,19 @@
  * sqrt(8), so by Hadamard's bound every r x r minor with r <= k - 2 <= 10 is
  * at most 8^5 = 32,768 < p in absolute value and cannot vanish mod p unless
  * it is 0 (see relation_rank).
+ * The slice walk rank-tests a leaf only when its doubling is wanted and every
+ * element lies in a pair with a repeated sum, a sum that two distinct pairs
+ * (i <= j) reach. That drops no one-dimensional set: each relation row is the
+ * difference of two distinct pairs with the same sum, so an element a_j in no
+ * such pair has coefficient 0 in every row. The rows then lie in
+ * {v : sum v = 0, sum a v = 0, v_j = 0}, of dimension k - 3, as 1, a and e_j
+ * are independent for k >= 3 distinct elements, and the rank is below k - 2.
+ * Popcount: the slice walk is built as target_clones("popcnt", "default")
+ * where the compiler has that attribute on x86-64 ELF with glibc, whose ifunc
+ * lets the dynamic loader pick the popcnt clone on a CPU that has the
+ * instruction; GCC compiles the portable popcount to popcnt in that clone.
+ * Every other build, and the default clone, keeps the portable count, and
+ * setup.py passes no instruction-set flag.
  * Limits: elements with |e| <= 2^60 (the IntSet range), at most 12 elements
  * for rank work (the prime bound above), slice maxima m <= 511, and spans
  * <= 2^20 for doubling_size, right_extensions and chain_children. Past a
@@ -46,7 +62,8 @@ typedef unsigned long long u64;
 #define SLICE_MASK_WORDS ((MAX_M + 1 + 63) / 64)
 #define SLICE_ACC_WORDS ((2 * MAX_M + 1 + 63) / 64)
 
-/* portable bit count: no compiler builtin, no instruction-set flag */
+/* portable bit count; the slice walk's popcnt clone runs it as the popcnt
+ * instruction (see the header) */
 static int popcount(u64 x)
 {
     x = x - ((x >> 1) & 0x5555555555555555ULL);
@@ -137,6 +154,20 @@ static void shift_or(u64 *acc, const u64 *mask, Py_ssize_t mw, i64 x)
         if (bit)
             acc[w + base + 1] |= mask[w] >> (64 - bit);
     }
+}
+
+/* The popcount of two AND (mask << x) for a mask of mw words and x >= 0;
+ * two needs mw + x / 64 + 1 words. */
+static inline int shifted_overlap(const u64 *two, const u64 *mask, Py_ssize_t mw, i64 x)
+{
+    Py_ssize_t base = (Py_ssize_t)(x >> 6);
+    int bit = (int)(x & 63), total = 0;
+    for (Py_ssize_t w = 0; w < mw; w++) {
+        total += popcount(two[w + base] & (mask[w] << bit));
+        if (bit)
+            total += popcount(two[w + base + 1] & (mask[w] >> (64 - bit)));
+    }
+    return total;
 }
 
 /* The masks of A and 2A for offsets off[0..k-1] in [0, 64 * mw), in one
@@ -333,10 +364,15 @@ static i64 gcd(i64 a, i64 b)
  * interiors in lexicographic order, with bitsets sized from m: mw =
  * ceil((m + 1) / 64) mask words, aw = ceil((2m + 1) / 64) sumset words.
  *
- * Levels: level i (0 <= i < r) holds the gcd, the element mask and the
- * sumset mask of {0, m, e[1..i]}; level 0 is {0, m}. A change at position j
- * rebuilds the levels from j on, and a leaf only adds e[r] to level r - 1:
- * one shifted OR and a popcount.
+ * Levels: level i (0 <= i < r) holds the gcd, the element mask M, the sumset
+ * mask S and the mask D of repeated sums (sums that two distinct pairs reach)
+ * of {0, m, e[1..i]}; level 0 is {0, m}. A change at position j rebuilds the
+ * levels from j on: D_i = D_{i-1} | ((M_i << e[i]) & S_{i-1}).
+ *
+ * Leaves: a leaf is the prefix (level r - 1) plus a last element x. One loop
+ * per prefix runs every x and reads |2A| = |S| + k - |S & (M << x)|
+ * - [2x in S] off the prefix's words (walk); a leaf whose doubling is wanted
+ * builds level r for the coverage and rank tests (leaf_test).
  *
  * Mirror half: x -> m - x maps the slice onto itself and keeps gcd, doubling
  * and relation rank. The walk takes only the interiors with e[1] + e[r] <= m.
@@ -349,6 +385,7 @@ typedef struct {
     i64 g[MAXK];
     u64 mask[MAXK][SLICE_MASK_WORDS];
     u64 sums[MAXK][SLICE_ACC_WORDS + 1];
+    u64 dup[MAXK][SLICE_ACC_WORDS + 1];
 } Slice;
 
 /* The largest value position j takes in the half walk: e[1] <= (m - r + 1) / 2,
@@ -362,11 +399,16 @@ static i64 slice_limit(const Slice *s, int j)
 static void slice_level(Slice *s, int i)
 {
     i64 x = s->e[i];
+    u64 shifted[SLICE_ACC_WORDS + 1];
     s->g[i] = s->g[i - 1] == 1 ? 1 : gcd(s->g[i - 1], x);
     memcpy(s->mask[i], s->mask[i - 1], s->mw * sizeof(u64));
     s->mask[i][x >> 6] |= 1ULL << (x & 63);
-    memcpy(s->sums[i], s->sums[i - 1], (s->aw + 1) * sizeof(u64));
-    shift_or(s->sums[i], s->mask[i], s->mw, x);
+    memset(shifted, 0, (s->aw + 1) * sizeof(u64));
+    shift_or(shifted, s->mask[i], s->mw, x);
+    for (Py_ssize_t w = 0; w <= s->aw; w++) {
+        s->dup[i][w] = s->dup[i - 1][w] | (shifted[w] & s->sums[i - 1][w]);
+        s->sums[i][w] = s->sums[i - 1][w] | shifted[w];
+    }
 }
 
 /* Checks k and m as every slice walk takes them; -1 with an exception set. */
@@ -384,7 +426,7 @@ static int slice_check(int k, int m, const char *what)
     return 0;
 }
 
-/* Sets up the first interior of a checked slice and its levels; 0 means the
+/* Sets up the first prefix of a checked slice and its levels; 0 means the
  * slice is empty. */
 static int slice_start(Slice *s, int k, int m)
 {
@@ -398,46 +440,28 @@ static int slice_start(Slice *s, int k, int m)
     s->sums[0][0] = 1;
     s->sums[0][m >> 6] |= 1ULL << (m & 63);
     s->sums[0][(2 * m) >> 6] |= 1ULL << ((2 * m) & 63);
-    for (int i = 1; i <= s->r; i++)
+    for (int i = 1; i < s->r; i++) {
         s->e[i] = i;
-    for (int i = 1; i < s->r; i++)
         slice_level(s, i);
+    }
     return 1;
 }
 
-/* The next interior of the half walk, in lexicographic order; 0 when the
- * slice is done. */
+/* The next prefix e[1..r-1] of the half walk, in lexicographic order; 0 when
+ * the slice is done. Every prefix has a leaf: e[r-1] < m - e[1]. */
 static int slice_advance(Slice *s)
 {
-    int r = s->r, j = r;
+    int r = s->r, j = r - 1;
     while (j >= 1 && s->e[j] == slice_limit(s, j))
         j--;
     if (j < 1)
         return 0;
     s->e[j]++;
-    for (int i = j + 1; i <= r; i++)
+    for (int i = j + 1; i < r; i++)
         s->e[i] = s->e[i - 1] + 1;
     for (int i = j; i < r; i++)
         slice_level(s, i);
     return 1;
-}
-
-/* |A + A| of the current set when its gcd is 1, else -1: level r - 1 plus
- * the last interior element x, whose sums are x + {0, m, e[1..r-1]} and 2x. */
-static int slice_doubling(const Slice *s)
-{
-    int r = s->r;
-    i64 x = s->e[r];
-    if (s->g[r - 1] != 1 && gcd(s->g[r - 1], x) != 1)
-        return -1;
-    u64 acc[SLICE_ACC_WORDS + 1];
-    memcpy(acc, s->sums[r - 1], (s->aw + 1) * sizeof(u64));
-    shift_or(acc, s->mask[r - 1], s->mw, x);
-    acc[x >> 5] |= 1ULL << ((2 * x) & 63);
-    int total = 0;
-    for (Py_ssize_t w = 0; w < s->aw; w++)
-        total += popcount(acc[w]);
-    return total;
 }
 
 /* A new tuple of the ints e[0..n-1], or NULL with an exception set. */
@@ -495,6 +519,67 @@ static int hits_add(Hits *h, const Slice *s, int t)
     return 0;
 }
 
+/* A leaf x of the current prefix whose doubling t is wanted: with gcd 1 and
+ * through the coverage and rank tests it goes to hits, and without every, t
+ * is then no longer wanted. -1 when hits cannot grow. */
+static int leaf_test(Slice *s, Hits *hits, char *want, int every, i64 x, int t)
+{
+    const int r = s->r;
+    if (s->g[r - 1] != 1 && gcd(s->g[r - 1], x) != 1)
+        return 0;
+    s->e[r] = x;
+    slice_level(s, r);
+    /* coverage (see the header): (a + A) & D != 0 for every element a */
+    for (int i = 0; i < s->k; i++)
+        if (shifted_overlap(s->dup[r], s->mask[r], s->mw, s->e[i]) == 0)
+            return 0;
+    if (relation_rank(s->e, s->k) != s->k - 2)
+        return 0;
+    if (hits_add(hits, s, t) < 0)
+        return -1;
+    if (!every)
+        want[t] = 0;
+    return 0;
+}
+
+/* The walk from the current prefix on, for mw mask words and aw sumset
+ * words: at each prefix, one loop runs every leaf x = e[r-1] + 1 ..
+ * slice_limit(s, r). -1 when hits cannot grow. */
+static inline int walk(Slice *s, Hits *hits, char *want, int every, Py_ssize_t mw,
+                       Py_ssize_t aw)
+{
+    const int r = s->r;
+    const u64 *mask = s->mask[r - 1], *sums = s->sums[r - 1];
+    do {
+        const i64 top = slice_limit(s, r);
+        int fresh = s->k;
+        for (Py_ssize_t w = 0; w < aw; w++)
+            fresh += popcount(sums[w]);
+        for (i64 x = s->e[r - 1] + 1; x <= top; x++) {
+            int t = fresh - shifted_overlap(sums, mask, mw, x)
+                    - (int)((sums[x >> 5] >> ((2 * x) & 63)) & 1);
+            if (want[t] && leaf_test(s, hits, want, every, x, t) < 0)
+                return -1;
+        }
+    } while (slice_advance(s));
+    return 0;
+}
+
+/* The walk of a started slice, in the popcnt clone where the platform
+ * dispatches one (see the header); the loop gets constant word counts for
+ * m <= 63. */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+__attribute__((target_clones("popcnt", "default")))
+#endif
+#endif
+static int slice_walk(Slice *s, Hits *hits, char *want, int every)
+{
+    if (s->mw == 1)
+        return walk(s, hits, want, every, 1, 2);
+    return walk(s, hits, want, every, s->mw, s->aw);
+}
+
 /* The one slice walk: {t: sorted sets} in ascending t over the normal
  * one-dimensional k-sets with max m whose doubling t has want[t] set, for a
  * slice that passed slice_check. With every, a hit with e[1] + e[k-2] < m
@@ -509,17 +594,7 @@ static PyObject *scan(int k, int m, char *want, int every)
     int t, no_memory = 0;
     if (memchr(want, 1, MAXPAIRS + 1) != NULL && slice_start(&s, k, m)) {
         Py_BEGIN_ALLOW_THREADS
-        do {
-            t = slice_doubling(&s);
-            if (t < 0 || !want[t] || relation_rank(s.e, k) != k - 2)
-                continue;
-            if (hits_add(&hits, &s, t) < 0) {
-                no_memory = 1;
-                break;
-            }
-            if (!every)
-                want[t] = 0;
-        } while (slice_advance(&s));
+        no_memory = slice_walk(&s, &hits, want, every) < 0;
         Py_END_ALLOW_THREADS
     }
     if (no_memory) {
@@ -596,20 +671,6 @@ static PyObject *sweep_slice(PyObject *self, PyObject *args, PyObject *kwargs)
     PyObject *found = scan(k, m, want, 0), *keys = found == NULL ? NULL : PyDict_Keys(found);
     Py_XDECREF(found);
     return keys;
-}
-
-/* The popcount of two AND (mask << x) for a mask of mw words and x >= 0;
- * two needs mw + x / 64 + 1 words. */
-static int shifted_overlap(const u64 *two, const u64 *mask, Py_ssize_t mw, i64 x)
-{
-    Py_ssize_t base = (Py_ssize_t)(x >> 6);
-    int bit = (int)(x & 63), total = 0;
-    for (Py_ssize_t w = 0; w < mw; w++) {
-        total += popcount(two[w + base] & (mask[w] << bit));
-        if (bit)
-            total += popcount(two[w + base + 1] & (mask[w] >> (64 - bit)));
-    }
-    return total;
 }
 
 /* (x, |2(A | {x})|, |2A & (x + A)|) for every x > max A in 2A - A, ascending,

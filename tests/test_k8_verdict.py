@@ -1,4 +1,5 @@
-"""The k = 8 verdicts, pinned by the sha256 of their outputs.
+"""The k = 8 verdicts and the k = 9 slice table to m = 49, pinned by the
+sha256 of their outputs.
 
 ``search --k 8 --force``: every (8, T) class attains mu(8, T) and none
 exceeds it. ``verify --k 8 --force``: the conjecture, chain and uniqueness
@@ -6,9 +7,11 @@ parts pass, and the extension sweep finds 13 sets whose doubling constant
 moves from 6 to 4.
 
 Marked slow and deselected by default: the sweep covers C(72, 7) = 1.5e9
-candidate sets, about 25 s on two cores with the compiled kernel, and the
-extension sweep over its 261,830 sets takes about 30-35 s more. Both tests
-share one forced table, so ``python -m pytest -m slow`` sweeps k = 8 once.
+candidate sets, 6-9 s on two cores with the compiled kernel, and the
+verify run over the filled table takes 5-8 s more. Both tests share one
+forced table, so ``python -m pytest -m slow`` sweeps k = 8 once. The k = 9
+table to m = 49 covers C(49, 8) = 4.5e8 candidates, the bound of the
+classes with T <= 32, in about 2 s on two cores.
 """
 
 import csv
@@ -22,6 +25,9 @@ from sumsetchains.cli import main
 
 K8_CSV_SHA256 = "f1471e7477cb820cdc3efb6e2ef1a8e5ffd5bf393e2e7506244a524ef85f7026"
 K8_VERIFY_SHA256 = "cdbd94ab618a12152a356a4760a8aa8f14c3c7f44e48ae6b8ca3c0c281ea794a"
+# repr(sorted(slices.items())) of the realized doublings per maximum m <= 49 at
+# k = 9
+K9_SLICES_SHA256 = "a1f21fa765472f804c74bdfb618796f0552f3cdef99b1e0b94a071db337af2fe"
 
 # the (set, x) of every extension-sweep violation: (k, T) = (8, 30) sets
 # extended by x = max + 1 with delta_t = 2, so T_x = 32 at k = 9, where c = 4
@@ -80,3 +86,11 @@ def test_k8_verify_verdict_is_pinned(k8_engine, capsys):
     for v in sweep["violations"]:
         assert v["problems"] == ["doubling constant moved from 6 to 4"]
     assert hashlib.sha256(out.encode()).hexdigest() == K8_VERIFY_SHA256
+
+
+@pytest.mark.slow
+def test_k9_slice_table_to_m49_is_pinned(k8_engine):
+    slices = search._realized_slices(9, 49, threads=2, use_cache=False, force=False)
+    assert sorted(slices) == list(range(8, 50))
+    digest = hashlib.sha256(repr(sorted(slices.items())).encode()).hexdigest()
+    assert digest == K9_SLICES_SHA256

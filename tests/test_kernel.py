@@ -1,5 +1,7 @@
 """Kernel facade: compiled and pure paths must agree bit for bit."""
 
+import collections
+import functools
 import itertools
 import math
 import random
@@ -139,8 +141,11 @@ def test_compiled_slices_match_pure(compiled_kernel):
 
 
 def test_compiled_slices_match_pure_at_k7(compiled_kernel):
-    # m = 32 is the first slice whose sumset needs a second accumulator word
-    for m in (6, 11, 17, 23, 32):
+    # m = 32 is the first slice whose sumset needs a second accumulator word;
+    # m = 33 the first with no one-dimensional set, so no doubling stops being
+    # wanted, and the table walk's coverage test rejects 3,654 leaves there
+    # against 1,372 at m = 32
+    for m in (6, 11, 17, 23, 32, 33):
         assert_same(compiled_kernel, "sweep_slice", 7, m, 23)
         ts = range(13, 24)
         assert_same(compiled_kernel, "scan_slice", 7, m, ts, True)
@@ -184,10 +189,12 @@ def test_compiled_slice_walks_run_on_threads(compiled_kernel):
         assert got == expected[shift:] + expected[:shift]
 
 
+@functools.cache
 def reference_collect(k, m, ts):
     """scan_slice(k, m, ts, True) from first principles, sharing no walker
     with the kernels: every interior from itertools.combinations, the pure
-    doubling_size and is_one_dimensional, groups keyed by sorted doubling."""
+    doubling_size and is_one_dimensional, groups keyed by sorted doubling.
+    Cached, as both twins check the same slices: callers must not mutate it."""
     out = {}
     for inner in itertools.combinations(range(1, m), k - 2):
         elems = (0, *inner, m)
@@ -208,6 +215,9 @@ HALF_WALK_SLICES = (
     [(k, m) for k in range(3, 8) for m in range(k - 1, k + 9)]  # every k, small m
     + [(k, k - 1) for k in range(3, 13)]  # one interior tuple, {0, 1, ..., k - 1}
     + [(k, m) for k in (3, 4) for m in (63, 64, 65, 127, 128)]  # word edges
+    # the leaf loop's word counts: 1 mask word up to m = 63, then 2, 3 and 4
+    + [(k, m) for k in (3, 4) for m in (95, 96, 191, 192, 255, 256)]
+    + [(5, 64)]
     + [(3, 511)]  # the compiled kernel's largest m
 )
 
@@ -237,7 +247,7 @@ def test_the_reference_slices_hold_mirror_pairs_and_palindromes():
     for k, m in HALF_WALK_SLICES:
         if math.comb(m - 1, k - 2) > 10_000:
             continue
-        for sets in reference_collect(k, m, range(k * k)).values():
+        for sets in reference_collect(k, m, range(k * (k + 1) // 2 + 1)).values():
             for s in sets:
                 mirror = tuple(m - x for x in reversed(s))
                 if s == mirror:
@@ -247,6 +257,38 @@ def test_the_reference_slices_hold_mirror_pairs_and_palindromes():
                 else:
                     seen["pair off the line"] += 1
     assert all(seen.values()), seen
+
+
+def uncovered_elements(elems):
+    """The elements in no pair (i <= j) whose sum another pair also reaches,
+    from the pair-sum counts alone."""
+    pairs = collections.Counter(a + b for a, b in itertools.combinations_with_replacement(elems, 2))
+    return [a for a in elems if all(pairs[a + b] < 2 for b in elems)]
+
+
+def test_a_set_with_an_uncovered_element_is_not_one_dimensional():
+    # the compiled slice walk rank-tests a leaf only when every element lies
+    # in a pair with a repeated sum; the pure Bareiss rank checks that rule on
+    # every normal k-set with k = 4..7 and max <= 14
+    seen = collections.Counter()
+    for k in range(4, 8):
+        for m in range(k - 1, 15):
+            for inner in itertools.combinations(range(1, m), k - 2):
+                elems = (0, *inner, m)
+                if math.gcd(*elems) != 1:
+                    continue
+                one_dim = pure.is_one_dimensional(elems)
+                covered = not uncovered_elements(elems)
+                assert covered or not one_dim, elems
+                seen[covered, one_dim] += 1
+    assert seen[False, False] and seen[True, False] and seen[True, True], seen
+
+
+@given(st.lists(st.integers(0, 40), min_size=3, max_size=12, unique=True))
+def test_a_small_set_with_an_uncovered_element_is_not_one_dimensional(values):
+    elems = tuple(sorted(values))
+    if uncovered_elements(elems):
+        assert not pure.is_one_dimensional(elems), elems
 
 
 def reference_right_extensions(elements):
