@@ -42,6 +42,11 @@
  * instruction; GCC compiles the portable popcount to popcnt in that clone.
  * Every other build, and the default clone, keeps the portable count, and
  * setup.py passes no instruction-set flag.
+ * Input: doubling_size, lambda_rank, is_one_dimensional, right_extensions
+ * and chain_children take a set, a nonempty, strictly ascending iterable of
+ * ints, which read_set reads for all five. A non-integer raises TypeError,
+ * empty input IndexError and input not strictly ascending ValueError, with
+ * the pure twin's messages.
  * Limits: elements with |e| <= 2^60 (the IntSet range), at most 12 elements
  * for rank work (the prime bound above), slice maxima m <= 511, and spans
  * <= 2^20 for doubling_size, right_extensions and chain_children. Past a
@@ -72,56 +77,33 @@ static int popcount(u64 x)
     return (int)((x * 0x0101010101010101ULL) >> 56);
 }
 
-/* Reads a sequence of ints into out[0..cap-1] through __index__, so a float
- * raises TypeError as on the pure path. Returns the length, or -1 with an
- * exception set (OverflowError naming the function what past cap). */
-static Py_ssize_t read_elements(PyObject *obj, i64 *out, Py_ssize_t cap, const char *what)
-{
-    PyObject *seq = PySequence_Fast(obj, "elements must be a sequence of ints");
-    if (seq == NULL)
-        return -1;
-    Py_ssize_t k = PySequence_Fast_GET_SIZE(seq);
-    if (k > cap) {
-        PyErr_Format(PyExc_OverflowError, "the compiled %s takes at most %zd elements", what, cap);
-        goto fail;
-    }
-    for (Py_ssize_t i = 0; i < k; i++) {
-        PyObject *v = PyNumber_Index(PySequence_Fast_GET_ITEM(seq, i));
-        out[i] = v == NULL ? -1 : PyLong_AsLongLong(v);
-        Py_XDECREF(v);
-        if (out[i] == -1 && PyErr_Occurred())
-            goto fail;
-        if (out[i] > MAX_ABS_ELEMENT || out[i] < -MAX_ABS_ELEMENT) {
-            PyErr_SetString(PyExc_OverflowError,
-                            "the compiled kernel takes elements with |e| <= 2**60");
-            goto fail;
-        }
-    }
-    Py_DECREF(seq);
-    return k;
-fail:
-    Py_DECREF(seq);
-    return -1;
-}
-
-/* Reads a nonempty, strictly ascending sequence of ints, as right_extensions
- * and chain_children take it, into a PyMem array of its *k offsets from the
- * minimum *base, with one slot to spare. Returns NULL with an exception set:
- * IndexError when empty, ValueError when not strictly ascending. */
+/* Reads a set (see Input in the header) through __index__ into a PyMem
+ * array of its *k offsets from the minimum *base, with one slot to spare.
+ * Returns NULL with an exception set: OverflowError for an element past
+ * |e| <= 2^60, else the errors of _kernel_py's _read_set, in its order. */
 static i64 *read_set(PyObject *elements, const char *what, Py_ssize_t *k, i64 *base)
 {
-    /* any iterable of ints, as on the pure path */
-    PyObject *seq = PySequence_Fast(elements, "elements must be a sequence of ints");
+    PyObject *seq = PySequence_Tuple(elements);
     if (seq == NULL)
         return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq), i;
+    Py_ssize_t n = PyTuple_GET_SIZE(seq), i;
     i64 *off = PyMem_Malloc((n + 1) * sizeof(i64));
     if (off == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
-    if ((*k = read_elements(seq, off, n, what)) < 0)
-        goto fail;
+    for (i = 0; i < n; i++) {
+        PyObject *v = PyNumber_Index(PyTuple_GET_ITEM(seq, i));
+        off[i] = v == NULL ? -1 : PyLong_AsLongLong(v);
+        Py_XDECREF(v);
+        if (off[i] == -1 && PyErr_Occurred())
+            goto fail;
+        if (off[i] > MAX_ABS_ELEMENT || off[i] < -MAX_ABS_ELEMENT) {
+            PyErr_SetString(PyExc_OverflowError,
+                            "the compiled kernel takes elements with |e| <= 2**60");
+            goto fail;
+        }
+    }
     if (n == 0) {
         PyErr_Format(PyExc_IndexError, "%s of an empty sequence", what);
         goto fail;
@@ -132,6 +114,7 @@ static i64 *read_set(PyObject *elements, const char *what, Py_ssize_t *k, i64 *b
             goto fail;
         }
     }
+    *k = n;
     *base = off[0];
     for (i = 0; i < n; i++)
         off[i] -= *base;
@@ -197,30 +180,14 @@ static int sumset_masks(const i64 *off, Py_ssize_t k, Py_ssize_t mw, Py_ssize_t 
 
 static PyObject *doubling_size(PyObject *self, PyObject *elements)
 {
-    Py_ssize_t n = PyObject_Length(elements), k, mw;
     PyObject *result = NULL;
+    Py_ssize_t k, mw;
+    i64 base, span, *off = read_set(elements, "doubling_size", &k, &base);
     u64 *words = NULL;
     int total;
-    i64 base, span = 0, *off = n < 0 ? NULL : PyMem_Malloc((n + 1) * sizeof(i64));
     if (off == NULL)
-        return n < 0 ? NULL : PyErr_NoMemory();
-    k = read_elements(elements, off, n, "doubling_size");
-    if (k < 0)
-        goto done;
-    if (k == 0) {
-        PyErr_SetString(PyExc_IndexError, "doubling_size of an empty sequence");
-        goto done;
-    }
-    base = off[0];
-    for (Py_ssize_t i = 0; i < k; i++) {
-        off[i] -= base;
-        if (off[i] < 0) {
-            PyErr_SetString(PyExc_ValueError, "negative shift count");
-            goto done;
-        }
-        if (off[i] > span)
-            span = off[i];
-    }
+        return NULL;
+    span = off[k - 1];
     if (span > MAX_SPAN) {
         PyErr_SetString(PyExc_OverflowError, "the compiled doubling_size takes spans <= 2**20");
         goto done;
@@ -258,18 +225,19 @@ static u64 mod_p(u64 x)
 #define SUM_SLOTS 256
 _Static_assert(2 * MAXPAIRS < SUM_SLOTS && SUM_SLOTS <= 256, "resize the pair-sum table");
 
-/* Rank over Q of the relation rows of e[0..k-1], k <= MAXK, capped at
- * max(k - 2, 1) as in _kernel_py: each pair (i <= j), in order, whose sum an
- * earlier pair had gives the row (latest such pair) - (this pair); a small
- * hash table on the sums finds that pair.
+/* Rank over Q of the relation rows of a set e[0..k-1], k <= MAXK, capped at
+ * k - 2 as in _kernel_py: each pair (i <= j), in order, whose sum an earlier
+ * pair had gives the row (latest such pair) - (this pair); a small hash
+ * table on the sums finds that pair.
  *
  * The elimination runs over F_p by cross-multiplication (row_r = row_r * pivot
  * - row_pivot * f), so no step divides, and it gives the same capped rank:
- * - Each row is u_a + u_b - u_c - u_d (indices may repeat, as in the row
- *   (2, -2) of a repeated element). Its positive and negative parts each
- *   have L1 norm at most 2, so its L2 norm is at most sqrt(8).
+ * - Each row is u_a + u_b - u_c - u_d. The elements are distinct, so an
+ *   index repeats only within a pair, as in the row (2, -1, -1) of
+ *   a + a = b + c. Its positive and negative parts each have L1 norm at
+ *   most 2, so its L2 norm is at most sqrt(8).
  * - By Hadamard's bound every r x r minor is at most 8^(r/2) <= 8^5 =
- *   32,768 < p in absolute value, for r <= max(cap, 1) <= MAXK - 2 = 10.
+ *   32,768 < p in absolute value, for r <= cap <= MAXK - 2 = 10.
  * - The rank mod p never exceeds the rank over Q, as a minor that is nonzero
  *   mod p is nonzero over Q. A nonzero minor of size min(rank over Q, cap)
  *   stays nonzero mod p. So min(rank, cap) is the same over F_p and over Q,
@@ -332,22 +300,36 @@ static int relation_rank(const i64 *e, int k)
     return rank;
 }
 
+/* relation_rank of the offsets read_set reads (the rank does not see a
+ * translation), and the size *k of the set; -1 with an exception set,
+ * OverflowError past MAXK elements. */
+static int set_rank(PyObject *elements, const char *what, Py_ssize_t *k)
+{
+    i64 base, *off = read_set(elements, what, k, &base);
+    int rank = -1;
+    if (off == NULL)
+        return -1;
+    if (*k > MAXK)
+        PyErr_Format(PyExc_OverflowError, "the compiled %s takes at most %d elements", what, MAXK);
+    else
+        rank = relation_rank(off, (int)*k);
+    PyMem_Free(off);
+    return rank;
+}
+
 static PyObject *lambda_rank(PyObject *self, PyObject *elements)
 {
-    i64 e[MAXK];
-    Py_ssize_t k = read_elements(elements, e, MAXK, "lambda_rank");
-    return k < 0 ? NULL : PyLong_FromLong(relation_rank(e, (int)k));
+    Py_ssize_t k;
+    int rank = set_rank(elements, "lambda_rank", &k);
+    return rank < 0 ? NULL : PyLong_FromLong(rank);
 }
 
 static PyObject *is_one_dimensional(PyObject *self, PyObject *elements)
 {
-    i64 e[MAXK];
-    Py_ssize_t k = PyObject_Length(elements);
-    if (k >= 0 && k <= 2)
-        return PyBool_FromLong(k == 2);
-    if (k < 0 || (k = read_elements(elements, e, MAXK, "is_one_dimensional")) < 0)
-        return NULL;
-    return PyBool_FromLong(relation_rank(e, (int)k) == k - 2);
+    Py_ssize_t k;
+    int rank = set_rank(elements, "is_one_dimensional", &k);
+    /* rank 0 for every 1- and 2-set, which have no relation */
+    return rank < 0 ? NULL : PyBool_FromLong(rank == k - 2);
 }
 
 static i64 gcd(i64 a, i64 b)
@@ -810,7 +792,7 @@ done:
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"doubling_size", doubling_size, METH_O, "|A + A| for a sorted tuple of distinct ints."},
+    {"doubling_size", doubling_size, METH_O, "|A + A| for a set A."},
     {"lambda_rank", lambda_rank, METH_O, "Rank of the additive-relation vectors of A."},
     {"is_one_dimensional", is_one_dimensional, METH_O, "Whether lambda_rank(A) is |A| - 2."},
     {"right_extensions", right_extensions, METH_O,

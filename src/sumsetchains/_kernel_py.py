@@ -33,6 +33,11 @@ Both read the pool off the masks of A and 2A that _sumset_masks builds for
 doubling_size too: y + A meets 2A in the overlap, and 2y is a new sum, so
 |2(A ∪ {y})| = |2A| + |A| + 1 - overlap, with no recount. The compiled twin
 takes spans up to 2**20 in all three.
+
+The five set primitives (doubling_size, lambda_rank, is_one_dimensional,
+right_extensions, chain_children) take a set, a nonempty, strictly ascending
+iterable of ints, which _read_set reads with the compiled twin's errors.
+scan_slice's leaves are sets by construction and skip that check.
 """
 
 from __future__ import annotations
@@ -55,22 +60,30 @@ def _sumset_masks(elements: tuple[int, ...]) -> tuple[int, int]:
     return amask, two
 
 
+def _read_set(elements, what: str) -> tuple[int, ...]:
+    """elements, a set, as a tuple of ints read through operator.index:
+    TypeError for a non-integer, IndexError when empty, ValueError when not
+    strictly ascending."""
+    elements = tuple(map(operator.index, elements))
+    if not elements:
+        raise IndexError(f"{what} of an empty sequence")
+    if any(b <= a for a, b in zip(elements, elements[1:])):
+        raise ValueError(f"{what} takes strictly ascending elements")
+    return elements
+
+
 def doubling_size(elements: tuple[int, ...]) -> int:
-    """|A + A| for a sorted tuple of distinct ints."""
-    return _sumset_masks(elements)[1].bit_count()
+    """|A + A| for a set A."""
+    return _sumset_masks(_read_set(elements, "doubling_size"))[1].bit_count()
 
 
 def right_extensions(elements: tuple[int, ...]) -> list[tuple[int, int, int]]:
     """(x, |2(A ∪ {x})|, |2A ∩ (x + A)|) for every x > max A in 2A - A,
-    ascending in x, for a sorted tuple A of distinct ints.
+    ascending in x, for a set A.
 
     x lies in 2A - A exactly when x + A meets 2A, so the overlap picks the
     xs, and x adds |A| + 1 - overlap sums to 2A."""
-    elements = tuple(map(operator.index, elements))
-    if not elements:
-        raise IndexError("right_extensions of an empty sequence")
-    if any(b <= a for a, b in zip(elements, elements[1:])):
-        raise ValueError("right_extensions takes strictly ascending elements")
+    elements = _read_set(elements, "right_extensions")
     base = elements[0]
     span = elements[-1] - base
     amask, two = _sumset_masks(elements)
@@ -85,18 +98,14 @@ def right_extensions(elements: tuple[int, ...]) -> list[tuple[int, int, int]]:
 
 def chain_children(elements: tuple[int, ...], t_max: int) -> list[tuple[tuple[int, ...], int]]:
     """(canon, |2 canon|) for every y in 2A - A outside [0, max A], ascending
-    in y, for a normal set A (strictly ascending, min 0, gcd 1; {0} counts):
+    in y, for a normal set A (min 0, gcd 1; {0} counts):
     canon is the lexicographically larger of the normal form of A ∪ {y} and
     its reflexion, kept when |2 canon| <= t_max. No child is rank tested.
 
     As A is normal, the normal form of A ∪ {y} is A + (y,) for y > max A and
     A shifted by -y for y < 0."""
-    elements = tuple(map(operator.index, elements))
+    elements = _read_set(elements, "chain_children")
     t_max = operator.index(t_max)
-    if not elements:
-        raise IndexError("chain_children of an empty sequence")
-    if any(b <= a for a, b in zip(elements, elements[1:])):
-        raise ValueError("chain_children takes strictly ascending elements")
     if elements[0] != 0 or (len(elements) > 1 and math.gcd(*elements) != 1):
         raise ValueError("chain_children takes a normal set (min 0, gcd 1)")
     span = elements[-1]
@@ -181,20 +190,21 @@ def rank_of_rows(rows: list[list[int]], width: int, cap: int) -> int:
     return rank
 
 
-def lambda_rank(elements: tuple[int, ...]) -> int:
-    """Rank of the additive-relation vectors of A (at most |A| - 2)."""
-    elements = tuple(map(operator.index, elements))
+def _relation_rank(elements: tuple[int, ...]) -> int:
     k = len(elements)
     return rank_of_rows(_generator_rows(elements), k, k - 2)
 
 
+def lambda_rank(elements: tuple[int, ...]) -> int:
+    """Rank of the additive-relation vectors of a set A (at most |A| - 2)."""
+    return _relation_rank(_read_set(elements, "lambda_rank"))
+
+
 def is_one_dimensional(elements: tuple[int, ...]) -> bool:
-    k = len(elements)
-    if k < 2:
-        return False
-    if k == 2:
-        return True
-    return lambda_rank(elements) == k - 2
+    """Whether a set A has rank |A| - 2: every 2-set, no 1-set, as neither
+    has a relation."""
+    elements = _read_set(elements, "is_one_dimensional")
+    return _relation_rank(elements) == len(elements) - 2
 
 
 def normal_tuples(k: int, m: int):
@@ -250,7 +260,7 @@ def scan_slice(k: int, m: int, ts, every: bool) -> dict[int, list[tuple[int, ...
     if not wanted:
         return found
     for elems, t in normal_tuples(k, m):
-        if t in wanted and is_one_dimensional(elems):
+        if t in wanted and _relation_rank(elems) == k - 2:
             sets = found.setdefault(t, [])
             sets.append(elems)
             if not every:

@@ -40,8 +40,6 @@ def additive_dim(a: IntSet) -> int:
 
 
 def is_one_dimensional(a: IntSet) -> bool:
-    if len(a) < 2:
-        return False
     return kernel.is_one_dimensional(a.elements)
 
 

@@ -35,19 +35,28 @@ def _call(name, *args):
     return getattr(_py, name)(*args)
 
 
+# The five set primitives take a set as any iterable of ints; a one-shot iterator
+# becomes a tuple first, or the compiled twin would use it up before an
+# OverflowError sends it on to the pure twin. Both twins reject a non-set
+# alike (see _kernel_py).
 def doubling_size(elements):
-    return _call("doubling_size", elements)
+    return _call("doubling_size", tuple(elements))
 
 
-# lambda_rank, right_extensions and chain_children take any iterable; a
-# one-shot iterator becomes a tuple first, or the compiled twin would use it
-# up before an OverflowError sends it on to the pure twin
 def lambda_rank(elements):
     return _call("lambda_rank", tuple(elements))
 
 
 def is_one_dimensional(elements):
-    return _call("is_one_dimensional", elements)
+    return _call("is_one_dimensional", tuple(elements))
+
+
+def right_extensions(elements):
+    return _call("right_extensions", tuple(elements))
+
+
+def chain_children(elements, t_max):
+    return _call("chain_children", tuple(elements), t_max)
 
 
 def scan_slice(k, m, ts, every):
@@ -63,10 +72,3 @@ def sweep_slice(k, m, t_max):
 def collect_slice(k, m, ts):
     return scan_slice(k, m, ts, True)
 
-
-def right_extensions(elements):
-    return _call("right_extensions", tuple(elements))
-
-
-def chain_children(elements, t_max):
-    return _call("chain_children", tuple(elements), t_max)

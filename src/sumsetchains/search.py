@@ -20,7 +20,6 @@ import math
 import operator
 import os
 import tempfile
-import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -297,7 +296,6 @@ class SearchReport(NamedTuple):
     witness_sets: tuple[IntSet, ...]
     violation_list: tuple[IntSet, ...]
     attained: bool
-    elapsed: float
     scope: str = SCOPE_NOTE
 
     @property
@@ -341,7 +339,6 @@ def vol1_oracle(
         bound = prof.mu + k
     if bound < prof.mu:
         raise ValueError(f"bound {bound} is below mu({k},{t}) = {prof.mu}")
-    start = time.perf_counter()
     ms = _realizing_maxima(
         k, t, bound, threads=threads, use_cache=use_cache, force=force
     )
@@ -366,7 +363,6 @@ def vol1_oracle(
         witness_sets=witnesses,
         violation_list=tuple(violations),
         attained=constr in witnesses,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -609,7 +605,6 @@ class ExtensionSweepReport(NamedTuple):
     sets_checked: int
     pairs_checked: int
     violations: tuple[tuple[IntSet, ExtensionCheck], ...]
-    elapsed: float
 
     @property
     def ok(self) -> bool:
@@ -633,7 +628,6 @@ def extension_lemma_sweep(k: int, *, threads: int = 1) -> ExtensionSweepReport:
     _try_decompose). Any other set's pairs read only _pair_verdict: one
     subset test against _passing_pairs(k, T) clears it, and it goes through
     _extension_checks only when some pair fails."""
-    start = time.perf_counter()
     slices = _realized_slices(
         k, mu(k, t_range(k)[1]) + k, threads=threads, use_cache=True, force=False
     )
@@ -669,7 +663,6 @@ def extension_lemma_sweep(k: int, *, threads: int = 1) -> ExtensionSweepReport:
         sets_checked=sets_checked,
         pairs_checked=pairs_checked,
         violations=tuple(bad),
-        elapsed=time.perf_counter() - start,
     )
 
 

@@ -142,6 +142,7 @@ class TestSearch:
         assert meta["backend"] in ("c", "python")
         assert meta["kernel_digest"] == kernel_digest()
         assert meta["threads"] == 1 and meta["force"] is False
+        assert isinstance(meta["elapsed_seconds"], float) and meta["elapsed_seconds"] >= 0
         witnesses = [
             json.loads(line)
             for line in (tmp_path / "report.witnesses.jsonl").read_text().splitlines()

@@ -54,7 +54,7 @@ def test_records_reject_assignment_and_stay_hashable(cls):
 def test_record_defaults_and_behaviour_survive():
     assert GrowthStep(GrowthVariant.EXTEND_RIGHT).x is None
     assert Factorization(IntSet((0, 1, 2)), ()).b_prime_case is False
-    report = SearchReport(5, 12, 8, 20, 9, (), (), True, 0.0)
+    report = SearchReport(5, 12, 8, 20, 9, (), (), True)
     assert report.scope == SCOPE_NOTE and report.holds
     # a named tuple is truthy when non-empty; DensityCheck keeps its own truth
     assert not DensityCheck(False, True) and DensityCheck(True, False)

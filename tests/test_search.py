@@ -265,7 +265,7 @@ class TestFanOut:
         monkeypatch.setattr(search.kernel, "right_extensions", skewed)
         serial = extension_lemma_sweep(k)
         fanned = extension_lemma_sweep(k, threads=2)
-        assert fanned._replace(elapsed=0) == serial._replace(elapsed=0)
+        assert fanned == serial
         assert len(serial.violations) > 1
         if k == 5:
             assert (serial.sets_checked, serial.pairs_checked) == (20, 122)
