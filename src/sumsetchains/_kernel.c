@@ -13,11 +13,12 @@
  * their doublings and overlaps, so a sweep makes one call per set, and
  * chain_children the canonical out-of-hull children of one normal set with
  * their doublings, so a chain level makes one call per parent. Both read
- * 2A - A off the masks of A and 2A (sumset_masks, shared with doubling_size)
- * and count |2(A | {y})| = |2A| + |A| + 1 - |2A & (y + A)|. chain_children
- * runs no rank test: the chain levels grow from {0, 1, 2}, and every child
- * of a one-dimensional parent is one-dimensional (y in 2A - A gives a
- * relation y + a = b + c with y-coefficient 1, independent of A's relations).
+ * 2A - A off the masks of A and 2A that read_masks builds for them and for
+ * doubling_size, and count |2(A | {y})| = |2A| + |A| + 1 - |2A & (y + A)|.
+ * chain_children runs no rank test: the chain levels grow from {0, 1, 2},
+ * and every child of a one-dimensional parent is one-dimensional (y in
+ * 2A - A gives a relation y + a = b + c with y-coefficient 1, independent of
+ * A's relations).
  * scan_slice releases the GIL while it walks, so callers can run slices on
  * threads: the walk touches no Python object, and the tuples are built after
  * taking the GIL back.
@@ -49,9 +50,10 @@
  * the pure twin's messages.
  * Limits: elements with |e| <= 2^60 (the IntSet range), at most 12 elements
  * for rank work (the prime bound above), slice maxima m <= 511, and spans
- * <= 2^20 for doubling_size, right_extensions and chain_children. Past a
- * limit it raises OverflowError; kernel.py routes such input to the
- * pure-Python reference instead. */
+ * <= 2^20 for the masks of doubling_size, right_extensions and
+ * chain_children, which read_masks checks. Past a limit it raises
+ * OverflowError; kernel.py routes such input to the pure-Python reference
+ * instead. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -126,6 +128,16 @@ fail:
     return NULL;
 }
 
+static i64 gcd(i64 a, i64 b)
+{
+    while (b) {
+        i64 t = a % b;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
 /* acc |= mask << x for a mask of mw words; acc needs a word to spare above
  * the highest bit the shift reaches. */
 static void shift_or(u64 *acc, const u64 *mask, Py_ssize_t mw, i64 x)
@@ -153,53 +165,77 @@ static inline int shifted_overlap(const u64 *two, const u64 *mask, Py_ssize_t mw
     return total;
 }
 
-/* The masks of A and 2A for offsets off[0..k-1] in [0, 64 * mw), in one
- * zeroed heap block that the caller frees: *amask takes na >= mw words and
- * 2A the nt words after it, at least one more than 2A spans (shift_or's
- * spare word). Each caller sizes na and nt to what it reads. Returns |2A|,
- * or -1 with MemoryError set. */
-static int sumset_masks(const i64 *off, Py_ssize_t k, Py_ssize_t mw, Py_ssize_t na,
-                        Py_ssize_t nt, u64 **amask)
+/* A set and the masks of A and 2A, as read_masks builds them. */
+typedef struct {
+    Py_ssize_t k, mw, tw;
+    i64 base, span, *off; /* read_set's offsets, with its spare slot */
+    u64 *a, *two;         /* one zeroed block, mw + tw words each */
+    int size;             /* |2A| */
+} Masks;
+
+/* Reads a set with read_set, as a normal set (min 0, gcd 1) when normal is
+ * set, and builds the masks of A and 2A from its offsets into s, which
+ * free_masks releases. Returns 0, or -1 with an exception set and nothing
+ * held: read_set's errors, ValueError for a set that is not normal, and
+ * OverflowError past span 2^20.
+ *
+ * One size serves every read the mask primitives make. With mw = span / 64
+ * + 1 and tw = 2 span / 64 + 1, A and 2A each take mw + tw words:
+ * - shifted_overlap(two, a, mw, x) with x <= 2 span reads two up to word
+ *   (mw - 1) + (tw - 1) + 1 = mw + tw - 1;
+ * - shifted_overlap(a, two, tw, d) with d <= span, the left side of
+ *   chain_children, reads a up to word (tw - 1) + (mw - 1) + 1 = mw + tw - 1;
+ * - shift_or(two, a, mw, e) with e <= span writes two up to word 2 mw - 1,
+ *   at most mw + tw - 1.
+ * 2A lies in [0, 2 span], its first tw words. */
+static int read_masks(PyObject *elements, const char *what, int normal, Masks *s)
 {
     Py_ssize_t i;
-    u64 *a = PyMem_Calloc(na + nt, sizeof(u64)), *two;
-    if ((*amask = a) == NULL) {
-        PyErr_NoMemory();
+    i64 g = 0;
+    if ((s->off = read_set(elements, what, &s->k, &s->base)) == NULL)
+        return -1;
+    s->span = s->off[s->k - 1];
+    s->a = NULL;
+    for (i = 0; normal && i < s->k; i++)
+        g = gcd(g, s->off[i]);
+    if (normal && (s->base != 0 || (s->k > 1 && g != 1)))
+        PyErr_Format(PyExc_ValueError, "%s takes a normal set (min 0, gcd 1)", what);
+    else if (s->span > MAX_SPAN)
+        PyErr_Format(PyExc_OverflowError, "the compiled %s takes spans <= 2**20", what);
+    else {
+        s->mw = (Py_ssize_t)(s->span >> 6) + 1;
+        s->tw = (Py_ssize_t)((2 * s->span) >> 6) + 1;
+        if ((s->a = PyMem_Calloc(2 * (s->mw + s->tw), sizeof(u64))) == NULL)
+            PyErr_NoMemory();
+    }
+    if (s->a == NULL) {
+        PyMem_Free(s->off);
         return -1;
     }
-    two = a + na;
-    for (i = 0; i < k; i++)
-        a[off[i] >> 6] |= 1ULL << (off[i] & 63);
-    for (i = 0; i < k; i++)
-        shift_or(two, a, mw, off[i]);
-    int total = 0;
-    for (i = 0; i < nt; i++)
-        total += popcount(two[i]);
-    return total;
+    s->two = s->a + s->mw + s->tw;
+    for (i = 0; i < s->k; i++)
+        s->a[s->off[i] >> 6] |= 1ULL << (s->off[i] & 63);
+    for (i = 0; i < s->k; i++)
+        shift_or(s->two, s->a, s->mw, s->off[i]);
+    s->size = 0;
+    for (i = 0; i < s->tw; i++)
+        s->size += popcount(s->two[i]);
+    return 0;
+}
+
+static void free_masks(Masks *s)
+{
+    PyMem_Free(s->a);
+    PyMem_Free(s->off);
 }
 
 static PyObject *doubling_size(PyObject *self, PyObject *elements)
 {
-    PyObject *result = NULL;
-    Py_ssize_t k, mw;
-    i64 base, span, *off = read_set(elements, "doubling_size", &k, &base);
-    u64 *words = NULL;
-    int total;
-    if (off == NULL)
+    Masks s;
+    if (read_masks(elements, "doubling_size", 0, &s) < 0)
         return NULL;
-    span = off[k - 1];
-    if (span > MAX_SPAN) {
-        PyErr_SetString(PyExc_OverflowError, "the compiled doubling_size takes spans <= 2**20");
-        goto done;
-    }
-    mw = (Py_ssize_t)(span >> 6) + 1;
-    total = sumset_masks(off, k, mw, mw, (Py_ssize_t)((2 * span) >> 6) + 2, &words);
-    if (total >= 0)
-        result = PyLong_FromLong(total);
-done:
-    PyMem_Free(words);
-    PyMem_Free(off);
-    return result;
+    free_masks(&s);
+    return PyLong_FromLong(s.size);
 }
 
 /* The rank arithmetic works over F_p, p = 2^31 - 1: residues fit in 31
@@ -330,16 +366,6 @@ static PyObject *is_one_dimensional(PyObject *self, PyObject *elements)
     int rank = set_rank(elements, "is_one_dimensional", &k);
     /* rank 0 for every 1- and 2-set, which have no relation */
     return rank < 0 ? NULL : PyBool_FromLong(rank == k - 2);
-}
-
-static i64 gcd(i64 a, i64 b)
-{
-    while (b) {
-        i64 t = a % b;
-        a = b;
-        b = t;
-    }
-    return a;
 }
 
 /* A slice walks the normal-form k-sets {0 < e[1] < ... < e[r] < m}, r = k - 2,
@@ -657,44 +683,25 @@ static PyObject *sweep_slice(PyObject *self, PyObject *args, PyObject *kwargs)
 
 /* (x, |2(A | {x})|, |2A & (x + A)|) for every x > max A in 2A - A, ascending,
  * as in _kernel_py: x + A meets 2A exactly when x is in 2A - A, so the
- * overlap picks the xs, and x adds |A| + 1 - overlap sums to 2A. The masks
- * are sized from the span: spans up to MAX_SPAN, any |A|. */
+ * overlap picks the xs, and x adds |A| + 1 - overlap sums to 2A. */
 static PyObject *right_extensions(PyObject *self, PyObject *elements)
 {
-    PyObject *out = NULL;
-    Py_ssize_t k, mw;
-    i64 base, span, shift, *off = read_set(elements, "right_extensions", &k, &base);
-    u64 *amask = NULL, *two;
-    int fresh;
-    if (off == NULL)
+    PyObject *out;
+    Masks s;
+    if (read_masks(elements, "right_extensions", 0, &s) < 0)
         return NULL;
-    span = off[k - 1];
-    if (span > MAX_SPAN) {
-        PyErr_SetString(PyExc_OverflowError, "the compiled right_extensions takes spans <= 2**20");
-        goto done;
-    }
-    /* shifted_overlap reads up to mw + 2 * span / 64 + 1 words of two */
-    mw = (Py_ssize_t)(span >> 6) + 1;
-    fresh = sumset_masks(off, k, mw, mw, mw + (Py_ssize_t)((2 * span) >> 6) + 1, &amask);
-    if (fresh < 0 || (out = PyList_New(0)) == NULL)
-        goto done;
-    two = amask + mw;
-    fresh += (int)k + 1;
-    for (shift = span + 1; shift <= 2 * span; shift++) {
-        int overlap = shifted_overlap(two, amask, mw, shift);
+    int fresh = s.size + (int)s.k + 1;
+    out = PyList_New(0);
+    for (i64 x = s.span + 1; out != NULL && x <= 2 * s.span; x++) {
+        int overlap = shifted_overlap(s.two, s.a, s.mw, x);
         if (overlap == 0)
             continue;
-        PyObject *item = Py_BuildValue("(Lii)", base + shift, fresh - overlap, overlap);
-        int rc = item == NULL ? -1 : PyList_Append(out, item);
-        Py_XDECREF(item);
-        if (rc < 0) {
+        PyObject *item = Py_BuildValue("(Lii)", s.base + x, fresh - overlap, overlap);
+        if (item == NULL || PyList_Append(out, item) < 0)
             Py_CLEAR(out);
-            goto done;
-        }
+        Py_XDECREF(item);
     }
-done:
-    PyMem_Free(amask);
-    PyMem_Free(off);
+    free_masks(&s);
     return out;
 }
 
@@ -721,73 +728,52 @@ static int append_child(PyObject *out, const i64 *child, i64 *refl, Py_ssize_t n
  * a normal set A, as in _kernel_py: canon is the larger of the normal form
  * of A | {y} and its reflexion, kept when |2 canon| <= t_max. The pool comes
  * from the masks of A and 2A, as in right_extensions: y < 0 when A meets
- * 2A - y, y > max A when 2A meets y + A. The masks take mw + tw words each,
- * sized from the span, and the children 2 (|A| + 1) offsets: spans up to
- * MAX_SPAN, any |A|. */
+ * 2A - y, y > max A when 2A meets y + A. The children take 2 (|A| + 1)
+ * offsets. */
 static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"elements", "t_max", NULL};
     PyObject *elements, *out = NULL;
-    Py_ssize_t t_max, k, i, mw, tw;
-    i64 base, span, d, g = 0, *off, *child = NULL;
-    u64 *amask = NULL, *two;
-    int fresh = -1;
+    Py_ssize_t t_max, i;
+    i64 d, *child;
+    Masks s;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "On:chain_children", kwlist, &elements,
-                                     &t_max))
+                                     &t_max)
+        || read_masks(elements, "chain_children", 1, &s) < 0)
         return NULL;
-    if ((off = read_set(elements, "chain_children", &k, &base)) == NULL)
-        return NULL;
-    for (i = 0; i < k; i++)
-        g = gcd(g, off[i]);
-    if (base != 0 || (k > 1 && g != 1)) {
-        PyErr_SetString(PyExc_ValueError, "chain_children takes a normal set (min 0, gcd 1)");
-        goto done;
-    }
-    span = off[k - 1];
-    if (span > MAX_SPAN) {
-        PyErr_SetString(PyExc_OverflowError, "the compiled chain_children takes spans <= 2**20");
-        goto done;
-    }
-    /* shifted_overlap reads up to tw + span / 64 + 1 words of amask and
-     * mw + 2 * span / 64 + 1 words of two: under mw + tw either way */
-    mw = (Py_ssize_t)(span >> 6) + 1;
-    tw = (Py_ssize_t)((2 * span) >> 6) + 1;
-    child = PyMem_Malloc(2 * (k + 1) * sizeof(i64));
-    if (child == NULL)
+    int fresh = s.size + (int)s.k + 1;
+    if ((child = PyMem_Malloc(2 * (s.k + 1) * sizeof(i64))) == NULL) {
         PyErr_NoMemory();
-    else
-        fresh = sumset_masks(off, k, mw, mw + tw, mw + tw, &amask);
-    if (fresh < 0 || (out = PyList_New(0)) == NULL)
         goto done;
-    two = amask + mw + tw;
-    fresh += (int)k + 1;
+    }
+    if ((out = PyList_New(0)) == NULL)
+        goto done;
     /* y = -d, ascending: the child is {0} | (A + d) */
-    for (d = span; d >= 1; d--) {
-        int t = fresh - shifted_overlap(amask, two, tw, d);
+    for (d = s.span; d >= 1; d--) {
+        int t = fresh - shifted_overlap(s.a, s.two, s.tw, d);
         if (t == fresh || t > t_max)
             continue;
         child[0] = 0;
-        for (i = 0; i < k; i++)
-            child[i + 1] = off[i] + d;
-        if (append_child(out, child, child + k + 1, k + 1, t) < 0)
+        for (i = 0; i < s.k; i++)
+            child[i + 1] = s.off[i] + d;
+        if (append_child(out, child, child + s.k + 1, s.k + 1, t) < 0)
             goto fail;
     }
     /* y > max A: the child is A | {y}, in off's spare slot */
-    for (d = span + 1; d <= 2 * span; d++) {
-        int t = fresh - shifted_overlap(two, amask, mw, d);
+    for (d = s.span + 1; d <= 2 * s.span; d++) {
+        int t = fresh - shifted_overlap(s.two, s.a, s.mw, d);
         if (t == fresh || t > t_max)
             continue;
-        off[k] = d;
-        if (append_child(out, off, child + k + 1, k + 1, t) < 0)
+        s.off[s.k] = d;
+        if (append_child(out, s.off, child + s.k + 1, s.k + 1, t) < 0)
             goto fail;
     }
     goto done;
 fail:
     Py_CLEAR(out);
 done:
-    PyMem_Free(amask);
     PyMem_Free(child);
-    PyMem_Free(off);
+    free_masks(&s);
     return out;
 }
 

@@ -29,15 +29,17 @@ y + a = b + c with y-coefficient 1, independent of A's relations, whose
 y-coefficient is 0; so rank(A ∪ {y}) >= (|A| - 2) + 1 = |A ∪ {y}| - 2, the
 most a rank can be.
 
-Both read the pool off the masks of A and 2A that _sumset_masks builds for
-doubling_size too: y + A meets 2A in the overlap, and 2y is a new sum, so
-|2(A ∪ {y})| = |2A| + |A| + 1 - overlap, with no recount. The compiled twin
-takes spans up to 2**20 in all three.
-
 The five set primitives (doubling_size, lambda_rank, is_one_dimensional,
 right_extensions, chain_children) take a set, a nonempty, strictly ascending
 iterable of ints, which _read_set reads with the compiled twin's errors.
 scan_slice's leaves are sets by construction and skip that check.
+
+doubling_size, right_extensions and chain_children read their set through
+_read_masks, which also builds the masks of A and 2A, as read_masks does in
+the compiled twin; there it checks the one span limit, 2**20, and sizes
+the masks for every read the three make. The pool comes off the masks:
+y + A meets 2A in the overlap, and 2y is a new sum, so
+|2(A ∪ {y})| = |2A| + |A| + 1 - overlap, with no recount.
 """
 
 from __future__ import annotations
@@ -46,18 +48,6 @@ import math
 import operator
 
 BACKEND = "python"
-
-
-def _sumset_masks(elements: tuple[int, ...]) -> tuple[int, int]:
-    """The masks of A and 2A, bit i of A's standing for elements[0] + i."""
-    base = elements[0]
-    amask = 0
-    for e in elements:
-        amask |= 1 << (e - base)
-    two = 0
-    for e in elements:
-        two |= amask << (e - base)
-    return amask, two
 
 
 def _read_set(elements, what: str) -> tuple[int, ...]:
@@ -72,9 +62,26 @@ def _read_set(elements, what: str) -> tuple[int, ...]:
     return elements
 
 
+def _read_masks(elements, what: str, normal: bool = False) -> tuple[tuple[int, ...], int, int]:
+    """elements, a set read by _read_set, with the masks of A and 2A, bit i
+    standing for elements[0] + i. With normal, a set that is not normal
+    (min 0, gcd 1) raises ValueError before any mask is built."""
+    elements = _read_set(elements, what)
+    if normal and (elements[0] != 0 or (len(elements) > 1 and math.gcd(*elements) != 1)):
+        raise ValueError(f"{what} takes a normal set (min 0, gcd 1)")
+    base = elements[0]
+    amask = 0
+    for e in elements:
+        amask |= 1 << (e - base)
+    two = 0
+    for e in elements:
+        two |= amask << (e - base)
+    return elements, amask, two
+
+
 def doubling_size(elements: tuple[int, ...]) -> int:
     """|A + A| for a set A."""
-    return _sumset_masks(_read_set(elements, "doubling_size"))[1].bit_count()
+    return _read_masks(elements, "doubling_size")[2].bit_count()
 
 
 def right_extensions(elements: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -83,10 +90,9 @@ def right_extensions(elements: tuple[int, ...]) -> list[tuple[int, int, int]]:
 
     x lies in 2A - A exactly when x + A meets 2A, so the overlap picks the
     xs, and x adds |A| + 1 - overlap sums to 2A."""
-    elements = _read_set(elements, "right_extensions")
+    elements, amask, two = _read_masks(elements, "right_extensions")
     base = elements[0]
     span = elements[-1] - base
-    amask, two = _sumset_masks(elements)
     fresh = two.bit_count() + len(elements) + 1
     out = []
     for shift in range(span + 1, 2 * span + 1):
@@ -103,13 +109,11 @@ def chain_children(elements: tuple[int, ...], t_max: int) -> list[tuple[tuple[in
     its reflexion, kept when |2 canon| <= t_max. No child is rank tested.
 
     As A is normal, the normal form of A ∪ {y} is A + (y,) for y > max A and
-    A shifted by -y for y < 0."""
-    elements = _read_set(elements, "chain_children")
+    A shifted by -y for y < 0. t_max is read first, as the compiled twin
+    parses it before it reads the set."""
     t_max = operator.index(t_max)
-    if elements[0] != 0 or (len(elements) > 1 and math.gcd(*elements) != 1):
-        raise ValueError("chain_children takes a normal set (min 0, gcd 1)")
+    elements, amask, two = _read_masks(elements, "chain_children", normal=True)
     span = elements[-1]
-    amask, two = _sumset_masks(elements)
     fresh = two.bit_count() + len(elements) + 1
     out = []
 

@@ -45,18 +45,17 @@ def _raw_volume(elems: tuple[int, ...]) -> int:
     return (elems[-1] - base) // g + 1 if g else 1
 
 
-def _canonical_tuple(elems: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
+def _canonical_tuple(elems: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical representative under translation/dilation/reflexion: the
-    lexicographically larger of the normal form and its reflexion. The flag
-    says whether the reflexion was chosen."""
+    lexicographically larger of the normal form and its reflexion."""
     norm = normal_tuple(elems)[0]
     m = norm[-1]
     refl = tuple(m - e for e in reversed(norm))
-    return (refl, True) if refl > norm else (norm, False)
+    return max(refl, norm)
 
 
 def canonical_form(a: IntSet) -> IntSet:
-    return IntSet(_canonical_tuple(a.elements)[0])
+    return IntSet(_canonical_tuple(a.elements))
 
 
 def is_chain_extension(prev: IntSet, nxt: IntSet) -> bool:
@@ -141,7 +140,7 @@ def is_chain_member(a: IntSet) -> bool:
         raise ValueError("chains have at least 3 elements")
     if k > CHAIN_ENUM_CAP:
         raise CapacityError(f"chain recognition capped at k <= {CHAIN_ENUM_CAP}, got {k}")
-    return _canonical_tuple(a.elements)[0] in _chain_level(k)
+    return _canonical_tuple(a.elements) in _chain_level(k)
 
 
 def is_chain(a: IntSet) -> ChainCertificate | None:
@@ -154,7 +153,7 @@ def is_chain(a: IntSet) -> ChainCertificate | None:
     for i in range(k, 3, -1):
         lower = _chain_level(i - 1)
         for trial in (cur[:-1], cur[1:]):
-            if _canonical_tuple(trial)[0] in lower:
+            if _canonical_tuple(trial) in lower:
                 cur = trial
                 break
         else:  # pragma: no cover - chains are deletion-closed by construction
@@ -165,11 +164,13 @@ def is_chain(a: IntSet) -> ChainCertificate | None:
         fact = factorize(a)
     except FactorizationFailed:
         fact = None
+    # a chain is one-dimensional by construction (see _chain_level), so its
+    # volume needs no rank test
     return ChainCertificate(
         sets=tuple(layers),
         profiles=tuple(profile(len(s), doubling(s)) for s in layers),
         factorization=fact,
-        volume=volume_1d(a),
+        volume=_raw_volume(a.elements),
     )
 
 
@@ -225,43 +226,39 @@ def verify_main_theorem(cert: ChainCertificate) -> TheoremReport:
         failures.append(f"volume {cert.volume} != mu({k},{t})+1 = {expected}")
 
     fact = cert.factorization
+    factorization_ok = replay_ok = False
     if fact is None:
         failures.append(f"no growth factorization found for {a.to_text()}")
-        return TheoremReport(
-            ok=False,
-            volume_ok=volume_ok,
-            factorization_ok=False,
-            replay_ok=False,
-            volume=cert.volume,
-            expected_volume=expected,
-            failures=tuple(failures),
-        )
-
-    base = fact.base
-    t_base = doubling(base)
-    limit = 3 * len(base) - 4
-    if fact.b_prime_case:
-        factorization_ok = t_base > limit and shrinks_into_threshold(base)
-        if not factorization_ok:
-            failures.append(
-                f"flagged base {base.to_text()} is not one deletion away from "
-                f"the 3k-4 regime"
-            )
     else:
-        factorization_ok = t_base <= limit
-        if not factorization_ok:
-            failures.append(
-                f"base {base.to_text()} has |2B| = {t_base} > 3|B|-4 = {limit}"
-            )
+        base = fact.base
+        t_base = doubling(base)
+        limit = 3 * len(base) - 4
+        if fact.b_prime_case:
+            factorization_ok = t_base > limit and shrinks_into_threshold(base)
+            if not factorization_ok:
+                failures.append(
+                    f"flagged base {base.to_text()} is not one deletion away from "
+                    f"the 3k-4 regime"
+                )
+        else:
+            factorization_ok = t_base <= limit
+            if not factorization_ok:
+                failures.append(
+                    f"base {base.to_text()} has |2B| = {t_base} > 3|B|-4 = {limit}"
+                )
 
-    try:
-        z = replay(fact)
-        replay_ok = len(z) == k and _freiman_equivalent(z, a)
-        if not replay_ok:
-            failures.append(f"replay {z.to_text()} is not isomorphic to {a.to_text()}")
-    except ValueError as exc:
-        replay_ok = False
-        failures.append(f"replay failed: {exc}")
+        try:
+            z = replay(fact)
+            # chains compare equal up to normalization and reflexion, which is
+            # much cheaper than the general bijection search and equivalent
+            # here because replay output and chain are both one-dimensional
+            replay_ok = len(z) == k and _canonical_tuple(z.elements) == _canonical_tuple(
+                a.elements
+            )
+            if not replay_ok:
+                failures.append(f"replay {z.to_text()} is not isomorphic to {a.to_text()}")
+        except ValueError as exc:
+            failures.append(f"replay failed: {exc}")
 
     return TheoremReport(
         ok=volume_ok and factorization_ok and replay_ok,
@@ -272,12 +269,3 @@ def verify_main_theorem(cert: ChainCertificate) -> TheoremReport:
         expected_volume=expected,
         failures=tuple(failures),
     )
-
-
-def _freiman_equivalent(x: IntSet, y: IntSet) -> bool:
-    # chains compare equal up to normalization and reflexion, which is much
-    # cheaper than the general bijection search and equivalent here because
-    # replay output and chain are both one-dimensional
-    cx, _ = _canonical_tuple(x.elements)
-    cy, _ = _canonical_tuple(y.elements)
-    return cx == cy

@@ -23,9 +23,10 @@ BACKEND = "c" if _c is not None else "python"
 
 def _call(name, *args):
     # The compiled kernel raises OverflowError past the limits it states
-    # (element magnitude, rank size, slice maximum, and the doubling,
-    # extension and chain spans of 2**20); the pure twin takes any size, so
-    # such input goes there. scan_slice checks k and m before it reads ts,
+    # (element magnitude, rank size, slice maximum, and the span of 2**20
+    # that its one mask reader checks for doubling_size, right_extensions
+    # and chain_children); the pure twin takes any size, so such input goes
+    # there. scan_slice checks k and m before it reads ts,
     # so a one-shot iterator reaches the pure twin whole.
     if _c is not None:
         try:

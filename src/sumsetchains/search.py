@@ -625,9 +625,21 @@ def extension_lemma_sweep(k: int, *, threads: int = 1) -> ExtensionSweepReport:
     slice in order, so the report does not depend on threads.
 
     A set is decomposed only when max A = mu(k, T) and T <= 3k - 4 (see
-    _try_decompose). Any other set's pairs read only _pair_verdict: one
-    subset test against _passing_pairs(k, T) clears it, and it goes through
-    _extension_checks only when some pair fails."""
+    _try_decompose). Any other set's pairs (T_x, overlap) read only
+    _pair_verdict: one subset test against _passing_pairs(k, T) clears it,
+    and it goes through _extension_checks only when some pair fails.
+
+    What a set can fail there:
+    - For x > max A, x + max A lies above every sum in 2A, and x is in
+      2A - A, so 1 <= overlap <= k - 1 and 2 <= delta = T_x - T <= k.
+    - Both kernel twins compute T_x as |2A| + |A| + 1 - overlap, so the
+      increment identity, and with it the increment range, holds on kernel
+      output by construction.
+    - What checks T_x itself is the walk-free reference_right_extensions in
+      the tests.
+    So what such a set can fail is a T_x that is not legal for k + 1, or
+    the constant drift, both facts about (k, T, overlap); _pair_verdict
+    still makes every check."""
     slices = _realized_slices(
         k, mu(k, t_range(k)[1]) + k, threads=threads, use_cache=True, force=False
     )

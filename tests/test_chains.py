@@ -281,3 +281,14 @@ class TestStructure:
         assert report.volume_ok and report.factorization_ok and report.replay_ok
         assert (report.volume, report.expected_volume) == (15, 15)
         assert report.failures == ()
+
+    def test_report_without_a_factorization(self):
+        cert = is_chain(S("{0,4,6,7,8,10,14}"))._replace(factorization=None, volume=14)
+        report = verify_main_theorem(cert)
+        assert report == (
+            False, False, False, False, 14, 15,
+            (
+                "volume 14 != mu(7,19)+1 = 15",
+                "no growth factorization found for {0,4,6,7,8,10,14}",
+            ),
+        )

@@ -461,7 +461,7 @@ def reference_chain_children(elements):
     _canonical_tuple, its doubling from the pure doubling_size."""
     out = []
     for y in brute_pool(elements):
-        canon, _ = _canonical_tuple(tuple(sorted(elements + (y,))))
+        canon = _canonical_tuple(tuple(sorted(elements + (y,))))
         out.append((canon, pure.doubling_size(canon)))
     return out
 
@@ -627,6 +627,55 @@ def test_chain_children_cap_straddles(compiled_kernel):
         compiled_kernel.chain_children((0, 1, (1 << 20) + 1), 100)
 
 
+def word_edge_sets(span):
+    """Sets of the given span that touch both ends, the middle and the word
+    edges inside it, at base 0 and shifted to negative elements."""
+    rng = random.Random(span)
+    sets = [
+        (0, span),
+        (0, 1, span),
+        (0, span - 1, span),
+        (0, 1, span // 2, span - 1, span),
+        tuple(sorted({0, *range(63, span, 64), span})),
+        tuple(sorted({0, *range(64, span, 64), span})),
+    ]
+    for _ in range(6):
+        inner = rng.sample(range(1, span), rng.randint(1, 8))
+        sets.append(tuple(sorted({0, *inner, span})))
+    return sets + [tuple(e - 70 for e in elems) for elems in sets]
+
+
+@pytest.mark.parametrize("span", [63, 64, 65, 127, 128, 129, 191, 192])
+def test_mask_primitives_match_the_references_at_word_edges(twin, span):
+    # one mask size serves every shifted read: 2A against x + A for x up to
+    # 2 span, A against 2A + d for d up to span (the left side of
+    # chain_children), checked where span and 2 span cross a word edge
+    for elems in word_edge_sets(span):
+        assert twin.doubling_size(elems) == len({a + b for a in elems for b in elems}), elems
+        assert twin.right_extensions(elems) == reference_right_extensions(elems), elems
+        if elems[0] == 0 and math.gcd(*elems) == 1:
+            want = reference_chain_children(elems)
+            assert want, elems
+            for cut in (10**6, want[0][1]):
+                got = twin.chain_children(elems, cut)
+                assert got == [(canon, t) for canon, t in want if t <= cut], (elems, cut)
+
+
+def test_mask_primitives_refuse_spans_past_2_to_the_20_alike(compiled_kernel):
+    span = (1 << 20) + 1
+    for name, args in [
+        ("doubling_size", ((0, span),)),
+        ("doubling_size", ((-5, 3, span - 5),)),
+        ("right_extensions", ((0, span),)),
+        ("right_extensions", ((-5, 3, span - 5),)),
+        ("chain_children", ((0, 1, span), 100)),
+    ]:
+        assert raised(getattr(compiled_kernel, name), *args) == (
+            OverflowError,
+            f"the compiled {name} takes spans <= 2**20",
+        ), (name, args)
+
+
 def test_facade_hands_iterators_past_the_caps_to_the_pure_twin(compiled_facade):
     # the compiled twin reads the iterator before it refuses the input; past
     # the span cap of right_extensions and chain_children the pure twin
@@ -654,6 +703,13 @@ def test_facade_hands_iterators_past_the_caps_to_the_pure_twin(compiled_facade):
 )
 def test_chain_children_reject_bad_input_alike(compiled_kernel, elements, error):
     assert assert_rejected_alike(compiled_kernel, "chain_children", elements, 10)[0] is error
+
+
+@pytest.mark.parametrize("elements", [(0, 1, 3), (0, 2, 1), (1, 2, 3), ()], ids=repr)
+def test_chain_children_read_t_max_before_the_set_alike(compiled_kernel, elements):
+    # the compiled twin parses t_max before it reads the set, and so does
+    # the pure one: a bad t_max raises its TypeError whatever the set
+    assert assert_rejected_alike(compiled_kernel, "chain_children", elements, 10.5)[0] is TypeError
 
 
 # every set primitive with its arguments after the set
