@@ -38,6 +38,10 @@ doubling_size, right_extensions and chain_children read their set through
 _read_masks, which also builds the masks of A and 2A, as read_masks does in
 the compiled twin; there it checks the one span limit, 2**20, and sizes
 the masks for every read the three make. The pool comes off the masks:
+right_extensions and chain_children read the points y of 2A - A off one
+mask, 2A shifted by max A - a and ORed over a in A, visiting only its set
+bits outside the hull, so for a given |A| their cost is linear in the span
+(the compiled twin, capped at 2**20, tests every shift instead).
 y + A meets 2A in the overlap, and 2y is a new sum, so
 |2(A ∪ {y})| = |2A| + |A| + 1 - overlap, with no recount.
 """
@@ -84,21 +88,38 @@ def doubling_size(elements: tuple[int, ...]) -> int:
     return _read_masks(elements, "doubling_size")[2].bit_count()
 
 
+def _difference_mask(elements: tuple[int, ...], two: int) -> int:
+    """The mask of 2A - A for a set A and the mask two of 2A, bit
+    span + y - min A standing for y: two shifted by max A - a, ORed over
+    a in A."""
+    mask = 0
+    for e in elements:
+        mask |= two << (elements[-1] - e)
+    return mask
+
+
+def _set_bits(mask: int, lo: int = 0):
+    """The indices at lo and above of the set bits of mask, ascending."""
+    mask >>= lo
+    while mask:
+        low = mask & -mask
+        yield lo + low.bit_length() - 1
+        mask ^= low
+
+
 def right_extensions(elements: tuple[int, ...]) -> list[tuple[int, int, int]]:
     """(x, |2(A ∪ {x})|, |2A ∩ (x + A)|) for every x > max A in 2A - A,
     ascending in x, for a set A.
 
-    x lies in 2A - A exactly when x + A meets 2A, so the overlap picks the
-    xs, and x adds |A| + 1 - overlap sums to 2A."""
+    x + A meets 2A in the overlap, and x adds |A| + 1 - overlap sums to 2A."""
     elements, amask, two = _read_masks(elements, "right_extensions")
     base = elements[0]
     span = elements[-1] - base
     fresh = two.bit_count() + len(elements) + 1
     out = []
-    for shift in range(span + 1, 2 * span + 1):
-        overlap = (two & (amask << shift)).bit_count()
-        if overlap:
-            out.append((base + shift, fresh - overlap, overlap))
+    for j in _set_bits(_difference_mask(elements, two), 2 * span + 1):
+        overlap = (two & (amask << (j - span))).bit_count()
+        out.append((base + j - span, fresh - overlap, overlap))
     return out
 
 
@@ -115,21 +136,16 @@ def chain_children(elements: tuple[int, ...], t_max: int) -> list[tuple[tuple[in
     elements, amask, two = _read_masks(elements, "chain_children", normal=True)
     span = elements[-1]
     fresh = two.bit_count() + len(elements) + 1
+    hull = ((1 << span + 1) - 1) << span  # bits span + y for y in [0, span]
+    wide = two << span  # bit span + s stands for the sum s
     out = []
-
-    def keep(child: tuple[int, ...], t: int) -> None:
-        m = child[-1]
-        refl = tuple(m - e for e in reversed(child))
-        out.append((refl if refl > child else child, t))
-
-    for d in range(span, 0, -1):  # y = -d: a in A meets 2A + d
-        t = fresh - (amask & (two << d)).bit_count()
-        if t < fresh and t <= t_max:
-            keep((0, *(e + d for e in elements)), t)
-    for y in range(span + 1, 2 * span + 1):
-        t = fresh - (two & (amask << y)).bit_count()
-        if t < fresh and t <= t_max:
-            keep(elements + (y,), t)
+    for j in _set_bits(_difference_mask(elements, two) & ~hull):
+        t = fresh - (wide & (amask << j)).bit_count()
+        if t <= t_max:
+            y = j - span
+            child = elements + (y,) if y > 0 else (0, *(e - y for e in elements))
+            refl = tuple(child[-1] - e for e in reversed(child))
+            out.append((refl if refl > child else child, t))
     return out
 
 

@@ -50,10 +50,6 @@ def _emit(obj) -> None:
     print(_dumps(obj))
 
 
-def _parse_set(text: str) -> IntSet:
-    return IntSet.from_text(text)
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; 2 is reserved for counterexamples
     def error(self, message):
@@ -143,14 +139,14 @@ def cmd_mu(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    a = _parse_set(args.set_text)
+    a = IntSet.from_text(args.set_text)
     basis = relation_rank(a)
     _emit({"set": list(a), "lambda": basis.rank, "dim": additive_dim(a)})
     return 0
 
 
 def cmd_decompose(args) -> int:
-    a = _parse_set(args.set_text)
+    a = IntSet.from_text(args.set_text)
     try:
         dec = stable_decompose(a)
     except NotDecomposable:
@@ -172,7 +168,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_chain_check(args) -> int:
-    a = _parse_set(args.set_text)
+    a = IntSet.from_text(args.set_text)
     cert = is_chain(a)
     if cert is None:
         _emit({"chain": False, "set": list(a)})
@@ -223,7 +219,7 @@ def cmd_chain_enum(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    a = _parse_set(args.set_text)
+    a = IntSet.from_text(args.set_text)
     try:
         f = factorize(a)
     except FactorizationFailed as exc:
@@ -234,8 +230,8 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_fiso(args) -> int:
-    a = _parse_set(args.a_text)
-    b = _parse_set(args.b_text)
+    a = IntSet.from_text(args.a_text)
+    b = IntSet.from_text(args.b_text)
     mapping = f_isomorphism(a, b)
     if mapping is None:
         _emit({"isomorphic": False})
@@ -317,91 +313,84 @@ def cmd_search(args) -> int:
     return 2 if any(r.violation_list for r in reports) else 0
 
 
-def cmd_verify(args) -> int:
-    failures = 0
-    out: dict = {"k": args.k}
-    lines: list[str] = []
-
-    reports = verify_conjecture(
-        args.k, threads=args.threads, use_cache=not args.no_cache, force=args.force
-    )
-    out["conjecture"] = []
-    for r in reports:
-        ok = r.holds and r.attained
-        failures += 0 if ok else 1
-        lines.append(
-            f"conjecture k={r.k} t={r.t}: observed {r.observed_max_vol} "
-            f"expected {r.mu + 1} attained {'yes' if r.attained else 'no'} "
-            f"{'PASS' if ok else 'FAIL'}"
-        )
-        out["conjecture"].append(r.as_dict() | {"ok": ok})
-
+def _verify_document(args) -> dict:
+    """The verdict of `verify` as `--format json` prints it, less the
+    top-level ok: the oracle reports, the extension sweep, the chain theorem
+    and the uniqueness checks, run in that order."""
+    opts = dict(threads=args.threads, use_cache=not args.no_cache)
+    reports = verify_conjecture(args.k, force=args.force, **opts)
     # the table verify_conjecture just filled covers the sweep's bound
     sweep = extension_lemma_sweep(args.k, threads=args.threads)
-    ok = sweep.ok
-    failures += 0 if ok else 1
-    lines.append(
-        f"extension sweep k={args.k}: {sweep.sets_checked} sets, "
-        f"{sweep.pairs_checked} extensions, {len(sweep.violations)} violations "
-        f"{'PASS' if ok else 'FAIL'}"
-    )
-    out["extension_sweep"] = {
-        "sets": sweep.sets_checked,
-        "pairs": sweep.pairs_checked,
-        "violations": [
-            {"set": list(a), "x": c.x, "problems": list(c.violations)}
-            for a, c in sweep.violations
-        ],
-    }
-
     chains = enumerate_chains(args.k)
-    bad_chains = []
+    chain_failures = []
     for rec in chains:
-        cert = is_chain(rec.set)
-        report = verify_main_theorem(cert)
+        report = verify_main_theorem(is_chain(rec.set))
         if not report.ok:
-            bad_chains.append((rec.set, report.failures))
-    failures += 1 if bad_chains else 0
-    lines.append(
-        f"chain factorization k={args.k}: {len(chains)} chains, "
-        f"{len(bad_chains)} failures {'PASS' if not bad_chains else 'FAIL'}"
-    )
-    out["chains"] = {
-        "count": len(chains),
-        "failures": [
-            {"set": list(s), "problems": list(p)} for s, p in bad_chains
-        ],
-    }
-
-    uniq_failures = []
+            chain_failures.append({"set": list(rec.set), "problems": list(report.failures)})
     applicable = 0
+    uniq_failures = []
     for rec in chains:
-        rep = check_uniqueness_lemmas(
-            rec.set, threads=args.threads, use_cache=not args.no_cache
-        )
-        for chk in rep.checks:
-            if chk.applicable:
-                applicable += 1
-            if chk.passed is False:
-                uniq_failures.append((rec.set, chk.name, chk.details))
-    failures += 1 if uniq_failures else 0
-    lines.append(
-        f"uniqueness checks k={args.k}: {applicable} applicable, "
-        f"{len(uniq_failures)} failures {'PASS' if not uniq_failures else 'FAIL'}"
-    )
-    out["uniqueness"] = {
-        "applicable": applicable,
-        "failures": [
-            {"set": list(s), "check": n, "details": d} for s, n, d in uniq_failures
-        ],
+        checks = check_uniqueness_lemmas(rec.set, **opts).checks
+        applicable += sum(1 for chk in checks if chk.applicable)
+        uniq_failures += [
+            {"set": list(rec.set), "check": chk.name, "details": chk.details}
+            for chk in checks
+            if chk.passed is False
+        ]
+    return {
+        "k": args.k,
+        "conjecture": [r.as_dict() | {"ok": r.holds and r.attained} for r in reports],
+        "extension_sweep": {
+            "sets": sweep.sets_checked,
+            "pairs": sweep.pairs_checked,
+            "violations": [
+                {"set": list(a), "x": c.x, "problems": list(c.violations)}
+                for a, c in sweep.violations
+            ],
+        },
+        "chains": {"count": len(chains), "failures": chain_failures},
+        "uniqueness": {"applicable": applicable, "failures": uniq_failures},
     }
 
+
+def _verdicts(doc: dict) -> list[tuple[str, bool]]:
+    """The lines of the text report read off a verify document, each without
+    its PASS/FAIL and with whether it passed: one per oracle report, then one
+    per check family, which passes when its failure list is empty."""
+    k = doc["k"]
+    sweep, chains, uniq = doc["extension_sweep"], doc["chains"], doc["uniqueness"]
+
+    def family(name, counts, failures, noun="failures"):
+        return f"{name} k={k}: {counts}, {len(failures)} {noun}", not failures
+
+    return [
+        (
+            f"conjecture k={r['k']} t={r['t']}: observed {r['observed_max_vol']} "
+            f"expected {r['mu'] + 1} attained {'yes' if r['attained'] else 'no'}",
+            r["ok"],
+        )
+        for r in doc["conjecture"]
+    ] + [
+        family(
+            "extension sweep",
+            f"{sweep['sets']} sets, {sweep['pairs']} extensions",
+            sweep["violations"],
+            "violations",
+        ),
+        family("chain factorization", f"{chains['count']} chains", chains["failures"]),
+        family("uniqueness checks", f"{uniq['applicable']} applicable", uniq["failures"]),
+    ]
+
+
+def cmd_verify(args) -> int:
+    doc = _verify_document(args)
+    verdicts = _verdicts(doc)
+    ok = all(passed for _, passed in verdicts)
     if args.format == "json":
-        out["ok"] = failures == 0
-        _emit(out)
+        _emit(doc | {"ok": ok})
     else:
-        print("\n".join(lines))
-    return 2 if failures else 0
+        print("\n".join(f"{line} {'PASS' if passed else 'FAIL'}" for line, passed in verdicts))
+    return 0 if ok else 2
 
 
 def main(argv=None) -> int:

@@ -27,7 +27,7 @@ from . import chains, kernel
 from .chains import is_chain_member
 from .dimension import is_one_dimensional, out_of_hull_pool
 from .doubling import DoublingProfile, mu, profile, t_range
-from .errors import CapacityError, DecompositionNotUnique, NotDecomposable
+from .errors import CapacityError
 from .growth import adjoin_double_max
 from .intset import (
     IntSet,
@@ -37,11 +37,10 @@ from .intset import (
     require_normal,
     sumset,  # unused here; sweepbench/test_sweepbench.py reads search.sumset
 )
-from .stability import StableDecomposition, _unique_split
+from .stability import stable_split
 
 DEFAULT_BUDGET = 10**9
 CACHE_ENV = "SUMSETCHAINS_CACHE"
-CACHE_VERSION = 1
 # the layout of a slices file; it enters kernel_digest, so a new layout
 # retires the old files as a kernel change does
 SLICES_SCHEMA = "k: int, digest: str, slices: {str(m): [sorted doublings]}"
@@ -113,7 +112,7 @@ def cache_dir() -> Path:
 
 
 def _slices_path(k: int) -> Path:
-    return cache_dir() / f"slices_k{k}_v{CACHE_VERSION}.json"
+    return cache_dir() / f"slices_k{k}.json"
 
 
 def _sha256():
@@ -440,17 +439,6 @@ class ExtensionCheck(NamedTuple):
         return not self.violations
 
 
-def _try_decompose(a: IntSet, t: int) -> StableDecomposition | None:
-    """The stable decomposition of a normal set a with doubling t, or None
-    when it has none (t > 3|A| - 4 included)."""
-    if t > 3 * len(a) - 4:
-        return None
-    try:
-        return _unique_split(a)
-    except (NotDecomposable, DecompositionNotUnique):
-        return None
-
-
 def check_extension_lemmas(a: IntSet, x: int) -> ExtensionCheck:
     """Check the growth identities for the extension of a by x.
 
@@ -543,7 +531,7 @@ def _extension_checks(
     prof = profile(k, t)
     c = prof.c
     large = 3 * (k + 1) - 4  # T_x above it: the large-doubling regime
-    dec = _try_decompose(IntSet(elements), t) if a_max == prof.mu else None
+    dec = stable_split(IntSet(elements), t) if a_max == prof.mu else None
     checks = []
     for x, tx, overlap in triples:
         delta_t = tx - t
@@ -625,7 +613,7 @@ def extension_lemma_sweep(k: int, *, threads: int = 1) -> ExtensionSweepReport:
     slice in order, so the report does not depend on threads.
 
     A set is decomposed only when max A = mu(k, T) and T <= 3k - 4 (see
-    _try_decompose). Any other set's pairs (T_x, overlap) read only
+    stable_split). Any other set's pairs (T_x, overlap) read only
     _pair_verdict: one subset test against _passing_pairs(k, T) clears it,
     and it goes through _extension_checks only when some pair fails.
 
@@ -818,7 +806,7 @@ def check_uniqueness_lemmas(
 
     # chains above the crossing over a two-progression split
     name = "chain extensions over a two-progression split"
-    dec = _try_decompose(a, t) if one_dim else None
+    dec = stable_split(a, t) if one_dim else None
     if k + 2 > cap:
         skip(name, past_cap)
     elif (

@@ -88,19 +88,20 @@ class StableDecomposition(NamedTuple):
 
 
 def _candidate_splits(a: IntSet) -> list[StableDecomposition]:
+    # Each split reassembles to A by construction: u is an element and v
+    # steps from u only through consecutive elements, so A ∩ [0, u], the run
+    # [u, v] and A ∩ [v, max A] glue back to A.
     elems = set(a.elements)
     out = []
     for u in a.elements:
         a1 = IntSet(e for e in a.elements if e <= u)
-        if a1.max != u or not is_stable(a1):
+        if not is_stable(a1):
             continue
         v = u
         while True:
             a2 = IntSet(e - v for e in a.elements if e >= v)
             if is_right_stable(a2):
-                dec = StableDecomposition(a1=a1, p_len=v - u + 1, a2=a2)
-                if dec.reassemble() == a:
-                    out.append(dec)
+                out.append(StableDecomposition(a1=a1, p_len=v - u + 1, a2=a2))
             if v + 1 in elems:
                 v += 1
             else:
@@ -121,18 +122,22 @@ def stable_decompose(a: IntSet) -> StableDecomposition:
     cap = 3 * len(a) - 4
     if t > cap:
         raise ValueError(f"stable_decompose requires |2A| <= 3|A|-4 = {cap}, got {t}")
-    return _unique_split(a)
-
-
-def _unique_split(a: IntSet) -> StableDecomposition:
-    """stable_decompose without its checks, for a caller that already knows
-    a is normal with |2A| <= 3|A| - 4."""
     splits = _candidate_splits(a)
     if not splits:
         raise NotDecomposable(a.to_text())
     if len(splits) > 1:
         raise DecompositionNotUnique(splits)
     return splits[0]
+
+
+def stable_split(a: IntSet, t: int) -> StableDecomposition | None:
+    """The stable decomposition of a normal set a with doubling t, or None
+    when t > 3|A| - 4 or a has no split or more than one: stable_decompose
+    without its checks and exceptions, for a caller that knows |2A|."""
+    if t > 3 * len(a) - 4:
+        return None
+    splits = _candidate_splits(a)
+    return splits[0] if len(splits) == 1 else None
 
 
 def doubled_decomposition_length(a: IntSet, dec: StableDecomposition) -> int | None:

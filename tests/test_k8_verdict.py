@@ -7,8 +7,8 @@ parts pass, and the extension sweep finds 13 sets whose doubling constant
 moves from 6 to 4.
 
 Marked slow and deselected by default: the sweep covers C(72, 7) = 1.5e9
-candidate sets, 6-9 s on two cores with the compiled kernel, and the
-verify run over the filled table takes 5-8 s more. Both tests share one
+candidate sets, 6-9 s on two cores with the compiled kernel, and each
+verify run over the filled table (JSON, then text) takes 5-8 s more. Both tests share one
 forced table, so ``python -m pytest -m slow`` sweeps k = 8 once. The k = 9
 table to m = 49 covers C(49, 8) = 4.5e8 candidates, the bound of the
 classes with T <= 32, in about 2 s on two cores.
@@ -25,6 +25,7 @@ from sumsetchains.cli import main
 
 K8_CSV_SHA256 = "f1471e7477cb820cdc3efb6e2ef1a8e5ffd5bf393e2e7506244a524ef85f7026"
 K8_VERIFY_SHA256 = "cdbd94ab618a12152a356a4760a8aa8f14c3c7f44e48ae6b8ca3c0c281ea794a"
+K8_VERIFY_TEXT_SHA256 = "b4b79c2b8a2b3eca9e86e76f049a84acc4ad2ff5e2f72d82887e70b0d52e05fb"
 # repr(sorted(slices.items())) of the realized doublings per maximum m <= 49 at
 # k = 9
 K9_SLICES_SHA256 = "a1f21fa765472f804c74bdfb618796f0552f3cdef99b1e0b94a071db337af2fe"
@@ -86,6 +87,10 @@ def test_k8_verify_verdict_is_pinned(k8_engine, capsys):
     for v in sweep["violations"]:
         assert v["problems"] == ["doubling constant moved from 6 to 4"]
     assert hashlib.sha256(out.encode()).hexdigest() == K8_VERIFY_SHA256
+    # the text report of the same verdict, on the table now filled
+    assert main(["verify", "--k", "8", "--threads", "2"]) == 2
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == K8_VERIFY_TEXT_SHA256
 
 
 @pytest.mark.slow

@@ -7,6 +7,7 @@ import math
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -389,10 +390,9 @@ def test_right_extension_xs_are_the_extension_candidates():
 
 def test_right_extensions_cap_straddles(compiled_kernel):
     # the compiled twin sizes its masks from the span, so it refuses only
-    # spans past 2**20; the pure twin would take minutes at such spans, so
-    # the compiled twin is checked against the walk-free reference. Its walk
-    # costs span**2 / 64 word operations, which puts span 2**20 itself (about
-    # 90 s) in the slow test below and 2**14 here
+    # spans past 2**20, and is checked against the walk-free reference. Its
+    # walk costs span**2 / 64 word operations, which puts span 2**20 itself
+    # (about 90 s) in the slow test below and 2**14 here
     for span in (1 << 14, (1 << 14) + 1):
         for elems in [(0, span), (0, 1, span), (0, 3, span // 2, span), (-5, 3, span - 5)]:
             got = compiled_kernel.right_extensions(elems)
@@ -611,8 +611,7 @@ def test_chain_children_of_11_12_and_13_elements_match_on_both_twins(
 def test_chain_children_cap_straddles(compiled_kernel):
     # the compiled twin sizes its masks from the span and its buffers from
     # |A|: wide and long parents run compiled up to span 2**20; past it,
-    # OverflowError (the pure twin would take minutes at that span, so the
-    # refusal is tested on the compiled twin alone)
+    # OverflowError, which sends the facade to the pure twin (tested below)
     powers = tuple(1 << i for i in range(13))
     for elems in [
         (0, *powers),
@@ -677,12 +676,31 @@ def test_mask_primitives_refuse_spans_past_2_to_the_20_alike(compiled_kernel):
 
 
 def test_facade_hands_iterators_past_the_caps_to_the_pure_twin(compiled_facade):
-    # the compiled twin reads the iterator before it refuses the input; past
-    # the span cap of right_extensions and chain_children the pure twin
-    # would take minutes, so lambda_rank's |A| cap stands for them
+    # the compiled twin reads the iterator before it refuses the input
     elems = tuple(range(13))
     got = compiled_facade.lambda_rank(iter(elems))
     assert got and got == pure.lambda_rank(elems)
+    wide = (0, 1, (1 << 20) + 1)
+    got = compiled_facade.right_extensions(iter(wide))
+    assert got and got == pure.right_extensions(wide)
+    got = compiled_facade.chain_children(iter(wide), 100)
+    assert got and got == pure.chain_children(wide, 100)
+
+
+@pytest.mark.parametrize("path", ["pure", "compiled_facade"])
+def test_mask_primitives_answer_past_span_2_to_the_20_in_seconds(request, path):
+    # past the compiled twin's span cap the facade hands the mask primitives
+    # to the pure twin, which reads the points of 2A - A off one mask rather
+    # than testing each of about 2 span shifts (minutes at this span)
+    k = pure if path == "pure" else request.getfixturevalue("compiled_facade")
+    elems = (0, 1, (1 << 20) + 1)
+    start = time.perf_counter()
+    extensions = k.right_extensions(elems)
+    children = k.chain_children(elems, 100)
+    elapsed = time.perf_counter() - start
+    assert extensions == reference_right_extensions(elems)
+    assert children == [(c, t) for c, t in reference_chain_children(elems) if t <= 100]
+    assert children and elapsed < 2
 
 
 @pytest.mark.parametrize(

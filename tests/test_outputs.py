@@ -42,6 +42,7 @@ SMALL_K = {
 }
 K7 = {
     ("search", "--k", "7"): "3c6a77e67ed331c74948d40a5f5bbc2160402ec3ab8636e82f1dc2de4d107159",
+    ("verify", "--k", "7"): "925a0e9fa28f99a57f1f9bbed542e740378da020b296f2a64492b86cd35a2350",
     ("verify", "--k", "7", "--format", "json"):
         "303178cf425ca524caf7b39c4a07b418a1b847c28fce94f44a6fbf90895fb216",
 }

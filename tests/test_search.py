@@ -103,7 +103,7 @@ class TestOracle:
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
         cold = vol1_oracle(6, 14)
-        path = tmp_path / "slices_k6_v1.json"
+        path = tmp_path / "slices_k6.json"
         assert list(tmp_path.iterdir()) == [path]
         stored = json.loads(path.read_text())
         assert stored["k"] == 6 and stored["digest"] == search.kernel_digest()
@@ -127,7 +127,7 @@ class TestOracle:
     def test_bad_slice_file_is_recomputed(self, tmp_path, monkeypatch, content):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
-        path = tmp_path / "slices_k6_v1.json"
+        path = tmp_path / "slices_k6.json"
         path.write_text(content)
         got = vol1_oracle(6, 14)
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
@@ -139,7 +139,7 @@ class TestOracle:
     def test_slice_file_of_another_kernel_is_recomputed(self, tmp_path, monkeypatch, digest):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
-        path = tmp_path / "slices_k6_v1.json"
+        path = tmp_path / "slices_k6.json"
         # well formed, but served it would leave the report without witnesses
         stale = {"k": 6, "slices": {str(m): [] for m in range(5, 40)}}
         if digest is not None:
@@ -168,7 +168,7 @@ class TestOracle:
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
         verify_conjecture(6)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        assert list(before) == ["slices_k6_v1.json"]
+        assert list(before) == ["slices_k6.json"]
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
         warm = verify_conjecture(6)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -524,9 +524,23 @@ class TestExtensionChecks:
             "doubling T_x = 18 outside [11, 17] for k + 1 = 6",
         )
         assert cli.main(["verify", "--k", "5", "--format", "json"]) == 2
-        got = json.loads(capsys.readouterr().out)["extension_sweep"]
-        assert got["violations"] == [
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False
+        assert doc["extension_sweep"]["violations"] == [
             {"set": [0, 1, 2, 3, 4], "x": 5, "problems": list(check.violations)}
+        ]
+        # the text report reads the same verdict; the skewed T_x also reaches
+        # the uniqueness check that extends {0, ..., 4} by 5
+        assert len(doc["uniqueness"]["failures"]) == 1
+        assert cli.main(["verify", "--k", "5"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "conjecture k=5 t=9: observed 5 expected 5 attained yes PASS",
+            "conjecture k=5 t=10: observed 6 expected 6 attained yes PASS",
+            "conjecture k=5 t=11: observed 7 expected 7 attained yes PASS",
+            "conjecture k=5 t=12: observed 9 expected 9 attained yes PASS",
+            "extension sweep k=5: 20 sets, 122 extensions, 1 violations FAIL",
+            "chain factorization k=5: 7 chains, 0 failures PASS",
+            "uniqueness checks k=5: 13 applicable, 1 failures FAIL",
         ]
 
     def test_sweep_makes_one_kernel_call_per_set(self, monkeypatch):

@@ -13,6 +13,7 @@ from sumsetchains.stability import (
     is_right_stable,
     is_stable,
     stable_decompose,
+    stable_split,
 )
 
 
@@ -155,19 +156,26 @@ class TestDecomposition:
         assert (dec.a1_max, dec.a2_max) == (2, 0)
 
     def test_unique_for_all_small_extremal_sets(self):
-        """Every small normal set in the 3k-4 regime splits at most one way."""
+        """Every small normal set in the 3k-4 regime splits at most one way,
+        its split reassembles to it, and stable_split finds the same split
+        or None where stable_decompose raises or the doubling is too large."""
         from sumsetchains.search import enumerate_normal_sets
 
         for k in range(3, 8):
             for a in enumerate_normal_sets(k, 2 * k + 6):
-                if doubling(a) > 3 * k - 4:
+                t = doubling(a)
+                if t > 3 * k - 4:
+                    assert stable_split(a, t) is None
                     continue
                 try:
-                    stable_decompose(a)
+                    dec = stable_decompose(a)
                 except NotDecomposable:
-                    pass
+                    dec = None
                 except DecompositionNotUnique as exc:  # pragma: no cover
                     pytest.fail(f"{a.to_text()} split twice: {exc}")
+                else:
+                    assert dec.reassemble() == a
+                assert stable_split(a, t) == dec
 
 
 class TestDoubledDecomposition:
