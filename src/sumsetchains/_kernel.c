@@ -9,16 +9,16 @@
  * the prefix's words in place, a shifted AND and a popcount per word. It
  * keeps every one-dimensional set, or one per doubling for the sweep's table
  * (see scan).
- * right_extensions lists the one-element right extensions of one set with
- * their doublings and overlaps, so a sweep makes one call per set, and
- * chain_children the canonical out-of-hull children of one normal set with
- * their doublings, so a chain level makes one call per parent. Both read
- * 2A - A off the masks of A and 2A that read_masks builds for them and for
- * doubling_size, and count |2(A | {y})| = |2A| + |A| + 1 - |2A & (y + A)|.
- * chain_children runs no rank test: the chain levels grow from {0, 1, 2},
- * and every child of a one-dimensional parent is one-dimensional (y in
- * 2A - A gives a relation y + a = b + c with y-coefficient 1, independent of
- * A's relations).
+ * right_extensions lists the right extensions of one set with their
+ * doublings and overlaps, one call per set of a sweep, and chain_children
+ * the canonical out-of-hull children of one normal set with their doublings,
+ * one call per parent of a chain level. Both visit only the points y of one
+ * mask of 2A - A (see read_masks), so their cost is linear in the span for a
+ * given |A|, and count |2(A | {y})| = |2A| + |A| + 1 - |2A & (y + A)| by one
+ * shifted read on either side of the hull. No child is rank tested: the
+ * chain levels grow from {0, 1, 2}, and a child of a one-dimensional parent
+ * is one-dimensional (y in 2A - A gives a relation y + a = b + c with
+ * y-coefficient 1, independent of A's relations).
  * scan_slice releases the GIL while it walks, so callers can run slices on
  * threads: the walk touches no Python object, and the tuples are built after
  * taking the GIL back.
@@ -50,10 +50,8 @@
  * the pure twin's messages.
  * Limits: elements with |e| <= 2^60 (the IntSet range), at most 12 elements
  * for rank work (the prime bound above), slice maxima m <= 511, and spans
- * <= 2^20 for the masks of doubling_size, right_extensions and
- * chain_children, which read_masks checks. Past a limit it raises
- * OverflowError; kernel.py routes such input to the pure-Python reference
- * instead. */
+ * <= 2^20 for the masks (read_masks). Past a limit it raises OverflowError;
+ * kernel.py routes such input to the pure-Python reference instead. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -80,7 +78,7 @@ static int popcount(u64 x)
 }
 
 /* Reads a set (see Input in the header) through __index__ into a PyMem
- * array of its *k offsets from the minimum *base, with one slot to spare.
+ * array of its *k offsets from the minimum *base.
  * Returns NULL with an exception set: OverflowError for an element past
  * |e| <= 2^60, else the errors of _kernel_py's _read_set, in its order. */
 static i64 *read_set(PyObject *elements, const char *what, Py_ssize_t *k, i64 *base)
@@ -89,7 +87,7 @@ static i64 *read_set(PyObject *elements, const char *what, Py_ssize_t *k, i64 *b
     if (seq == NULL)
         return NULL;
     Py_ssize_t n = PyTuple_GET_SIZE(seq), i;
-    i64 *off = PyMem_Malloc((n + 1) * sizeof(i64));
+    i64 *off = PyMem_Malloc(n * sizeof(i64));
     if (off == NULL) {
         PyErr_NoMemory();
         goto fail;
@@ -165,11 +163,11 @@ static inline int shifted_overlap(const u64 *two, const u64 *mask, Py_ssize_t mw
     return total;
 }
 
-/* A set and the masks of A and 2A, as read_masks builds them. */
+/* A set and its masks: A and 2A from read_masks, 2A - A from pool_mask. */
 typedef struct {
-    Py_ssize_t k, mw, tw;
-    i64 base, span, *off; /* read_set's offsets, with its spare slot */
-    u64 *a, *two;         /* one zeroed block, mw + tw words each */
+    Py_ssize_t k, mw;
+    i64 base, span, *off; /* read_set's offsets */
+    u64 *a, *two, *pool;  /* one zeroed block: mw, 4 mw and 4 mw words */
     int size;             /* |2A| */
 } Masks;
 
@@ -179,15 +177,16 @@ typedef struct {
  * held: read_set's errors, ValueError for a set that is not normal, and
  * OverflowError past span 2^20.
  *
- * One size serves every read the mask primitives make. With mw = span / 64
- * + 1 and tw = 2 span / 64 + 1, A and 2A each take mw + tw words:
- * - shifted_overlap(two, a, mw, x) with x <= 2 span reads two up to word
- *   (mw - 1) + (tw - 1) + 1 = mw + tw - 1;
- * - shifted_overlap(a, two, tw, d) with d <= span, the left side of
- *   chain_children, reads a up to word (tw - 1) + (mw - 1) + 1 = mw + tw - 1;
- * - shift_or(two, a, mw, e) with e <= span writes two up to word 2 mw - 1,
- *   at most mw + tw - 1.
- * 2A lies in [0, 2 span], its first tw words. */
+ * One layout serves every read the mask primitives make: bit i of a stands
+ * for the offset i, bit span + s of two for the sum s, and bit 2 span + y of
+ * pool for the point y of 2A - A, so no shift is negative. With mw = span /
+ * 64 + 1 words for A, a shift by x <= c span starts at word x / 64 < c mw:
+ * - shift_or(two, a, mw, span + e) with e <= span writes two up to word
+ *   (mw - 1) + (2 mw - 1) + 1 = 3 mw - 1: 2A lies in words mw - 1 to 3 mw - 1;
+ * - shifted_overlap(two, a, mw, span + y) with y <= 2 span reads two up to
+ *   word (mw - 1) + (3 mw - 1) + 1 = 4 mw - 1;
+ * - shift_or(pool, two, 3 mw, span - a) with a >= 0 writes pool up to word
+ *   (3 mw - 1) + (mw - 1) + 1 = 4 mw - 1. */
 static int read_masks(PyObject *elements, const char *what, int normal, Masks *s)
 {
     Py_ssize_t i;
@@ -204,23 +203,40 @@ static int read_masks(PyObject *elements, const char *what, int normal, Masks *s
         PyErr_Format(PyExc_OverflowError, "the compiled %s takes spans <= 2**20", what);
     else {
         s->mw = (Py_ssize_t)(s->span >> 6) + 1;
-        s->tw = (Py_ssize_t)((2 * s->span) >> 6) + 1;
-        if ((s->a = PyMem_Calloc(2 * (s->mw + s->tw), sizeof(u64))) == NULL)
+        if ((s->a = PyMem_Calloc(9 * s->mw, sizeof(u64))) == NULL)
             PyErr_NoMemory();
     }
     if (s->a == NULL) {
         PyMem_Free(s->off);
         return -1;
     }
-    s->two = s->a + s->mw + s->tw;
+    s->two = s->a + s->mw;
+    s->pool = s->two + 4 * s->mw;
     for (i = 0; i < s->k; i++)
         s->a[s->off[i] >> 6] |= 1ULL << (s->off[i] & 63);
     for (i = 0; i < s->k; i++)
-        shift_or(s->two, s->a, s->mw, s->off[i]);
-    s->size = 0;
-    for (i = 0; i < s->tw; i++)
+        shift_or(s->two, s->a, s->mw, s->span + s->off[i]);
+    for (i = s->mw - 1, s->size = 0; i < 3 * s->mw; i++)
         s->size += popcount(s->two[i]);
     return 0;
+}
+
+/* The pool, 2A - A: two shifted by span - a, ORed over a in A (not for doubling_size). */
+static void pool_mask(Masks *s)
+{
+    for (Py_ssize_t i = 0; i < s->k; i++)
+        shift_or(s->pool, s->two, 3 * s->mw, s->span - s->off[i]);
+}
+
+/* The first set bit at or past j of the pool mask, or -1: each point y of
+ * 2A - A, at bit 2 span + y, in ascending order. */
+static i64 next_point(const Masks *s, i64 j)
+{
+    Py_ssize_t w = (Py_ssize_t)(j >> 6);
+    u64 x = w < 4 * s->mw ? s->pool[w] & (~0ULL << (j & 63)) : 0;
+    while (x == 0 && ++w < 4 * s->mw)
+        x = s->pool[w];
+    return x == 0 ? -1 : 64 * (i64)w + popcount((x - 1) & ~x);
 }
 
 static void free_masks(Masks *s)
@@ -682,21 +698,19 @@ static PyObject *sweep_slice(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 /* (x, |2(A | {x})|, |2A & (x + A)|) for every x > max A in 2A - A, ascending,
- * as in _kernel_py: x + A meets 2A exactly when x is in 2A - A, so the
- * overlap picks the xs, and x adds |A| + 1 - overlap sums to 2A. */
+ * as in _kernel_py: the points of the pool past bit 3 span, each adding
+ * |A| + 1 - overlap sums to 2A. */
 static PyObject *right_extensions(PyObject *self, PyObject *elements)
 {
-    PyObject *out;
     Masks s;
     if (read_masks(elements, "right_extensions", 0, &s) < 0)
         return NULL;
+    pool_mask(&s);
     int fresh = s.size + (int)s.k + 1;
-    out = PyList_New(0);
-    for (i64 x = s.span + 1; out != NULL && x <= 2 * s.span; x++) {
-        int overlap = shifted_overlap(s.two, s.a, s.mw, x);
-        if (overlap == 0)
-            continue;
-        PyObject *item = Py_BuildValue("(Lii)", s.base + x, fresh - overlap, overlap);
+    PyObject *out = PyList_New(0);
+    for (i64 j = next_point(&s, 3 * s.span + 1); out != NULL && j >= 0; j = next_point(&s, j + 1)) {
+        int overlap = shifted_overlap(s.two, s.a, s.mw, j - s.span);
+        PyObject *item = Py_BuildValue("(Lii)", s.base + j - 2 * s.span, fresh - overlap, overlap);
         if (item == NULL || PyList_Append(out, item) < 0)
             Py_CLEAR(out);
         Py_XDECREF(item);
@@ -726,52 +740,37 @@ static int append_child(PyObject *out, const i64 *child, i64 *refl, Py_ssize_t n
 
 /* (canon, |2 canon|) for every y in 2A - A outside [0, max A], ascending, for
  * a normal set A, as in _kernel_py: canon is the larger of the normal form
- * of A | {y} and its reflexion, kept when |2 canon| <= t_max. The pool comes
- * from the masks of A and 2A, as in right_extensions: y < 0 when A meets
- * 2A - y, y > max A when 2A meets y + A. The children take 2 (|A| + 1)
- * offsets. */
+ * of A | {y} and its reflexion, kept when |2 canon| <= t_max. One walk of
+ * the pool, as in right_extensions, on both sides of the hull. */
 static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"elements", "t_max", NULL};
-    PyObject *elements, *out = NULL;
+    PyObject *elements;
     Py_ssize_t t_max, i;
-    i64 d, *child;
     Masks s;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "On:chain_children", kwlist, &elements,
                                      &t_max)
         || read_masks(elements, "chain_children", 1, &s) < 0)
         return NULL;
+    pool_mask(&s);
     int fresh = s.size + (int)s.k + 1;
-    if ((child = PyMem_Malloc(2 * (s.k + 1) * sizeof(i64))) == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    if ((out = PyList_New(0)) == NULL)
-        goto done;
-    /* y = -d, ascending: the child is {0} | (A + d) */
-    for (d = s.span; d >= 1; d--) {
-        int t = fresh - shifted_overlap(s.a, s.two, s.tw, d);
-        if (t == fresh || t > t_max)
+    i64 *child = PyMem_Malloc(2 * (s.k + 1) * sizeof(i64));
+    PyObject *out = child == NULL ? PyErr_NoMemory() : PyList_New(0);
+    for (i64 j = next_point(&s, 0); out != NULL && j >= 0; j = next_point(&s, j + 1)) {
+        i64 y = j - 2 * s.span;
+        if (y >= 0 && y <= s.span)
             continue;
-        child[0] = 0;
+        int t = fresh - shifted_overlap(s.two, s.a, s.mw, j - s.span);
+        if (t > t_max)
+            continue;
+        /* the normal form of A | {y}: A + (y,), or (0, *(A - y)) for y < 0 */
+        i64 low = y < 0 ? y : 0;
+        child[y < 0 ? 0 : s.k] = y - low;
         for (i = 0; i < s.k; i++)
-            child[i + 1] = s.off[i] + d;
+            child[i + (y < 0)] = s.off[i] - low;
         if (append_child(out, child, child + s.k + 1, s.k + 1, t) < 0)
-            goto fail;
+            Py_CLEAR(out);
     }
-    /* y > max A: the child is A | {y}, in off's spare slot */
-    for (d = s.span + 1; d <= 2 * s.span; d++) {
-        int t = fresh - shifted_overlap(s.two, s.a, s.mw, d);
-        if (t == fresh || t > t_max)
-            continue;
-        s.off[s.k] = d;
-        if (append_child(out, s.off, child + s.k + 1, s.k + 1, t) < 0)
-            goto fail;
-    }
-    goto done;
-fail:
-    Py_CLEAR(out);
-done:
     PyMem_Free(child);
     free_masks(&s);
     return out;

@@ -40,8 +40,8 @@ the compiled twin; there it checks the one span limit, 2**20, and sizes
 the masks for every read the three make. The pool comes off the masks:
 right_extensions and chain_children read the points y of 2A - A off one
 mask, 2A shifted by max A - a and ORed over a in A, visiting only its set
-bits outside the hull, so for a given |A| their cost is linear in the span
-(the compiled twin, capped at 2**20, tests every shift instead).
+bits outside the hull, so for a given |A| their cost is linear in the span,
+as in the compiled twin (pool_mask).
 y + A meets 2A in the overlap, and 2y is a new sum, so
 |2(A ∪ {y})| = |2A| + |A| + 1 - overlap, with no recount.
 """

@@ -283,6 +283,31 @@ def test_the_reference_slices_hold_mirror_pairs_and_palindromes():
     assert all(seen.values()), seen
 
 
+def mobius(n):
+    """The Möbius function of n >= 1, by trial division."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def test_the_pure_walk_covers_each_slice_by_a_closed_form():
+    # the walk visits half of each slice: a leaf with e[1] + e[-2] < m stands
+    # for itself and its mirror, a leaf on the line for itself alone. The
+    # normal k-sets with max m, one-dimensional or not, are the interiors
+    # whose gcd with m is 1: sum over d | m of mu(d) C(m / d - 1, k - 2)
+    for k in range(3, 8):
+        for m in range(k - 1, 30):
+            walked = sum(1 + (e[1] + e[-2] < m) for e, _ in pure.normal_tuples(k, m))
+            divisors = [d for d in range(1, m + 1) if m % d == 0]
+            assert walked == sum(mobius(d) * math.comb(m // d - 1, k - 2) for d in divisors), (k, m)
+
+
 def uncovered_elements(elems):
     """The elements in no pair (i <= j) whose sum another pair also reaches,
     from the pair-sum counts alone."""
@@ -390,24 +415,19 @@ def test_right_extension_xs_are_the_extension_candidates():
 
 def test_right_extensions_cap_straddles(compiled_kernel):
     # the compiled twin sizes its masks from the span, so it refuses only
-    # spans past 2**20, and is checked against the walk-free reference. Its
-    # walk costs span**2 / 64 word operations, which puts span 2**20 itself
-    # (about 90 s) in the slow test below and 2**14 here
-    for span in (1 << 14, (1 << 14) + 1):
+    # spans past 2**20; up to 2**20 itself its right_extensions and
+    # chain_children equal the walk-free references
+    for span in (1 << 14, (1 << 14) + 1, 1 << 20):
         for elems in [(0, span), (0, 1, span), (0, 3, span // 2, span), (-5, 3, span - 5)]:
             got = compiled_kernel.right_extensions(elems)
             assert got and got == reference_right_extensions(elems), elems
+            if elems[0] == 0 and math.gcd(*elems) == 1:
+                got = compiled_kernel.chain_children(elems, 10**6)
+                assert got and got == reference_chain_children(elems), elems
     span = 1 << 20
     for elems in [(0, span + 1), (0, 1, span + 1), (-5, 3, span - 4)]:
         with pytest.raises(OverflowError):
             compiled_kernel.right_extensions(elems)
-
-
-@pytest.mark.slow
-def test_right_extensions_take_span_2_to_the_20(compiled_kernel):
-    elems = (-5, 3, (1 << 20) - 5)
-    got = compiled_kernel.right_extensions(elems)
-    assert got and got == reference_right_extensions(elems)
 
 
 def test_right_extensions_match_the_reference_on_spans_512_to_4096(twin):
@@ -644,11 +664,11 @@ def word_edge_sets(span):
     return sets + [tuple(e - 70 for e in elems) for elems in sets]
 
 
-@pytest.mark.parametrize("span", [63, 64, 65, 127, 128, 129, 191, 192])
+@pytest.mark.parametrize("span", [16, 21, 32, 43, 48, 63, 64, 65, 127, 128, 129, 191, 192])
 def test_mask_primitives_match_the_references_at_word_edges(twin, span):
-    # one mask size serves every shifted read: 2A against x + A for x up to
-    # 2 span, A against 2A + d for d up to span (the left side of
-    # chain_children), checked where span and 2 span cross a word edge
+    # one mask layout serves every shifted read: the compiled twin keeps 2A
+    # at bits span..3 span and 2A - A at bits span..4 span, checked where
+    # span, 3 span or 4 span crosses a word edge
     for elems in word_edge_sets(span):
         assert twin.doubling_size(elems) == len({a + b for a in elems for b in elems}), elems
         assert twin.right_extensions(elems) == reference_right_extensions(elems), elems
@@ -687,13 +707,14 @@ def test_facade_hands_iterators_past_the_caps_to_the_pure_twin(compiled_facade):
     assert got and got == pure.chain_children(wide, 100)
 
 
-@pytest.mark.parametrize("path", ["pure", "compiled_facade"])
+@pytest.mark.parametrize("path", ["pure", "compiled_facade", "compiled_kernel"])
 def test_mask_primitives_answer_past_span_2_to_the_20_in_seconds(request, path):
-    # past the compiled twin's span cap the facade hands the mask primitives
-    # to the pure twin, which reads the points of 2A - A off one mask rather
-    # than testing each of about 2 span shifts (minutes at this span)
-    k = pure if path == "pure" else request.getfixturevalue("compiled_facade")
-    elems = (0, 1, (1 << 20) + 1)
+    # both twins read the points of 2A - A off one mask rather than testing
+    # each of about 2 span shifts (minutes at this span): the compiled twin
+    # at its span cap, 2**20, and past it the facade hands the mask
+    # primitives to the pure twin
+    k = pure if path == "pure" else request.getfixturevalue(path)
+    elems = (0, 1, (1 << 20) + (path != "compiled_kernel"))
     start = time.perf_counter()
     extensions = k.right_extensions(elems)
     children = k.chain_children(elems, 100)
