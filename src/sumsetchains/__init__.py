@@ -1,10 +1,10 @@
 """Computing with finite integer sets of small doubling.
 
-Sumsets and doubling over bitset arithmetic, additive dimension by exact
-rank of the pair-sum relation space, stable decompositions, the growth
-operators that trade cardinality for doubling, chain recognition and
-enumeration, and exhaustive search oracles for the maximum-volume
-conjecture at desk scale.
+Sumsets from pair sums, doubling and out-of-hull extensions from the
+kernel's bitmasks, additive dimension by exact rank of the pair-sum
+relation space, stable decompositions, the growth operators that trade
+cardinality for doubling, chain recognition and enumeration, and
+exhaustive search oracles for the maximum-volume conjecture at desk scale.
 """
 
 from .chains import (

@@ -163,7 +163,7 @@ _TWIN = {
 
 
 def factorize(a: IntSet) -> Factorization:
-    """Greedy inversion down to a small-doubling base.
+    """Greedy inversion down to a small-doubling base; needs |A| >= 3.
 
     Extension steps are peeled whenever available; odd-dilation steps only
     while the current set sits above the 3k-4 threshold. Above the threshold,
@@ -175,6 +175,8 @@ def factorize(a: IntSet) -> Factorization:
     (flagged) at a stuck set that reaches the threshold by deleting one
     extreme element.
     """
+    if len(a) < 3:
+        raise ValueError("factorize requires |A| >= 3")
     x, _, _ = normalize(a)
     steps: list[GrowthStep] = []
     while True:

@@ -1,9 +1,10 @@
-"""Finite sets of integers with fast sumset arithmetic.
+"""Finite sets of integers and their sumsets.
 
 The one value type of the package. An :class:`IntSet` is an immutable,
-sorted tuple of distinct integers; sumsets and difference sets are computed
-on bitmasks (arbitrary-width Python ints shifted and OR-ed), which is what
-keeps the exhaustive searches cheap.
+sorted tuple of distinct integers. Sumsets and difference sets are read off
+the |A|·|B| pair sums, so their cost does not grow with the span; |2A| and
+the out-of-hull extensions come from the kernel, which reads them off
+bitmasks of A and 2A.
 """
 
 from __future__ import annotations
@@ -82,14 +83,6 @@ class IntSet:
         """Hull length: max - min + 1."""
         return self.max - self.min + 1
 
-    def mask(self) -> int:
-        """Bitmask of the set relative to its minimum."""
-        base = self.min
-        m = 0
-        for e in self.elements:
-            m |= 1 << (e - base)
-        return m
-
     # ------------------------------------------------------------------
     # constructors
 
@@ -143,22 +136,9 @@ class IntSet:
         return IntSet(e for e in self.elements if e != x)
 
 
-def _bits_to_elements(mask: int, offset: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1 + offset)
-        mask ^= low
-    return tuple(out)
-
-
 def sumset(a: IntSet, b: IntSet) -> IntSet:
     """A + B = {x + y : x in A, y in B}."""
-    mb = b.mask()
-    acc = 0
-    for x in a.elements:
-        acc |= mb << (x - a.min)
-    return IntSet(_bits_to_elements(acc, a.min + b.min))
+    return IntSet({x + y for x in a.elements for y in b.elements})
 
 
 def difference_set(a: IntSet, b: IntSet) -> IntSet:

@@ -685,11 +685,6 @@ class UniquenessReport(NamedTuple):
         return all(c.passed is not False for c in self.checks)
 
 
-def _is_double_max_form(a: IntSet) -> bool:
-    body = a.elements[:-1]
-    return len(body) >= 2 and a.max == 2 * body[-1]
-
-
 def _extremal_right_extensions(
     b_set: IntSet, threads: int, use_cache: bool
 ) -> list[int]:
@@ -727,6 +722,9 @@ def check_uniqueness_lemmas(
     a_max = a.max
     one_dim = is_one_dimensional(a)
     pool = dict(out_of_hull_pool(a))  # y -> |2(A ∪ {y})|
+    # the 3k - 4 threshold at k + 1: checks 3 and 4 follow only the
+    # extensions with a larger doubling
+    threshold = 3 * (k + 1) - 4
     try:
         prof = profile(k, t)
     except ValueError:
@@ -765,14 +763,12 @@ def check_uniqueness_lemmas(
             )
         else:
             passed = all(x in (3 * a_max, 4 * a_max) for x in survivors)
-            notes = []
-            for x in survivors:
-                form = (
-                    "a double-max extension"
-                    if _is_double_max_form(b_set.adjoin(x))
-                    else "not a double-max extension"
-                )
-                notes.append(f"x={x} 1-extremal, {form}")
+            # D(A) has max 2·max A, so its double-max extension is 4·max A
+            notes = [
+                f"x={x} 1-extremal, {'a' if x == 4 * a_max else 'not a'} "
+                "double-max extension"
+                for x in survivors
+            ]
             details = (
                 f"boundary case mu {prof.mu} <= 2^{prof.c}: "
                 + ("; ".join(notes) if notes else "no 1-extremal extensions")
@@ -823,24 +819,24 @@ def check_uniqueness_lemmas(
     else:
         failures = []
         swept = 0
-        # a is normal and one-dimensional, so are its pool children ax and rx
-        for x, tx, _ in kernel.right_extensions(a.elements):
-            if tx <= 3 * (k + 1) - 4:
+        # a is normal and one-dimensional, so are its pool children A ∪ {x}
+        # and their reflexions
+        for x, tx in pool.items():
+            if x < a_max or tx <= threshold:
                 continue
             ax = a.adjoin(x)
-            for y, _, _ in kernel.right_extensions(ax.elements):
-                swept += 1
-                if is_chain_member(ax.adjoin(y)) and y != 2 * x:
-                    failures.append(f"A+{{{x},{y}}} is a chain but y != {2 * x}")
-            rx = reflexion(ax)
-            for y, _, _ in kernel.right_extensions(rx.elements):
-                if y <= x + 2:
-                    continue
-                swept += 1
-                if is_chain_member(rx.adjoin(y)) and y != 2 * x:
-                    failures.append(
-                        f"reflected A+{{{x}}} plus {y} is a chain but y != {2 * x}"
-                    )
+            for b, low, label in (
+                (ax, x, "A+{{{x},{y}}}"),
+                (reflexion(ax), x + 2, "reflected A+{{{x}}} plus {y}"),
+            ):
+                for y, _, _ in kernel.right_extensions(b.elements):
+                    if y <= low:
+                        continue
+                    swept += 1
+                    if is_chain_member(b.adjoin(y)) and y != 2 * x:
+                        failures.append(
+                            label.format(x=x, y=y) + f" is a chain but y != {2 * x}"
+                        )
         checks.append(
             LemmaOutcome(
                 name,
@@ -867,8 +863,10 @@ def check_uniqueness_lemmas(
         if not is_chain_member(halved):
             failures.append(f"halved even part {halved.to_text()} is not a chain")
         for y, ty in pool.items():
+            if ty <= threshold:
+                continue
             b = a.adjoin(y)
-            if ty > 3 * (k + 1) - 4 and is_chain_member(b):
+            if is_chain_member(b):
                 b_odds = [e for e in b if e % 2]
                 if len(b_odds) != 1:
                     failures.append(

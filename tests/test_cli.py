@@ -98,6 +98,14 @@ class TestFactorize:
         assert code == 2
         assert got["error"] == "not_factorizable"
 
+    @pytest.mark.parametrize("text", ["{0}", "{0,1}"])
+    def test_fewer_than_three_elements(self, capsys, text):
+        code = main(["factorize", "--set", text])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "sumsetchains: error: factorize requires |A| >= 3\n"
+
 
 class TestFiso:
     def test_isomorphic(self, capsys):

@@ -129,6 +129,18 @@ class TestFactorize:
         assert f.steps == ()
         assert not f.b_prime_case
 
+    @pytest.mark.parametrize("elements", [(0,), (0, 1), (3, 7)])
+    def test_fewer_than_three_elements_are_refused(self, elements):
+        with pytest.raises(ValueError, match=r"^factorize requires \|A\| >= 3$"):
+            factorize(IntSet(elements))
+
+    @pytest.mark.parametrize("elements", [(0, 1, 3), (0, 1, 2), (2, 4, 8)])
+    def test_a_three_set_is_its_own_base(self, elements):
+        f = factorize(IntSet(elements))
+        assert f.base == normalize(IntSet(elements))[0]
+        assert f.steps == ()
+        assert not f.b_prime_case
+
     def test_double_extension(self):
         f = factorize(IntSet((0, 1, 2, 4, 8)))
         assert f.base == IntSet((0, 1, 2))

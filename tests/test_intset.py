@@ -1,5 +1,7 @@
 """Core set type: construction, normal form, sumsets, text round-trips."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,6 +124,19 @@ class TestSumsets:
     def test_doubling(self):
         assert doubling(IntSet((0, 1, 3))) == 6
         assert doubling(IntSet.segment(5)) == 9
+
+    def test_sumsets_answer_at_span_2_to_the_40_in_milliseconds(self):
+        # the cost is |A|·|B| pair sums, whatever the span; a mask as wide as
+        # the span would be an int of 2**40 bits here
+        w = 2**40
+        a = IntSet((0, 1, w))
+        start = time.perf_counter()
+        two = sumset(a, a)
+        diff = difference_set(a, a)
+        elapsed = time.perf_counter() - start
+        assert two == IntSet((0, 1, 2, w, w + 1, 2 * w))
+        assert diff == IntSet((-w, 1 - w, -1, 0, 1, w - 1, w))
+        assert elapsed < 0.5
 
     @given(int_sets, int_sets)
     def test_sumset_commutes(self, a, b):

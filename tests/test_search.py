@@ -1,5 +1,6 @@
 """Exhaustive volume oracle, extension sweeps, and the uniqueness checks."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -721,6 +722,56 @@ class TestUniquenessChecks:
             for c in report.checks:
                 if c.applicable:
                     assert c.passed is True
+
+    @staticmethod
+    def _chain_reports_digest(k_max: int) -> tuple[int, str]:
+        # every outcome of every chain's report, details included, so that a
+        # check that applied and passed is pinned too, not only failures
+        h = hashlib.sha256()
+        n = 0
+        for k in range(3, k_max + 1):
+            for chain in chains.enumerate_chains(k):
+                for c in check_uniqueness_lemmas(chain.set).checks:
+                    row = [list(chain.set), c.name, c.applicable, c.passed, c.details]
+                    h.update((json.dumps(row) + "\n").encode())
+                    n += 1
+        return n, h.hexdigest()
+
+    def test_chain_reports_are_pinned(self):
+        assert self._chain_reports_digest(6) == (
+            148,
+            "01beb5274a59d65ef9f017db8a86ff97068a6d7216d330c8aa9dcc3c2396d542",
+        )
+
+    def test_chain_reports_are_pinned_on_the_compiled_kernel(self, compiled_facade):
+        assert self._chain_reports_digest(7) == (
+            584,
+            "629040fd09a2cbe3c7cbf903304bdf8dc6c268be0231970091946410737213cf",
+        )
+
+    def test_two_progression_failures_keep_their_messages_and_order(self, monkeypatch):
+        # with every set taken for a chain, every extension but y = 2x fails:
+        # for each x, those of A ∪ {x} first, then those above x + 2 of its
+        # reflexion
+        monkeypatch.setattr(search, "is_chain_member", lambda s: True)
+        check = check_uniqueness_lemmas(S("{0,2,3,4,5}")).checks[2]
+        parts = check.details.split("; ")
+        assert len(parts) == 26
+        assert parts[:2] == [
+            "A+{9,10} is a chain but y != 18",
+            "A+{9,11} is a chain but y != 18",
+        ]
+        assert parts[7] == "reflected A+{9} plus 12 is a chain but y != 18"
+        assert parts[-1] == "reflected A+{10} plus 18 is a chain but y != 20"
+        assert hashlib.sha256(check.details.encode()).hexdigest() == (
+            "9e64a016926c22198b336797762b8ebc8aba997173d0977ea840178d77d4089d"
+        )
+
+    @pytest.mark.parametrize("text", ["{0}", "{0,1}", "{0,1,3}"])
+    def test_small_sets_skip_every_check(self, text):
+        report = check_uniqueness_lemmas(S(text))
+        assert report.ok
+        assert [(c.applicable, c.passed) for c in report.checks] == [(False, None)] * 4
 
     def test_three_sets_skip_the_single_odd_check(self):
         # halving {0,1,2} leaves the 2-set {0,1}, which no chain test accepts
