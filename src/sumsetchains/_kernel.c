@@ -7,8 +7,9 @@
  * e[1] + e[k-2] <= m: the reflexion x -> m - x covers the rest (see Slice
  * below). One loop per prefix runs every last element x and reads |2A| off
  * the prefix's words in place, a shifted AND and a popcount per word. It
- * keeps every one-dimensional set, or one per doubling for the sweep's table
- * (see scan).
+ * keeps every one-dimensional set, or one per doubling (see scan), or, for
+ * the sweep's table, the extension census of every set: its right
+ * extensions and its mirror's, read off one pool per hit (census_slice).
  * right_extensions lists the right extensions of one set with their
  * doublings and overlaps, one call per set of a sweep, and chain_children
  * the canonical out-of-hull children of one normal set with their doublings,
@@ -19,9 +20,9 @@
  * chain levels grow from {0, 1, 2}, and a child of a one-dimensional parent
  * is one-dimensional (y in 2A - A gives a relation y + a = b + c with
  * y-coefficient 1, independent of A's relations).
- * scan_slice releases the GIL while it walks, so callers can run slices on
- * threads: the walk touches no Python object, and the tuples are built after
- * taking the GIL back.
+ * The slice walk releases the GIL, so callers can run slices on threads: the
+ * walk touches no Python object, and the tuples are built after taking the
+ * GIL back.
  * Every rank test (lambda_rank, is_one_dimensional, the slice walk) is
  * relation_rank, which eliminates over F_p, p = 2^31 - 1, by
  * cross-multiplication, with no division. It gives the rank over Q that
@@ -171,9 +172,26 @@ typedef struct {
     int size;             /* |2A| */
 } Masks;
 
+/* Builds the masks of A and 2A of s->off (k offsets of span s->span, mw =
+ * span / 64 + 1 words) into block, 9 mw zeroed words, in the layout argued
+ * at read_masks; pool_mask fills in the rest. */
+static void build_masks(Masks *s, u64 *block)
+{
+    Py_ssize_t i;
+    s->a = block;
+    s->two = s->a + s->mw;
+    s->pool = s->two + 4 * s->mw;
+    for (i = 0; i < s->k; i++)
+        s->a[s->off[i] >> 6] |= 1ULL << (s->off[i] & 63);
+    for (i = 0; i < s->k; i++)
+        shift_or(s->two, s->a, s->mw, s->span + s->off[i]);
+    for (i = s->mw - 1, s->size = 0; i < 3 * s->mw; i++)
+        s->size += popcount(s->two[i]);
+}
+
 /* Reads a set with read_set, as a normal set (min 0, gcd 1) when normal is
- * set, and builds the masks of A and 2A from its offsets into s, which
- * free_masks releases. Returns 0, or -1 with an exception set and nothing
+ * set, and builds the masks of A and 2A from its offsets into s (build_masks),
+ * which free_masks releases. Returns 0, or -1 with an exception set and nothing
  * held: read_set's errors, ValueError for a set that is not normal, and
  * OverflowError past span 2^20.
  *
@@ -191,10 +209,10 @@ static int read_masks(PyObject *elements, const char *what, int normal, Masks *s
 {
     Py_ssize_t i;
     i64 g = 0;
+    u64 *block = NULL;
     if ((s->off = read_set(elements, what, &s->k, &s->base)) == NULL)
         return -1;
     s->span = s->off[s->k - 1];
-    s->a = NULL;
     for (i = 0; normal && i < s->k; i++)
         g = gcd(g, s->off[i]);
     if (normal && (s->base != 0 || (s->k > 1 && g != 1)))
@@ -203,21 +221,14 @@ static int read_masks(PyObject *elements, const char *what, int normal, Masks *s
         PyErr_Format(PyExc_OverflowError, "the compiled %s takes spans <= 2**20", what);
     else {
         s->mw = (Py_ssize_t)(s->span >> 6) + 1;
-        if ((s->a = PyMem_Calloc(9 * s->mw, sizeof(u64))) == NULL)
+        if ((block = PyMem_Calloc(9 * s->mw, sizeof(u64))) == NULL)
             PyErr_NoMemory();
     }
-    if (s->a == NULL) {
+    if (block == NULL) {
         PyMem_Free(s->off);
         return -1;
     }
-    s->two = s->a + s->mw;
-    s->pool = s->two + 4 * s->mw;
-    for (i = 0; i < s->k; i++)
-        s->a[s->off[i] >> 6] |= 1ULL << (s->off[i] & 63);
-    for (i = 0; i < s->k; i++)
-        shift_or(s->two, s->a, s->mw, s->span + s->off[i]);
-    for (i = s->mw - 1, s->size = 0; i < 3 * s->mw; i++)
-        s->size += popcount(s->two[i]);
+    build_masks(s, block);
     return 0;
 }
 
@@ -525,10 +536,10 @@ typedef struct {
     Py_ssize_t used, cap; /* in shorts */
 } Hits;
 
-static int hits_add(Hits *h, const Slice *s, int t)
+static int hits_add(Hits *h, int k, int t, const i64 *interior)
 {
-    if (h->used + s->k - 1 > h->cap) {
-        Py_ssize_t cap = h->cap ? 2 * h->cap : 64 * s->k;
+    if (h->used + k - 1 > h->cap) {
+        Py_ssize_t cap = h->cap ? 2 * h->cap : 64 * k;
         unsigned short *data = PyMem_RawRealloc(h->data, cap * sizeof(unsigned short));
         if (data == NULL)
             return -1;
@@ -537,16 +548,70 @@ static int hits_add(Hits *h, const Slice *s, int t)
     }
     unsigned short *rec = h->data + h->used;
     rec[0] = (unsigned short)t;
-    for (int i = 1; i <= s->r; i++)
-        rec[i] = (unsigned short)s->e[i];
-    h->used += s->k - 1;
+    for (int i = 0; i < k - 2; i++)
+        rec[i + 1] = (unsigned short)interior[i];
+    h->used += k - 1;
+    return 0;
+}
+
+/* What one slice walk keeps, all without the GIL. A leaf is rank tested when
+ * want[t] is set for its doubling t. FIRST_HIT keeps the first hit per t and
+ * clears want[t]; EVERY_HIT keeps every hit; CENSUS takes the extension
+ * census of every hit and its mirror (census_hit), counting sets and pairs
+ * per t and keeping only the sets it lists. */
+enum { FIRST_HIT, EVERY_HIT, CENSUS };
+
+typedef struct {
+    int mode;
+    char want[MAXPAIRS + 1];
+    u64 listing[MAXPAIRS + 1]; /* CENSUS: overlaps that list a set, bits past k + 1 set */
+    i64 sets[MAXPAIRS + 1], pairs[MAXPAIRS + 1];
+    Hits hits;
+} Scan;
+
+/* The census of the hit A = e[0..k-1] of a slice of doubling t: the pool of
+ * 2A - A, built as for chain_children. Its points x above the hull are A's
+ * right extensions with overlap |2A & (x + A)|. When the mirror A' = m - A
+ * is not walked itself (e[1] + e[k-2] < m), its points y < 0 are the
+ * mirror's, x' = m - y: 2A' - A' = m - (2A - A), and the reflexion maps
+ * 2A & (y + A) onto 2A' & (x' + A'), so the overlap is read by the same
+ * shifted_overlap. A set is listed when the bit of some overlap is set in
+ * listing[t]; its interior goes to hits. -1 when hits cannot grow. */
+static int census_hit(Slice *s, Scan *sc, int t)
+{
+    u64 block[9 * SLICE_MASK_WORDS];
+    Masks a = {.k = s->k, .mw = s->mw, .span = s->m, .off = s->e};
+    const i64 hull = 2 * a.span; /* the pool bit of y = 0 */
+    int mirror = s->e[1] + s->e[s->r] < s->m, listed[2] = {0, 0};
+    i64 refl[MAXK];
+    memset(block, 0, 9 * a.mw * sizeof(u64));
+    build_masks(&a, block);
+    pool_mask(&a);
+    for (i64 j = next_point(&a, mirror ? 0 : 3 * a.span + 1); j >= 0; j = next_point(&a, j + 1)) {
+        if (j >= hull && j <= hull + a.span) {
+            j = hull + a.span;
+            continue;
+        }
+        int o = shifted_overlap(a.two, a.a, a.mw, j - a.span);
+        sc->pairs[t]++;
+        listed[j < hull] |= (int)((sc->listing[t] >> o) & 1);
+    }
+    sc->sets[t] += 1 + mirror;
+    if (listed[0] && hits_add(&sc->hits, s->k, t, s->e + 1) < 0)
+        return -1;
+    if (listed[1]) {
+        for (int i = 1; i <= s->r; i++)
+            refl[i] = s->m - s->e[s->k - 1 - i];
+        if (hits_add(&sc->hits, s->k, t, refl + 1) < 0)
+            return -1;
+    }
     return 0;
 }
 
 /* A leaf x of the current prefix whose doubling t is wanted: with gcd 1 and
- * through the coverage and rank tests it goes to hits, and without every, t
- * is then no longer wanted. -1 when hits cannot grow. */
-static int leaf_test(Slice *s, Hits *hits, char *want, int every, i64 x, int t)
+ * through the coverage and rank tests it is a hit, kept as sc->mode says.
+ * -1 when hits cannot grow. */
+static int leaf_test(Slice *s, Scan *sc, i64 x, int t)
 {
     const int r = s->r;
     if (s->g[r - 1] != 1 && gcd(s->g[r - 1], x) != 1)
@@ -559,18 +624,19 @@ static int leaf_test(Slice *s, Hits *hits, char *want, int every, i64 x, int t)
             return 0;
     if (relation_rank(s->e, s->k) != s->k - 2)
         return 0;
-    if (hits_add(hits, s, t) < 0)
+    if (sc->mode == CENSUS)
+        return census_hit(s, sc, t);
+    if (hits_add(&sc->hits, s->k, t, s->e + 1) < 0)
         return -1;
-    if (!every)
-        want[t] = 0;
+    if (sc->mode == FIRST_HIT)
+        sc->want[t] = 0;
     return 0;
 }
 
 /* The walk from the current prefix on, for mw mask words and aw sumset
  * words: at each prefix, one loop runs every leaf x = e[r-1] + 1 ..
  * slice_limit(s, r). -1 when hits cannot grow. */
-static inline int walk(Slice *s, Hits *hits, char *want, int every, Py_ssize_t mw,
-                       Py_ssize_t aw)
+static inline int walk(Slice *s, Scan *sc, Py_ssize_t mw, Py_ssize_t aw)
 {
     const int r = s->r;
     const u64 *mask = s->mask[r - 1], *sums = s->sums[r - 1];
@@ -582,7 +648,7 @@ static inline int walk(Slice *s, Hits *hits, char *want, int every, Py_ssize_t m
         for (i64 x = s->e[r - 1] + 1; x <= top; x++) {
             int t = fresh - shifted_overlap(sums, mask, mw, x)
                     - (int)((sums[x >> 5] >> ((2 * x) & 63)) & 1);
-            if (want[t] && leaf_test(s, hits, want, every, x, t) < 0)
+            if (sc->want[t] && leaf_test(s, sc, x, t) < 0)
                 return -1;
         }
     } while (slice_advance(s));
@@ -597,51 +663,61 @@ static inline int walk(Slice *s, Hits *hits, char *want, int every, Py_ssize_t m
 __attribute__((target_clones("popcnt", "default")))
 #endif
 #endif
-static int slice_walk(Slice *s, Hits *hits, char *want, int every)
+static int slice_walk(Slice *s, Scan *sc)
 {
     if (s->mw == 1)
-        return walk(s, hits, want, every, 1, 2);
-    return walk(s, hits, want, every, s->mw, s->aw);
+        return walk(s, sc, 1, 2);
+    return walk(s, sc, s->mw, s->aw);
 }
 
-/* The one slice walk: {t: sorted sets} in ascending t over the normal
- * one-dimensional k-sets with max m whose doubling t has want[t] set, for a
- * slice that passed slice_check. With every, a hit with e[1] + e[k-2] < m
- * also adds its mirror; without, the first hit per t is kept and t is not
- * rank tested again. The walk runs without the GIL. */
-static PyObject *scan(int k, int m, char *want, int every)
+/* The one slice walk over the normal one-dimensional k-sets with max m whose
+ * doubling t has want[t] set, for a slice that passed slice_check, in
+ * ascending t: {t: sorted sets}, or in CENSUS mode {t: (sets, pairs, sorted
+ * listed sets)}. EVERY_HIT also adds the mirror of each hit with
+ * e[1] + e[k-2] < m. The walk runs without the GIL. */
+static PyObject *scan(int k, int m, Scan *sc)
 {
     Slice s;
-    Hits hits = {NULL, 0, 0};
     PyObject *out = NULL, *group[MAXPAIRS + 1] = {NULL};
     Py_ssize_t i;
     int t, no_memory = 0;
-    if (memchr(want, 1, MAXPAIRS + 1) != NULL && slice_start(&s, k, m)) {
+    if (memchr(sc->want, 1, MAXPAIRS + 1) != NULL && slice_start(&s, k, m)) {
         Py_BEGIN_ALLOW_THREADS
-        no_memory = slice_walk(&s, &hits, want, every) < 0;
+        no_memory = slice_walk(&s, sc) < 0;
         Py_END_ALLOW_THREADS
     }
     if (no_memory) {
         PyErr_NoMemory();
         goto done;
     }
-    for (i = 0; i < hits.used; i += k - 1) {
-        const unsigned short *rec = hits.data + i;
+    for (i = 0; i < sc->hits.used; i += k - 1) {
+        const unsigned short *rec = sc->hits.data + i;
         PyObject **sets = &group[rec[0]];
         if ((*sets == NULL && (*sets = PyList_New(0)) == NULL)
             || append_set(*sets, k, m, rec + 1, 0) < 0
-            || (every && rec[1] + rec[k - 2] < m && append_set(*sets, k, m, rec + 1, 1) < 0))
+            || (sc->mode == EVERY_HIT && rec[1] + rec[k - 2] < m
+                && append_set(*sets, k, m, rec + 1, 1) < 0))
             goto done;
     }
     if ((out = PyDict_New()) == NULL)
         goto done;
     for (t = 0; t <= MAXPAIRS; t++) {
-        if (group[t] == NULL)
+        if (sc->mode == CENSUS ? sc->sets[t] == 0 : group[t] == NULL)
             continue;
+        PyObject *key = NULL, *value = NULL;
         /* mirrors joined their groups out of order */
-        PyObject *key = PyList_Sort(group[t]) < 0 ? NULL : PyLong_FromLong(t);
-        int rc = key == NULL ? -1 : PyDict_SetItem(out, key, group[t]);
+        if ((group[t] != NULL || (group[t] = PyList_New(0)) != NULL) && PyList_Sort(group[t]) == 0
+            && (key = PyLong_FromLong(t)) != NULL) {
+            if (sc->mode == CENSUS)
+                value = Py_BuildValue("(LLO)", sc->sets[t], sc->pairs[t], group[t]);
+            else {
+                value = group[t];
+                Py_INCREF(value);
+            }
+        }
+        int rc = value == NULL ? -1 : PyDict_SetItem(out, key, value);
         Py_XDECREF(key);
+        Py_XDECREF(value);
         if (rc < 0) {
             Py_CLEAR(out);
             break;
@@ -650,7 +726,7 @@ static PyObject *scan(int k, int m, char *want, int every)
 done:
     for (t = 0; t <= MAXPAIRS; t++)
         Py_XDECREF(group[t]);
-    PyMem_RawFree(hits.data);
+    PyMem_RawFree(sc->hits.data);
     return out;
 }
 
@@ -659,11 +735,12 @@ static PyObject *scan_slice(PyObject *self, PyObject *args, PyObject *kwargs)
     static char *kwlist[] = {"k", "m", "ts", "every", NULL};
     int k, m, every;
     PyObject *ts, *iter, *item;
-    char want[MAXPAIRS + 1] = {0};
+    Scan sc = {0};
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOp:scan_slice", kwlist, &k, &m, &ts,
                                      &every)
         || slice_check(k, m, "scan_slice") < 0 || (iter = PyObject_GetIter(ts)) == NULL)
         return NULL;
+    sc.mode = every ? EVERY_HIT : FIRST_HIT;
     /* a non-integer t raises TypeError, as operator.index does on the pure
      * path; a t outside 0..MAXPAIRS (clipped, when huge) is no doubling */
     while ((item = PyIter_Next(iter)) != NULL) {
@@ -672,10 +749,10 @@ static PyObject *scan_slice(PyObject *self, PyObject *args, PyObject *kwargs)
         if (t == -1 && PyErr_Occurred())
             break;
         if (t >= 0 && t <= MAXPAIRS)
-            want[t] = 1;
+            sc.want[t] = 1;
     }
     Py_DECREF(iter);
-    return PyErr_Occurred() ? NULL : scan(k, m, want, every);
+    return PyErr_Occurred() ? NULL : scan(k, m, &sc);
 }
 
 /* The keys of scan_slice(k, m, range(t_max + 1), False): the entry point of
@@ -686,15 +763,48 @@ static PyObject *sweep_slice(PyObject *self, PyObject *args, PyObject *kwargs)
     static char *kwlist[] = {"k", "m", "t_max", NULL};
     int k, m;
     Py_ssize_t t_max;
-    char want[MAXPAIRS + 1] = {0};
+    Scan sc = {.mode = FIRST_HIT};
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iin:sweep_slice", kwlist, &k, &m, &t_max)
         || slice_check(k, m, "sweep_slice") < 0)
         return NULL;
     for (Py_ssize_t t = 0; t <= t_max && t <= MAXPAIRS; t++)
-        want[t] = 1;
-    PyObject *found = scan(k, m, want, 0), *keys = found == NULL ? NULL : PyDict_Keys(found);
+        sc.want[t] = 1;
+    PyObject *found = scan(k, m, &sc), *keys = found == NULL ? NULL : PyDict_Keys(found);
     Py_XDECREF(found);
     return keys;
+}
+
+/* {t: (sets, pairs, listed)} over the doublings t that key the dict listing,
+ * as in _kernel_py: the slice walk in CENSUS mode, every bit of listing[t]
+ * past k + 1 set, so an overlap outside 0..k + 1 lists its set. */
+static PyObject *census_slice(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"k", "m", "listing", NULL};
+    int k, m;
+    PyObject *listing, *key, *value;
+    Py_ssize_t pos = 0;
+    Scan sc = {.mode = CENSUS};
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiO:census_slice", kwlist, &k, &m, &listing)
+        || slice_check(k, m, "census_slice") < 0)
+        return NULL;
+    if (!PyDict_Check(listing)) {
+        PyErr_SetString(PyExc_TypeError, "census_slice takes a dict {doubling: overlap mask}");
+        return NULL;
+    }
+    while (PyDict_Next(listing, &pos, &key, &value)) {
+        Py_ssize_t t = PyNumber_AsSsize_t(key, NULL);
+        PyObject *mask = t == -1 && PyErr_Occurred() ? NULL : PyNumber_Index(value);
+        if (mask == NULL)
+            return NULL;
+        /* the low 64 bits of the two's complement, which hold bits 0..k + 1 */
+        u64 bits = PyLong_AsUnsignedLongLongMask(mask);
+        Py_DECREF(mask);
+        if (t >= 0 && t <= MAXPAIRS) {
+            sc.want[t] = 1;
+            sc.listing[t] = bits | ~0ULL << (k + 2);
+        }
+    }
+    return scan(k, m, &sc);
 }
 
 /* (x, |2(A | {x})|, |2A & (x + A)|) for every x > max A in 2A - A, ascending,
@@ -788,6 +898,8 @@ static PyMethodDef kernel_methods[] = {
      "The normal one-dimensional k-sets with max m and doubling in ts: all, or one per t."},
     {"sweep_slice", (PyCFunction)(void (*)(void))sweep_slice, METH_VARARGS | METH_KEYWORDS,
      "Sorted doublings <= t_max of the normal one-dimensional k-sets with max m."},
+    {"census_slice", (PyCFunction)(void (*)(void))census_slice, METH_VARARGS | METH_KEYWORDS,
+     "{t: (sets, pairs, listed sets)}: the extension census of a slice."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -16,9 +16,11 @@ Both walk a slice (the normal k-sets with maximum m) the same way:
   whose sum is < m (a sum of m has its mirror walked itself) and sorts each
   group, so its output stays in lexicographic order.
 
-right_extensions serves the extension sweep one call per set: every
-x > max A in 2A - A with the doubling of A ∪ {x} and the overlap
-|2A ∩ (x + A)|.
+right_extensions lists, for one set, every x > max A in 2A - A with the
+doubling of A ∪ {x} and the overlap |2A ∩ (x + A)|. census_slice takes the
+same triples inside the walk, for each hit and its mirror off one pool, and
+returns per doubling the counts of sets and pairs and the few sets the
+extension sweep and the oracle read: the table the sweep keeps.
 
 chain_children serves the chain levels one call per parent: for a normal
 set A, the canonical form and doubling of A ∪ {y} for every y in 2A - A
@@ -288,6 +290,49 @@ def scan_slice(k: int, m: int, ts, every: bool) -> dict[int, list[tuple[int, ...
             elif elems[1] + elems[-2] < m:
                 sets.append(tuple(m - x for x in reversed(elems)))
     return {t: sorted(found[t]) for t in sorted(found)}
+
+
+def census_slice(k: int, m: int, listing: dict) -> dict[int, tuple[int, int, list[tuple[int, ...]]]]:
+    """The extension census of the normal-form one-dimensional k-sets with
+    max m whose doubling t keys listing, as {t: (sets, pairs, listed)} in
+    ascending t: the number of sets, the number of their right extensions
+    (the triples right_extensions lists), and in lexicographic order the sets
+    with an extension whose overlap o has bit o set in listing[t] or lies
+    outside 0..k + 1. Every set has the extension 2 max A, so a mask of -1
+    lists every set.
+
+    Each hit of the half walk reads one pool of 2A - A: its points above the
+    hull are A's right extensions, and, when the mirror A' = m - A is not
+    walked itself, its points y < 0 are the mirror's, m - y, with the same
+    overlap |2A ∩ (y + A)|, as 2A' - A' = m - (2A - A) and the reflexion maps
+    2A ∩ (y + A) onto 2A' ∩ (m - y + A')."""
+    k, m = operator.index(k), operator.index(m)
+    if k < 3:
+        raise ValueError("census_slice requires k >= 3")
+    if not isinstance(listing, dict):
+        raise TypeError("census_slice takes a dict {doubling: overlap mask}")
+    listing = {
+        operator.index(t): operator.index(mask) | -(1 << k + 2)
+        for t, mask in listing.items()
+    }
+    found: dict[int, list] = {}
+    for elems, t in normal_tuples(k, m):
+        if t not in listing or _relation_rank(elems) != k - 2:
+            continue
+        _, amask, two = _read_masks(elems, "census_slice")
+        pool = _difference_mask(elems, two)
+        wide = two << m  # bit m + s stands for the sum s; pool bit j for y = j - m
+        sides = [(elems, pool >> 2 * m + 1 << 2 * m + 1)]
+        if elems[1] + elems[-2] < m:
+            sides.append((tuple(m - x for x in reversed(elems)), pool & (1 << m) - 1))
+        census = found.setdefault(t, [0, 0, []])
+        for a, points in sides:
+            overlaps = [(wide & amask << j).bit_count() for j in _set_bits(points)]
+            census[0] += 1
+            census[1] += len(overlaps)
+            if any(listing[t] >> o & 1 for o in overlaps):
+                census[2].append(a)
+    return {t: (sets, pairs, sorted(listed)) for t, (sets, pairs, listed) in sorted(found.items())}
 
 
 def sweep_slice(k: int, m: int, t_max: int) -> list[int]:

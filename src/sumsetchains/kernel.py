@@ -73,3 +73,7 @@ def sweep_slice(k, m, t_max):
 def collect_slice(k, m, ts):
     return scan_slice(k, m, ts, True)
 
+
+def census_slice(k, m, listing):
+    return _call("census_slice", k, m, listing)
+

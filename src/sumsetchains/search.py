@@ -12,7 +12,6 @@ such sets, but reports never assume it; they state their scope.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
@@ -43,7 +42,10 @@ DEFAULT_BUDGET = 10**9
 CACHE_ENV = "SUMSETCHAINS_CACHE"
 # the layout of a slices file; it enters kernel_digest, so a new layout
 # retires the old files as a kernel change does
-SLICES_SCHEMA = "k: int, digest: str, slices: {str(m): [sorted doublings]}"
+SLICES_SCHEMA = (
+    "k: int, digest: str, inputs: {str(t): [mu, failing]}, "
+    "slices: {str(m): {str(t): [sets, pairs, [listed sets]]}}"
+)
 
 SCOPE_NOTE = "volumes range over one-dimensional sets only"
 
@@ -96,7 +98,13 @@ def enumerate_normal_sets(k: int, max_elem: int, *, force: bool = False):
 # ---------------------------------------------------------------------------
 # slice sweeps and caching
 
-_SLICE_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
+# one slice's census, as census_slice returns it: per realized doubling t,
+# the number of sets, the number of their right extensions, and the listed
+# sets in lexicographic order
+Census = dict[int, tuple[int, int, tuple[tuple[int, ...], ...]]]
+
+# (k, m) -> the census of slice m, walked or read in this process
+_SLICE_CACHE: dict[tuple[int, int], Census] = {}
 
 
 def cache_dir() -> Path:
@@ -162,10 +170,65 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _read_slices(k: int) -> dict[int, tuple[int, ...]]:
+def _census_inputs(k: int) -> dict[int, tuple[int, int]]:
+    """(mu(k, t), failing) per legal doubling t of k, the inputs a census is
+    taken under: bit o of failing is set when an extension with overlap o,
+    whose pair is (t + k + 1 - o, o), fails _pair_verdict."""
+    lo, hi = t_range(k)
+    inputs = {}
+    for t in range(lo, hi + 1):
+        passing = _passing_pairs(k, t)
+        failing = sum(1 << o for o in range(k + 2) if (t + k + 1 - o, o) not in passing)
+        inputs[t] = (mu(k, t), failing)
+    return inputs
+
+
+def _listing(k: int, m: int, inputs: dict[int, tuple[int, int]]) -> dict[int, int]:
+    """The census_slice listing of slice m: every set of a doubling t with
+    m >= mu(k, t), which the oracle reads as witnesses and violations, and
+    up to the extension sweep's bound mu(k, t) + k the sets with a failing
+    pair, which the sweep checks pair by pair."""
+    return {
+        t: -1 if m >= top else failing if m <= top + k else 0
+        for t, (top, failing) in inputs.items()
+    }
+
+
+def _read_census(k: int, m: int, t: int, top: int, entry) -> tuple | None:
+    """A stored [sets, pairs, listed] of doubling t at slice m as a census
+    entry, or None when it cannot be one: counts that are not integers, no
+    set, negative pairs, or listed sets out of order, not k-sets from 0 to m
+    of doubling t, or not all the sets at m >= mu(k, t) = top."""
+    if not (isinstance(entry, list) and len(entry) == 3):
+        return None
+    sets, pairs, listed = entry
+    if not (
+        _is_int(sets)
+        and _is_int(pairs)
+        and sets >= 1
+        and pairs >= 0
+        and isinstance(listed, list)
+        and all(isinstance(a, list) and len(a) == k and all(map(_is_int, a)) for a in listed)
+    ):
+        return None
+    listed = tuple(map(tuple, listed))
+    complete = len(listed) == sets if m >= top else len(listed) <= sets
+    ordered = all(a < b for a, b in zip(listed, listed[1:]))
+    of_slice = all(
+        a[0] == 0
+        and a[-1] == m
+        and all(x < y for x, y in zip(a, a[1:]))
+        and kernel.doubling_size(a) == t
+        for a in listed
+    )
+    return (sets, pairs, listed) if complete and ordered and of_slice else None
+
+
+def _read_slices(k: int, inputs: dict[int, tuple[int, int]]) -> dict[int, Census]:
     """The slices file of k. A file that does not parse, names another k,
-    carries another kernel_digest or holds non-integer entries counts as
-    missing; the next sweep overwrites it."""
+    carries another kernel_digest, was walked under other inputs or holds
+    an entry that is no census of its slice counts as missing; the next
+    sweep overwrites it."""
     try:
         stored = json.loads(_slices_path(k).read_text())
     except (OSError, ValueError):
@@ -175,25 +238,24 @@ def _read_slices(k: int) -> dict[int, tuple[int, ...]]:
         and _is_int(stored.get("k"))
         and stored["k"] == k
         and stored.get("digest") == kernel_digest()
+        and stored.get("inputs") == {str(t): list(v) for t, v in inputs.items()}
+        and isinstance(stored.get("slices"), dict)
     ):
         return {}
-    slices = stored.get("slices")
-    if not isinstance(slices, dict) or not all(
-        key.isdecimal() and isinstance(ts, list) and all(map(_is_int, ts))
-        for key, ts in slices.items()
-    ):
-        return {}
-    return {int(key): tuple(ts) for key, ts in slices.items()}
-
-
-def _missing_slices(k: int, bound: int, use_cache: bool) -> list[int]:
-    wanted = range(k - 1, bound + 1)
-    missing = [m for m in wanted if (k, m) not in _SLICE_CACHE]
-    if missing and use_cache:
-        for m, ts in _read_slices(k).items():
-            _SLICE_CACHE.setdefault((k, m), ts)
-        missing = [m for m in wanted if (k, m) not in _SLICE_CACHE]
-    return missing
+    table = {}
+    for key, entries in stored["slices"].items():
+        if not (key.isdecimal() and isinstance(entries, dict)):
+            return {}
+        m = int(key)
+        census = {}
+        for t_key, entry in entries.items():
+            t = int(t_key) if t_key.isdecimal() else None
+            got = _read_census(k, m, t, inputs[t][0], entry) if t in inputs else None
+            if got is None:
+                return {}
+            census[t] = got
+        table[m] = dict(sorted(census.items()))
+    return table
 
 
 def _fan_out(fn, jobs: list, threads: int):
@@ -205,80 +267,116 @@ def _fan_out(fn, jobs: list, threads: int):
     cancelled, so an error waits only for the jobs in flight."""
     if threads == 1:
         yield from map(fn, jobs)
-        return
-    # imported here, and only the executor used: the process pool pulls in
-    # multiprocessing, 15-20 ms of import that the thread pool does not need
-    if kernel.BACKEND == "c":
-        from concurrent.futures import ThreadPoolExecutor as executor
+    elif kernel.BACKEND == "c":
+        yield from _thread_fan_out(fn, jobs, threads)
     else:
-        from concurrent.futures import ProcessPoolExecutor as executor
-    pool = executor(max_workers=threads)
+        # imported here: the process pool pulls in multiprocessing, 15-20 ms
+        # of import that a compiled run does not need
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=threads)
+        try:
+            for future in [pool.submit(fn, job) for job in jobs]:
+                yield future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        pool.shutdown()
+
+
+def _thread_fan_out(fn, jobs: list, threads: int):
+    """_fan_out on plain threads, which take the jobs in order; the thread
+    pool of concurrent.futures would add 10-14 ms of import, logging
+    included, to every threaded run. On the way out, by an error or a
+    close, no job starts any more, and the ones in flight are waited for."""
+    import threading
+
+    results: list = [None] * len(jobs)
+    done = [threading.Event() for _ in jobs]
+    order = iter(range(len(jobs)))
+    lock = threading.Lock()
+    stop = False
+
+    def work():
+        while True:
+            with lock:
+                i = None if stop else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = (fn(jobs[i]), None)
+            except BaseException as exc:
+                results[i] = (None, exc)
+            done[i].set()
+
+    workers = [threading.Thread(target=work, daemon=True) for _ in jobs[:threads]]
+    for w in workers:
+        w.start()
     try:
-        for future in [pool.submit(fn, job) for job in jobs]:
-            yield future.result()
-    except BaseException:
-        pool.shutdown(cancel_futures=True)
-        raise
-    pool.shutdown()
+        for i, ready in enumerate(done):
+            ready.wait()
+            value, exc = results[i]
+            if exc is not None:
+                raise exc
+            yield value
+    finally:
+        with lock:
+            stop = True
+        for w in workers:
+            w.join()
 
 
-def _sweep_job(job: tuple[int, int, int]) -> tuple[int, tuple[int, ...]]:
-    k, m, t_cap = job
-    return m, tuple(kernel.sweep_slice(k, m, t_cap))
-
-
-def _collect_job(job: tuple[int, int, tuple[int, ...]]) -> tuple[int, dict]:
-    k, m, ts = job
-    return m, kernel.collect_slice(k, m, ts)
+def _census_job(job: tuple[int, int, dict[int, int]]) -> tuple[int, Census]:
+    k, m, listing = job
+    census = kernel.census_slice(k, m, listing)
+    return m, {t: (sets, pairs, tuple(listed)) for t, (sets, pairs, listed) in census.items()}
 
 
 def _realized_slices(
     k: int, bound: int, *, threads: int, use_cache: bool, force: bool
-) -> dict[int, tuple[int, ...]]:
-    """Realized doublings per maximum element m for m <= bound, restricted
-    to one-dimensional sets (whose doubling never exceeds C(k,2) + 2).
+) -> dict[int, Census]:
+    """The census of each slice with maximum element m <= bound, keyed by
+    the doublings its one-dimensional sets realize (a doubling that never
+    exceeds C(k,2) + 2), each with the counts and the sets that _listing
+    asks for.
 
-    The only function that sweeps. When some slice <= bound is in neither
+    The only function that walks. When some slice <= bound is in neither
     memory nor the cache file, the sweep budget applies to the whole bound:
     over it, without force, CapacityError is raised before any worker starts
     or any file is written. A table that already covers the bound is served
-    at any size.
+    at any size, and nothing is written.
     """
-    t_cap = t_range(k)[1]
-    missing = _missing_slices(k, bound, use_cache)
+    wanted = range(k - 1, bound + 1)
+    missing = [m for m in wanted if (k, m) not in _SLICE_CACHE]
+    if missing:
+        inputs = _census_inputs(k)
+        if use_cache:
+            for m, census in _read_slices(k, inputs).items():
+                _SLICE_CACHE.setdefault((k, m), census)
+            missing = [m for m in wanted if (k, m) not in _SLICE_CACHE]
     if missing:
         _check_budget(k, bound, force)
         # largest slice first, so no worker is left with it at the end
-        jobs = [(k, m, t_cap) for m in reversed(missing)]
+        jobs = [(k, m, _listing(k, m, inputs)) for m in reversed(missing)]
         # every job before any store: a failing one leaves the table as it was
-        for m, ts in list(_fan_out(_sweep_job, jobs, threads)):
-            _SLICE_CACHE[(k, m)] = ts
+        for m, census in list(_fan_out(_census_job, jobs, threads)):
+            _SLICE_CACHE[(k, m)] = census
         if use_cache:
             known = {
-                str(m): list(ts) for (kk, m), ts in _SLICE_CACHE.items() if kk == k
+                str(m): {str(t): entry for t, entry in census.items()}
+                for (kk, m), census in _SLICE_CACHE.items()
+                if kk == k
             }
             _write_json(
-                _slices_path(k), {"k": k, "digest": kernel_digest(), "slices": known}
+                _slices_path(k),
+                {
+                    "k": k,
+                    "digest": kernel_digest(),
+                    "inputs": {str(t): list(v) for t, v in inputs.items()},
+                    "slices": known,
+                },
             )
-    return {m: _SLICE_CACHE[(k, m)] for m in range(k - 1, bound + 1)}
-
-
-def _realizing_maxima(
-    k: int, t: int, bound: int, *, threads: int, use_cache: bool, force: bool
-) -> list[int]:
-    """The maxima m <= bound, ascending, at which some one-dimensional normal
-    k-set has doubling t."""
-    slices = _realized_slices(
-        k, bound, threads=threads, use_cache=use_cache, force=force
-    )
-    return [m for m in sorted(slices) if t in slices[m]]
-
-
-def _collect(k: int, m: int, ts: tuple[int, ...]) -> dict[int, tuple[IntSet, ...]]:
-    """The one-dimensional normal k-sets with maximum m, grouped by doubling
-    in ts; a doubling no set realizes has no group."""
-    got = kernel.collect_slice(k, m, ts)
-    return {t: tuple(map(IntSet, sets)) for t, sets in got.items()}
+    return {m: _SLICE_CACHE[(k, m)] for m in wanted}
 
 
 # ---------------------------------------------------------------------------
@@ -329,29 +427,31 @@ def vol1_oracle(
 
     The default bound mu(k,t) + k leaves slack above the conjectured
     maximum, so a counterexample just above it would be found, not assumed
-    away. The report is derived from the per-k slice table, which is cached
-    on disk; witnesses and violations are collected afresh on each call.
-    A sweep over the budget raises CapacityError unless force is set.
+    away. The report is read off the per-k slice table, which is cached on
+    disk and lists every set of a slice at or above mu(k, t); only a top
+    slice below mu(k, t) is walked again for its witnesses. A sweep over the
+    budget raises CapacityError unless force is set.
     """
     prof = profile(k, t)
     if bound is None:
         bound = prof.mu + k
     if bound < prof.mu:
         raise ValueError(f"bound {bound} is below mu({k},{t}) = {prof.mu}")
-    ms = _realizing_maxima(
-        k, t, bound, threads=threads, use_cache=use_cache, force=force
+    slices = _realized_slices(
+        k, bound, threads=threads, use_cache=use_cache, force=force
     )
+    ms = [m for m, census in slices.items() if t in census]
     if ms:
         top = ms[-1]
         observed = top + 1
-        witnesses = _collect(k, top, (t,)).get(t, ())
+        if top >= prof.mu:
+            witnesses = tuple(map(IntSet, slices[top][t][2]))
+        else:
+            witnesses = tuple(map(IntSet, kernel.collect_slice(k, top, (t,))[t]))
     else:
         observed = 0
         witnesses = ()
-    violations: list[IntSet] = []
-    for m in ms:
-        if m > prof.mu:
-            violations.extend(_collect(k, m, (t,)).get(t, ()))
+    violations = [IntSet(a) for m in ms if m > prof.mu for a in slices[m][t][2]]
     constr = attainment_construction(k, t)
     return SearchReport(
         k=k,
@@ -386,9 +486,10 @@ def is_1_extremal(a: IntSet, *, threads: int = 1, use_cache: bool = True) -> boo
 def _top_volume(k: int, t: int, vol: int, threads: int, use_cache: bool) -> bool:
     """is_1_extremal for a one-dimensional k-set of doubling t and volume
     vol, which the caller already knows."""
-    ms = _realizing_maxima(
-        k, t, mu(k, t) + k, threads=threads, use_cache=use_cache, force=False
+    slices = _realized_slices(
+        k, mu(k, t) + k, threads=threads, use_cache=use_cache, force=False
     )
+    ms = [m for m, census in slices.items() if t in census]
     return vol == (ms[-1] + 1 if ms else 0)
 
 
@@ -605,17 +706,21 @@ def extension_lemma_sweep(k: int, *, threads: int = 1) -> ExtensionSweepReport:
     cardinality k with maximum at most mu(k, |2A|) + k, and every admissible
     x of each.
 
-    The sets come from the oracle's slice table up to mu(k, T) + k at the
-    top doubling T, each slice collected once over the doublings it
-    realizes; without a table that covers that bound, a sweep over the
-    budget raises CapacityError before anything is walked. The collections
-    fan out on threads workers; the checks run in this thread, slice by
-    slice in order, so the report does not depend on threads.
+    The sets come from the census of the oracle's slice table up to
+    mu(k, T) + k at the top doubling T: it counts them and their pairs, and
+    lists the sets with max A >= mu(k, T) and those with a pair that fails
+    _pair_verdict (see _listing). Without a table that covers that bound, a
+    sweep over the budget raises CapacityError before anything is walked;
+    the walk fans out on threads workers. The checks run in this thread on
+    the listed sets, slice by slice and doubling by doubling in order, so the
+    report does not depend on threads.
 
     A set is decomposed only when max A = mu(k, T) and T <= 3k - 4 (see
-    stable_split). Any other set's pairs (T_x, overlap) read only
+    stable_split). Any other listed set's pairs (T_x, overlap) read only
     _pair_verdict: one subset test against _passing_pairs(k, T) clears it,
-    and it goes through _extension_checks only when some pair fails.
+    and it goes through _extension_checks only when some pair fails. A set
+    the census does not list has max A < mu(k, T) and no failing pair, so
+    it would be cleared the same way.
 
     What a set can fail there:
     - For x > max A, x + max A lies above every sum in 2A, and x is in
@@ -634,30 +739,25 @@ def extension_lemma_sweep(k: int, *, threads: int = 1) -> ExtensionSweepReport:
     sets_checked = 0
     pairs_checked = 0
     bad: list[tuple[IntSet, ExtensionCheck]] = []
-    jobs = [(k, m, realized) for m, realized in slices.items() if realized]
     tx_overlap = operator.itemgetter(1, 2)
-    # closed on the way out, so an error in the checks cancels the
-    # collections not yet started instead of leaving them to run
-    with contextlib.closing(_fan_out(_collect_job, jobs, threads)) as collected:
-        for m, groups in collected:
-            for t, sets in groups.items():
-                top = mu(k, t)
-                if m > top + k:
+    for m, census in slices.items():
+        for t, (sets, pairs, listed) in census.items():
+            top = mu(k, t)
+            if m > top + k:
+                continue
+            sets_checked += sets
+            pairs_checked += pairs
+            passing = _passing_pairs(k, t)
+            # a set is decomposed only when max A = mu(k, t) and t <= 3k - 4;
+            # any other needs the per-pair checks only when a pair fails
+            undecomposed = m != top or t > 3 * k - 4
+            for elements in listed:
+                triples = kernel.right_extensions(elements)
+                if undecomposed and passing.issuperset(map(tx_overlap, triples)):
                     continue
-                passing = _passing_pairs(k, t)
-                for elements in sets:
-                    triples = kernel.right_extensions(elements)
-                    sets_checked += 1
-                    pairs_checked += len(triples)
-                    # a set is decomposed only when max A = mu(k, t) and
-                    # t <= 3k - 4; any other needs the per-pair checks only
-                    # when a pair fails
-                    undecomposed = m != top or t > 3 * k - 4
-                    if undecomposed and passing.issuperset(map(tx_overlap, triples)):
-                        continue
-                    for chk in _extension_checks(elements, t, triples, deep=False):
-                        if not chk.ok:
-                            bad.append((IntSet(elements), chk))
+                for chk in _extension_checks(elements, t, triples, deep=False):
+                    if not chk.ok:
+                        bad.append((IntSet(elements), chk))
     return ExtensionSweepReport(
         k=k,
         sets_checked=sets_checked,

@@ -256,12 +256,39 @@ def test_over_budget_run_refuses_before_sweeping(capsys, tmp_path, monkeypatch, 
 
     monkeypatch.setenv("SUMSETCHAINS_CACHE", str(tmp_path))
     monkeypatch.setattr(search, "_SLICE_CACHE", {})
-    monkeypatch.setattr(search.kernel, "sweep_slice", no_sweep)
+    monkeypatch.setattr(search.kernel, "census_slice", no_sweep)
     assert main([command, "--k", "8"]) == 1
     captured = capsys.readouterr()
     assert "capacity" in captured.err and "--force" in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("k, twin", [(6, "python"), (7, "c")])
+def test_a_warm_verify_walks_nothing(request, capsys, tmp_path, monkeypatch, k, twin):
+    # the table holds the census: a verify on a filled cache, in a fresh
+    # process, reads every witness, violation and count off it, so no slice
+    # primitive is called, and it writes nothing
+    if twin == "c":
+        request.getfixturevalue("compiled_facade")
+    else:
+        monkeypatch.setattr(search.kernel, "_c", None)
+        monkeypatch.setattr(search.kernel, "BACKEND", "python")
+
+    def walked(*args):
+        raise AssertionError("a slice was walked")
+
+    monkeypatch.setenv("SUMSETCHAINS_CACHE", str(tmp_path))
+    monkeypatch.setattr(search, "_SLICE_CACHE", {})
+    cold = run(capsys, "verify", "--k", str(k))
+    assert cold[0] == 0
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert list(files) == [f"slices_k{k}.json"]
+    monkeypatch.setattr(search, "_SLICE_CACHE", {})
+    for name in ("scan_slice", "sweep_slice", "collect_slice", "census_slice"):
+        monkeypatch.setattr(search.kernel, name, walked)
+    assert run(capsys, "verify", "--k", str(k)) == cold
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 def test_unknown_subcommand(capsys):

@@ -181,6 +181,7 @@ def test_compiled_slice_walks_run_on_threads(compiled_kernel):
     # own order, must get what serial calls get, order included
     jobs = [("sweep_slice", 7, m, 23) for m in range(6, 34)]
     jobs += [("scan_slice", 7, m, range(13, 24), True) for m in range(6, 34)]
+    jobs += [("census_slice", 7, m, dict.fromkeys(range(13, 24), 1 << m % 9)) for m in range(6, 34)]
 
     def run(job):
         got = getattr(compiled_kernel, job[0])(*job[1:])
@@ -465,6 +466,79 @@ def test_right_extensions_take_any_iterable_alike(compiled_kernel):
         assert backend.right_extensions([0, 1, 3]) == want
         assert backend.right_extensions(iter((0, 1, 3))) == want
         assert backend.right_extensions(e for e in (0, 1, 3)) == want
+
+
+@functools.cache
+def reference_extensions(k, m):
+    """{t: [(set, reference_right_extensions(set))]} over reference_collect's
+    slice, mirrors included, which no pool of the walk reads."""
+    every_t = range(k * (k + 1) // 2 + 1)
+    return {
+        t: [(a, reference_right_extensions(a)) for a in sets]
+        for t, sets in reference_collect(k, m, every_t).items()
+    }
+
+
+def reference_census(k, m, listing):
+    """census_slice from first principles: the sets of reference_collect,
+    each with its reference_right_extensions."""
+    out = {}
+    for t, sets in reference_extensions(k, m).items():
+        if t in listing:
+            mask = listing[t] | -(1 << k + 2)
+            listed = [a for a, ext in sets if any(mask >> o & 1 for _, _, o in ext)]
+            out[t] = (len(sets), sum(len(ext) for _, ext in sets), listed)
+    return out
+
+
+CENSUS_SLICES = [(k, m) for k in range(3, 7) for m in range(k - 1, k + 7)] + [(3, 64), (4, 65)]
+
+
+@pytest.mark.parametrize("k, m", CENSUS_SLICES)
+def test_census_matches_a_walk_free_reference(twin, k, m):
+    # every set listed, none, and for each overlap o the sets with an
+    # extension of overlap o: the mirror side's overlaps, read off the pool
+    # of the hit, against the reference extensions of the mirror itself
+    ts = range(2 * k - 1, k * (k + 1) // 2 + 1)
+    listings = [dict.fromkeys(ts, -1), dict.fromkeys(ts, 0)]
+    listings += [dict.fromkeys(ts, 1 << o) for o in range(k + 2)]
+    listings.append({t: (-1, 0, 1 << k, 5)[t % 4] for t in ts[::2]})
+    for listing in listings:
+        want = reference_census(k, m, listing)
+        got = twin.census_slice(k, m, listing)
+        assert got == want and list(got) == list(want), listing
+
+
+def test_compiled_census_matches_pure_at_k7(compiled_kernel):
+    # m = 32 and 33 cross a sumset word, as in the slices test
+    for m in (6, 11, 17, 23, 32, 33):
+        for mask in (-1, 0b101010):
+            assert_same(compiled_kernel, "census_slice", 7, m, dict.fromkeys(range(13, 24), mask))
+
+
+def test_census_reads_its_listing_alike(compiled_kernel):
+    # a t outside the doublings lists nothing, and only bits 0..k + 1 of a
+    # mask are read, of its two's complement when negative
+    for listing in ({}, {10**30: -1, -3: 5, 9: -1}, {9: 2**70 + 4, 10: -(2**70), 11: -1}):
+        assert_same(compiled_kernel, "census_slice", 4, 7, listing)
+    for args in [
+        (4, 7, [(9, -1)]),
+        (4, 7, {9.0: -1}),
+        (4, 7, {9: 1.5}),
+        (2, 7, {}),
+        (4.0, 7, {}),
+    ]:
+        assert_rejected_alike(compiled_kernel, "census_slice", *args)
+
+
+def test_census_straddles_the_caps(compiled_facade):
+    with pytest.raises(OverflowError):
+        compiled_facade._c.census_slice(3, 512, {6: -1})
+    with pytest.raises(OverflowError):
+        compiled_facade._c.census_slice(13, 20, {})
+    for k, m in [(3, 511), (3, 512), (12, 13), (13, 14)]:
+        listing = dict.fromkeys(range(2 * k - 1, k * (k + 1) // 2 + 1), 0b110)
+        assert compiled_facade.census_slice(k, m, listing) == pure.census_slice(k, m, listing)
 
 
 def brute_pool(elements):

@@ -33,6 +33,45 @@ from sumsetchains.search import (
 S = IntSet.from_text
 
 
+# corruptions of a census that vol1_oracle(6, 14) walked, each applied to the
+# file's JSON: the census of doubling 14 at its top slice m = mu(6, 14),
+# where every set is listed, and the inputs the file records
+def census_of_14(stored):
+    return stored["slices"][str(mu(6, 14))]["14"]
+
+
+def float_count(stored):
+    census_of_14(stored)[0] = float(census_of_14(stored)[0])
+
+
+def negative_count(stored):
+    census_of_14(stored)[1] = -1
+
+
+def listed_set_of_another_max(stored):
+    # dilated by 2, a set keeps its doubling and its order in the list
+    listed = census_of_14(stored)[2]
+    listed[-1] = [2 * e for e in listed[-1]]
+
+
+def listed_set_of_another_doubling(stored):
+    slice_ = stored["slices"][str(mu(6, 14))]
+    other = next(t for t in range(15, t_range(6)[1] + 1) if str(t) not in slice_)
+    slice_[str(other)] = slice_.pop("14")
+
+
+def listed_set_missing(stored):
+    census_of_14(stored)[2].pop()
+
+
+def recorded_mu_differs(stored):
+    stored["inputs"]["14"][0] += 1
+
+
+def recorded_mask_differs(stored):
+    stored["inputs"]["14"][1] ^= 2
+
+
 class TestEnumeration:
     def test_small_listings(self):
         assert [a.to_text() for a in enumerate_normal_sets(3, 3)] == [
@@ -108,10 +147,11 @@ class TestOracle:
         assert list(tmp_path.iterdir()) == [path]
         stored = json.loads(path.read_text())
         assert stored["k"] == 6 and stored["digest"] == search.kernel_digest()
-        assert 14 in stored["slices"][str(cold.observed_max_vol - 1)]
-        # a fresh process reads the table from disk and sweeps nothing
+        assert "14" in stored["slices"][str(cold.observed_max_vol - 1)]
+        # a fresh process reads the table from disk and walks nothing
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
-        monkeypatch.setattr(search.kernel, "sweep_slice", None)
+        monkeypatch.setattr(search.kernel, "census_slice", None)
+        monkeypatch.setattr(search.kernel, "collect_slice", None)
         warm = vol1_oracle(6, 14)
         assert warm.as_dict() == cold.as_dict()
         assert json.loads(path.read_text()) == stored
@@ -123,18 +163,42 @@ class TestOracle:
             '{"k": 5, "slices": {}}',
             '{"k": 6, "slices": {"8": [14.0]}}',
             '{"k": 6, "slices": {"x": [14]}}',
+        ]
+        + [
+            pytest.param(corrupt, id=corrupt.__name__)
+            for corrupt in (
+                float_count,
+                negative_count,
+                listed_set_of_another_max,
+                listed_set_of_another_doubling,
+                listed_set_missing,
+                recorded_mu_differs,
+                recorded_mask_differs,
+            )
         ],
     )
     def test_bad_slice_file_is_recomputed(self, tmp_path, monkeypatch, content):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
         path = tmp_path / "slices_k6.json"
+        clean = None
+        if callable(content):
+            # a census walked here, then corrupted
+            vol1_oracle(6, 14)
+            clean = path.read_text()
+            stored = json.loads(clean)
+            content(stored)
+            content = json.dumps(stored, sort_keys=True)
+            monkeypatch.setattr(search, "_SLICE_CACHE", {})
         path.write_text(content)
         got = vol1_oracle(6, 14)
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
         assert got.as_dict() == vol1_oracle(6, 14, use_cache=False).as_dict()
         assert json.loads(path.read_text())["k"] == 6
         assert list(tmp_path.iterdir()) == [path]
+        if clean is not None:
+            # ignored and rewritten, so never served
+            assert path.read_text() == clean
 
     @pytest.mark.parametrize("digest", [None, "0" * 64])
     def test_slice_file_of_another_kernel_is_recomputed(self, tmp_path, monkeypatch, digest):
@@ -184,8 +248,8 @@ class TestOracle:
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
         monkeypatch.setattr(search, "DEFAULT_BUDGET", 100)
-        sweep = search.kernel.sweep_slice
-        monkeypatch.setattr(search.kernel, "sweep_slice", no_sweep)
+        sweep = search.kernel.census_slice
+        monkeypatch.setattr(search.kernel, "census_slice", no_sweep)
         with pytest.raises(CapacityError, match="--force"):
             verify_conjecture(5)
         with pytest.raises(CapacityError):
@@ -193,11 +257,11 @@ class TestOracle:
         with pytest.raises(CapacityError):
             is_1_extremal(S("{0,1,2,4,8}"))
         assert list(tmp_path.iterdir()) == []
-        monkeypatch.setattr(search.kernel, "sweep_slice", sweep)
+        monkeypatch.setattr(search.kernel, "census_slice", sweep)
         forced = verify_conjecture(5, force=True)
         # a table that covers the bound is served without force or a sweep
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
-        monkeypatch.setattr(search.kernel, "sweep_slice", no_sweep)
+        monkeypatch.setattr(search.kernel, "census_slice", no_sweep)
         warm = verify_conjecture(5)
         assert [r.as_dict() for r in warm] == [r.as_dict() for r in forced]
 
@@ -222,6 +286,21 @@ class TestOracle:
         assert is_1_extremal(S("{0,1,2,4,6}"))
         # doubling 11 allows max 6, but this set only reaches 5
         assert not is_1_extremal(S("{0,1,2,4,5}"))
+
+
+@pytest.fixture
+def list_every_set(monkeypatch, tmp_path):
+    """census_slice listing every set, so that the extension sweep reads the
+    triples of each set from right_extensions, as the per-set loop did; over
+    a table of its own, in memory and on disk."""
+    census = search.kernel.census_slice
+
+    def every(k, m, listing):
+        return census(k, m, dict.fromkeys(listing, -1))
+
+    monkeypatch.setattr(search.kernel, "census_slice", every)
+    monkeypatch.setattr(search, "_SLICE_CACHE", {})
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "every-set"))
 
 
 @pytest.fixture(params=["python", "c"])
@@ -250,10 +329,13 @@ class TestFanOut:
         assert any(tables[0].values())
 
     @pytest.mark.parametrize("k", [5, 6])
-    def test_threads_give_the_serial_extension_sweep(self, backend, monkeypatch, k):
+    def test_threads_give_the_serial_extension_sweep(
+        self, backend, list_every_set, tmp_path, monkeypatch, k
+    ):
         # no pair fails below k = 8, so T_x of every x = max A + 1 whose
         # T_x + 1 stays legal is raised by one, which breaks the increment
-        # identity; right_extensions runs in the calling thread either way
+        # identity; the census lists every set, and right_extensions runs in
+        # the calling thread either way. Each sweep walks its own table.
         extensions = search.kernel.right_extensions
         hi = t_range(k + 1)[1]
 
@@ -264,7 +346,10 @@ class TestFanOut:
             ]
 
         monkeypatch.setattr(search.kernel, "right_extensions", skewed)
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "serial"))
         serial = extension_lemma_sweep(k)
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "fanned"))
         fanned = extension_lemma_sweep(k, threads=2)
         assert fanned == serial
         assert len(serial.violations) > 1
@@ -274,16 +359,16 @@ class TestFanOut:
     def test_a_failing_job_propagates_and_writes_nothing(
         self, backend, tmp_path, monkeypatch
     ):
-        sweep = search.kernel.sweep_slice
+        census = search.kernel.census_slice
 
-        def failing(k, m, t_max):
+        def failing(k, m, listing):
             if m == 9:
                 raise RuntimeError(f"slice {m} failed")
-            return sweep(k, m, t_max)
+            return census(k, m, listing)
 
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
-        monkeypatch.setattr(search.kernel, "sweep_slice", failing)
+        monkeypatch.setattr(search.kernel, "census_slice", failing)
         with pytest.raises(RuntimeError, match="slice 9 failed"):
             search._realized_slices(5, 13, threads=2, use_cache=True, force=False)
         assert list(tmp_path.iterdir()) == []
@@ -297,15 +382,15 @@ class TestFanOut:
         # once while the others take a while, so only the jobs in flight or
         # already queued to a worker run. Each call leaves a file, which a
         # worker process can do as well as a thread.
-        def fake(k, m, t_max):
+        def fake(k, m, listing):
             (tmp_path / f"call-{m}").touch()
             if m == 72:
                 raise error("largest slice")
             time.sleep(0.05)
-            return [t_max]
+            return {}
 
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
-        monkeypatch.setattr(search.kernel, "sweep_slice", fake)
+        monkeypatch.setattr(search.kernel, "census_slice", fake)
         with pytest.raises(error):
             search._realized_slices(8, 72, threads=2, use_cache=False, force=True)
         calls = sorted(p.name for p in tmp_path.iterdir())
@@ -314,39 +399,33 @@ class TestFanOut:
     def test_an_error_in_the_checks_stops_the_collections(
         self, backend, tmp_path, monkeypatch
     ):
-        # the checks run in the calling thread; when one raises, no
-        # collection may start after the sweep has returned, even while the
-        # traceback, and with it the sweep's frame, is still held. Every
-        # collection after the first waits for the failing check's marker,
-        # so the two workers hold the second and third while the check
-        # runs, however late this thread gets to it; a process pool has
-        # queued three more that it cannot cancel, so at most 6 start
+        # the checks run in the calling thread on the finished table; when
+        # one raises, no census walk starts after it or is left running,
+        # even while the traceback, and with it the sweep's frame, is still
+        # held
         calls, failed = tmp_path / "calls", tmp_path / "failed"
         calls.mkdir()
-        top = mu(6, t_range(6)[1]) + 6
-        slices = search._realized_slices(6, top, threads=1, use_cache=True, force=False)
-        first = next(m for m, realized in slices.items() if realized)
-        collect = search.kernel.collect_slice
+        census = search.kernel.census_slice
 
-        def gated_collect(k, m, ts):
+        def recording(k, m, listing):
+            assert not failed.exists(), "walked after a check failed"
             (calls / f"call-{m}").touch()
-            deadline = time.monotonic() + 10
-            while m != first and not failed.exists() and time.monotonic() < deadline:
-                time.sleep(0.005)
-            time.sleep(0.05)
-            return collect(k, m, ts)
+            return census(k, m, listing)
 
         def failing(elements):
             failed.touch()
             raise RuntimeError("check failed")
 
-        monkeypatch.setattr(search.kernel, "collect_slice", gated_collect)
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        monkeypatch.setattr(search.kernel, "census_slice", recording)
         monkeypatch.setattr(search.kernel, "right_extensions", failing)
         with pytest.raises(RuntimeError, match="check failed") as failure:
             extension_lemma_sweep(6, threads=2)
         started = len(list(calls.iterdir()))
         time.sleep(0.3)
-        assert len(list(calls.iterdir())) == started <= 6
+        # one walk per slice m = 5 .. mu(6, T) + 6 at the top doubling T
+        assert len(list(calls.iterdir())) == started == mu(6, t_range(6)[1]) + 6 - 4
         assert failure.traceback
 
     def test_compiled_fan_out_starts_no_process(self, compiled_facade, monkeypatch):
@@ -365,8 +444,9 @@ class TestFanOut:
 
 
     def test_compiled_fan_out_leaves_multiprocessing_unloaded(self, compiled_kernel):
-        # the thread pool is imported alone: multiprocessing, which the
-        # process pool pulls in, would weigh on every run
+        # the workers are plain threads: multiprocessing, which the process
+        # pool pulls in, and concurrent.futures with its logging import
+        # would weigh on every run
         code = f"""if True:
             import importlib.util, sys
             from sumsetchains import kernel, search
@@ -377,7 +457,7 @@ class TestFanOut:
             spec.loader.exec_module(kernel._c)
             kernel.BACKEND = "c"
             search._realized_slices(6, 12, threads=2, use_cache=False, force=False)
-            print("multiprocessing" in sys.modules)
+            print([m for m in ("multiprocessing", "concurrent.futures", "logging") if m in sys.modules])
         """
         env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).parents[1])}
         proc = subprocess.run(
@@ -387,7 +467,7 @@ class TestFanOut:
             text=True,
             check=True,
         )
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "[]\n"
 
 class TestExtensionChecks:
     def test_frozen_examples(self):
@@ -435,39 +515,50 @@ class TestExtensionChecks:
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
         monkeypatch.setattr(search, "DEFAULT_BUDGET", 100)
-        sweep, collect = search.kernel.sweep_slice, search.kernel.collect_slice
-        monkeypatch.setattr(search.kernel, "sweep_slice", no_walk)
+        census, collect = search.kernel.census_slice, search.kernel.collect_slice
+        monkeypatch.setattr(search.kernel, "census_slice", no_walk)
         monkeypatch.setattr(search.kernel, "collect_slice", no_walk)
         with pytest.raises(CapacityError, match="--force"):
             extension_lemma_sweep(5)
-        monkeypatch.setattr(search.kernel, "sweep_slice", sweep)
+        monkeypatch.setattr(search.kernel, "census_slice", census)
         monkeypatch.setattr(search.kernel, "collect_slice", collect)
         verify_conjecture(5, force=True)
         # the forced table covers the sweep's bound, so it is served as is
         report = extension_lemma_sweep(5)
         assert (report.sets_checked, report.pairs_checked) == (20, 122)
 
-    def test_sweep_collects_each_slice_once_over_its_table_entry(self, monkeypatch):
+    def test_sweep_collects_each_slice_once_over_its_table_entry(self, tmp_path, monkeypatch):
+        # the table walk takes the census: a cold sweep walks each slice
+        # once, largest first, over every legal doubling, and collects
+        # nothing; a warm one walks nothing
         calls = []
-        collect = search.kernel.collect_slice
+        census = search.kernel.census_slice
 
-        def recording(k, m, ts):
-            calls.append((m, tuple(ts)))
-            return collect(k, m, ts)
+        def recording(k, m, listing):
+            calls.append((m, tuple(listing)))
+            return census(k, m, listing)
 
-        monkeypatch.setattr(search.kernel, "collect_slice", recording)
+        def no_collect(*args):
+            raise AssertionError("collected")
+
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        monkeypatch.setattr(search.kernel, "census_slice", recording)
+        monkeypatch.setattr(search.kernel, "collect_slice", no_collect)
         report = extension_lemma_sweep(5)
         assert (report.sets_checked, report.pairs_checked) == (20, 122)
-        table = search._realized_slices(
-            5, mu(5, t_range(5)[1]) + 5, threads=1, use_cache=True, force=False
-        )
-        assert any(not ts for ts in table.values())
-        assert calls == [(m, ts) for m, ts in table.items() if ts]
+        lo, hi = t_range(5)
+        top = mu(5, hi) + 5
+        assert calls == [(m, tuple(range(lo, hi + 1))) for m in range(top, 3, -1)]
+        calls.clear()
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        assert extension_lemma_sweep(5) == report and calls == []
 
-    def test_sweep_reports_exactly_the_failing_pairs(self, monkeypatch):
+    def test_sweep_reports_exactly_the_failing_pairs(self, list_every_set, monkeypatch):
         # no pair fails below k = 8, so violations are injected: T_x of a few
         # chosen pairs is raised by one in the triples of right_extensions,
-        # which breaks the increment identity
+        # which breaks the increment identity; the census lists every set, so
+        # the sweep reads the triples of each
         extensions = search.kernel.right_extensions
         order = []
 
@@ -545,6 +636,8 @@ class TestExtensionChecks:
         ]
 
     def test_sweep_makes_one_kernel_call_per_set(self, monkeypatch):
+        # the census counts every set; only the sets it lists get a kernel
+        # call, here the ones at max A = mu(5, T), as no pair fails at k = 5
         calls = Counter()
 
         def counted(module, name):
@@ -556,12 +649,22 @@ class TestExtensionChecks:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        bound = mu(5, t_range(5)[1]) + 5
+        table = search._realized_slices(5, bound, threads=1, use_cache=True, force=False)
         for name in ("right_extensions", "doubling_size", "is_one_dimensional"):
             counted(search.kernel, name)
         counted(dimension, "extension_candidates")
         report = extension_lemma_sweep(5)
         assert (report.sets_checked, report.pairs_checked) == (20, 122)
-        assert calls == {"right_extensions": 20}
+        listed = [
+            a
+            for m, census in table.items()
+            for t, (_, _, sets) in census.items()
+            if m <= mu(5, t) + 5
+            for a in sets
+        ]
+        assert calls == {"right_extensions": len(listed)} and len(listed) < 20
+        assert all(a[-1] == mu(5, doubling(IntSet(a))) for a in listed)
 
     def test_per_set_checks_match_the_object_layer(self):
         # every pair of the k <= 5 sweeps, against sumsets built element by
@@ -641,7 +744,10 @@ class TestExtensionChecks:
                 assert all(lo <= tx <= hi for tx, _ in passing)
 
     @pytest.mark.parametrize("k", [5, 6])
-    def test_sweep_checks_per_pair_only_extremal_or_failing_sets(self, monkeypatch, k):
+    def test_sweep_checks_per_pair_only_extremal_or_failing_sets(
+        self, list_every_set, monkeypatch, k
+    ):
+        # the census lists every set, so the sweep reads the triples of each
         extensions, checks = search.kernel.right_extensions, search._extension_checks
         swept, checked = [], []
 
@@ -680,6 +786,106 @@ class TestExtensionChecks:
         report = extension_lemma_sweep(k)
         assert checked == sorted(extremal + [target], key=swept.index)
         assert {a.elements for a, _ in report.violations} == {target}
+
+
+def per_set_sweep(k):
+    """The census of every slice the extension sweep covers, and the sweep's
+    violations, by the per-set loop the census replaced: collect_slice over
+    the legal doublings, right_extensions per set and _passing_pairs. Returns
+    {m: {t: (sets, pairs, listed)}} and [(elements, check)] in sweep order."""
+    lo, hi = t_range(k)
+    table, violations = {}, []
+    for m in range(k - 1, mu(k, hi) + k + 1):
+        census = table[m] = {}
+        for t, sets in search.kernel.collect_slice(k, m, range(lo, hi + 1)).items():
+            top = mu(k, t)
+            passing = search._passing_pairs(k, t)
+            pairs, listed = 0, []
+            for elements in sets:
+                triples = search.kernel.right_extensions(elements)
+                pairs += len(triples)
+                fails = not passing.issuperset((tx, o) for _, tx, o in triples)
+                if m >= top or (fails and m <= top + k):
+                    listed.append(elements)
+                if m <= top + k and (fails or (m == top and t <= 3 * k - 4)):
+                    checks = search._extension_checks(elements, t, triples, deep=False)
+                    violations += [(elements, c) for c in checks if not c.ok]
+            census[t] = (len(sets), pairs, tuple(listed))
+    return table, violations
+
+
+def assert_sweep_is_the_per_set_loop(k):
+    table, violations = per_set_sweep(k)
+    report = extension_lemma_sweep(k)
+    got = search._realized_slices(k, max(table), threads=1, use_cache=True, force=False)
+    for m, census in table.items():
+        assert got[m] == census and list(got[m]) == list(census), m
+    in_range = [
+        entry for m, census in table.items() for t, entry in census.items() if m <= mu(k, t) + k
+    ]
+    assert report.sets_checked == sum(sets for sets, _, _ in in_range)
+    assert report.pairs_checked == sum(pairs for _, pairs, _ in in_range)
+    assert [(a.elements, c) for a, c in report.violations] == violations
+    return report
+
+
+@pytest.mark.parametrize(
+    "backend, k",
+    [("python", k) for k in (3, 4, 5, 6)] + [("c", k) for k in (3, 4, 5, 6, 7)],
+    indirect=["backend"],
+)
+def test_census_matches_the_per_set_loop(backend, tmp_path, monkeypatch, k):
+    # the pure twin's k = 7 table alone takes a minute
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(search, "_SLICE_CACHE", {})
+    report = assert_sweep_is_the_per_set_loop(k)
+    assert report.violations == ()
+
+
+@pytest.fixture
+def failing_pairs(monkeypatch):
+    """fail(pairs) makes _pair_verdict fail each (k, t, overlap) in pairs as
+    well and empties the table; the cache of _passing_pairs, which reads
+    _pair_verdict, is cleared on the way in and out."""
+    verdict = search._pair_verdict
+
+    def fail(pairs):
+        def patched(k, t, tx, overlap):
+            after, violations = verdict(k, t, tx, overlap)
+            return after, violations + (("injected",) if (k, t, overlap) in pairs else ())
+
+        monkeypatch.setattr(search, "_pair_verdict", patched)
+        search._passing_pairs.cache_clear()
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+
+    search._passing_pairs.cache_clear()
+    yield fail
+    search._passing_pairs.cache_clear()
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_a_failing_pair_lists_its_sets(backend, failing_pairs, tmp_path, monkeypatch, k):
+    # no pair fails below k = 8: one is made to fail, the overlap of the
+    # first extension of the first set below mu(k, t) in the walk's order
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    lo, hi = t_range(k)
+    m, t, a = next(
+        (m, t, sets[0])
+        for m in range(k - 1, mu(k, hi) + 1)
+        for t, sets in search.kernel.collect_slice(k, m, range(lo, hi + 1)).items()
+        if m < mu(k, t)
+    )
+    overlap = search.kernel.right_extensions(a)[0][2]
+    # overlaps 0, k and k + 1 fail the increment range; none of them occurs
+    failing = search._census_inputs(k)[t][1]
+    assert failing == 1 | 3 << k
+    failing_pairs({(k, t, overlap)})
+    report = assert_sweep_is_the_per_set_loop(k)
+    assert a in [b.elements for b, _ in report.violations]
+    assert all(c.violations[-1] == "injected" for _, c in report.violations)
+    # the file records the mask it was walked under
+    stored = json.loads((tmp_path / f"slices_k{k}.json").read_text())
+    assert stored["inputs"][str(t)] == [mu(k, t), failing | 1 << overlap]
 
 
 def test_the_oracle_serves_exactly_the_cardinalities_under_the_budget():
