@@ -1,15 +1,17 @@
 /* Compiled kernel: the hot primitives behind the search sweeps, built by
  * setup.py with any C compiler. Mirrors _kernel_py, the reference, function
  * for function, with identical results down to list and dict key order.
- * The one slice walk, scan_slice, keeps one level (gcd, element mask, sumset
- * mask, repeated-sum mask) per interior depth up to the prefix, the set less
- * its last interior element, and it walks only the interiors with
+ * The one slice walk, census_slice, keeps one level (gcd, element mask,
+ * sumset mask, repeated-sum mask) per interior depth up to the prefix, the set
+ * less its last interior element, and it walks only the interiors with
  * e[1] + e[k-2] <= m: the reflexion x -> m - x covers the rest (see Slice
  * below). One loop per prefix runs every last element x and reads |2A| off
- * the prefix's words in place, a shifted AND and a popcount per word. It
- * keeps every one-dimensional set, or one per doubling (see scan), or, for
- * the sweep's table, the extension census of every set: its right
- * extensions and its mirror's, read off one pool per hit (census_slice).
+ * the prefix's words in place, a shifted AND and a popcount per word. Every
+ * one-dimensional set of a wanted doubling is a hit, and the walk takes the
+ * extension census of each hit and its mirror: their right extensions, read
+ * off one pool per hit, counted per doubling, and the sets the caller's
+ * listing asks for (census_hit). sweep_slice, the benchmark probe's entry,
+ * reads only the doublings of that census.
  * right_extensions lists the right extensions of one set with their
  * doublings and overlaps, one call per set of a sweep, and chain_children
  * the canonical out-of-hull children of one normal set with their doublings,
@@ -513,24 +515,20 @@ static PyObject *int_tuple(const i64 *e, Py_ssize_t n)
     return tup;
 }
 
-/* Appends the set {0, interior[0..k-3], m}, or its mirror {m - e[k-1-i]},
- * to sets as a tuple. */
-static int append_set(PyObject *sets, int k, int m, const unsigned short *interior, int mirror)
+/* Appends the set {0, interior[0..k-3], m} to sets as a tuple. */
+static int append_set(PyObject *sets, int k, int m, const unsigned short *interior)
 {
-    i64 e[MAXK];
-    for (int i = 0; i < k; i++) {
-        int j = mirror ? k - 1 - i : i;
-        int x = j == 0 ? 0 : j == k - 1 ? m : interior[j - 1];
-        e[i] = mirror ? m - x : x;
-    }
+    i64 e[MAXK] = {0};
+    for (int i = 1; i < k; i++)
+        e[i] = i < k - 1 ? interior[i - 1] : m;
     PyObject *elems = int_tuple(e, k);
     int rc = elems == NULL ? -1 : PyList_Append(sets, elems);
     Py_XDECREF(elems);
     return rc;
 }
 
-/* The hits of a scan, recorded without the GIL: k - 1 shorts per hit, the
- * doubling t and the interior e[1..k-2]. The raw allocators need no GIL. */
+/* The listed sets of a scan, recorded without the GIL: k - 1 shorts per set,
+ * the doubling t and the interior e[1..k-2]. The raw allocators need no GIL. */
 typedef struct {
     unsigned short *data;
     Py_ssize_t used, cap; /* in shorts */
@@ -554,17 +552,13 @@ static int hits_add(Hits *h, int k, int t, const i64 *interior)
     return 0;
 }
 
-/* What one slice walk keeps, all without the GIL. A leaf is rank tested when
- * want[t] is set for its doubling t. FIRST_HIT keeps the first hit per t and
- * clears want[t]; EVERY_HIT keeps every hit; CENSUS takes the extension
- * census of every hit and its mirror (census_hit), counting sets and pairs
- * per t and keeping only the sets it lists. */
-enum { FIRST_HIT, EVERY_HIT, CENSUS };
-
+/* What the slice walk keeps, all without the GIL: a leaf is rank tested when
+ * want[t] is set for its doubling t, and every hit and its mirror add to the
+ * extension census of t (census_hit), which counts sets and pairs and keeps
+ * only the sets it lists. */
 typedef struct {
-    int mode;
     char want[MAXPAIRS + 1];
-    u64 listing[MAXPAIRS + 1]; /* CENSUS: overlaps that list a set, bits past k + 1 set */
+    u64 listing[MAXPAIRS + 1]; /* overlaps that list a set, bits past k + 1 set */
     i64 sets[MAXPAIRS + 1], pairs[MAXPAIRS + 1];
     Hits hits;
 } Scan;
@@ -609,7 +603,7 @@ static int census_hit(Slice *s, Scan *sc, int t)
 }
 
 /* A leaf x of the current prefix whose doubling t is wanted: with gcd 1 and
- * through the coverage and rank tests it is a hit, kept as sc->mode says.
+ * through the coverage and rank tests it is a hit, which census_hit counts.
  * -1 when hits cannot grow. */
 static int leaf_test(Slice *s, Scan *sc, i64 x, int t)
 {
@@ -624,13 +618,7 @@ static int leaf_test(Slice *s, Scan *sc, i64 x, int t)
             return 0;
     if (relation_rank(s->e, s->k) != s->k - 2)
         return 0;
-    if (sc->mode == CENSUS)
-        return census_hit(s, sc, t);
-    if (hits_add(&sc->hits, s->k, t, s->e + 1) < 0)
-        return -1;
-    if (sc->mode == FIRST_HIT)
-        sc->want[t] = 0;
-    return 0;
+    return census_hit(s, sc, t);
 }
 
 /* The walk from the current prefix on, for mw mask words and aw sumset
@@ -671,10 +659,9 @@ static int slice_walk(Slice *s, Scan *sc)
 }
 
 /* The one slice walk over the normal one-dimensional k-sets with max m whose
- * doubling t has want[t] set, for a slice that passed slice_check, in
- * ascending t: {t: sorted sets}, or in CENSUS mode {t: (sets, pairs, sorted
- * listed sets)}. EVERY_HIT also adds the mirror of each hit with
- * e[1] + e[k-2] < m. The walk runs without the GIL. */
+ * doubling t has want[t] set, for a slice that passed slice_check:
+ * {t: (sets, pairs, sorted listed sets)} in ascending t. The walk runs
+ * without the GIL. */
 static PyObject *scan(int k, int m, Scan *sc)
 {
     Slice s;
@@ -694,27 +681,19 @@ static PyObject *scan(int k, int m, Scan *sc)
         const unsigned short *rec = sc->hits.data + i;
         PyObject **sets = &group[rec[0]];
         if ((*sets == NULL && (*sets = PyList_New(0)) == NULL)
-            || append_set(*sets, k, m, rec + 1, 0) < 0
-            || (sc->mode == EVERY_HIT && rec[1] + rec[k - 2] < m
-                && append_set(*sets, k, m, rec + 1, 1) < 0))
+            || append_set(*sets, k, m, rec + 1) < 0)
             goto done;
     }
     if ((out = PyDict_New()) == NULL)
         goto done;
     for (t = 0; t <= MAXPAIRS; t++) {
-        if (sc->mode == CENSUS ? sc->sets[t] == 0 : group[t] == NULL)
+        if (sc->sets[t] == 0)
             continue;
         PyObject *key = NULL, *value = NULL;
         /* mirrors joined their groups out of order */
         if ((group[t] != NULL || (group[t] = PyList_New(0)) != NULL) && PyList_Sort(group[t]) == 0
-            && (key = PyLong_FromLong(t)) != NULL) {
-            if (sc->mode == CENSUS)
-                value = Py_BuildValue("(LLO)", sc->sets[t], sc->pairs[t], group[t]);
-            else {
-                value = group[t];
-                Py_INCREF(value);
-            }
-        }
+            && (key = PyLong_FromLong(t)) != NULL)
+            value = Py_BuildValue("(LLO)", sc->sets[t], sc->pairs[t], group[t]);
         int rc = value == NULL ? -1 : PyDict_SetItem(out, key, value);
         Py_XDECREF(key);
         Py_XDECREF(value);
@@ -730,60 +709,37 @@ done:
     return out;
 }
 
-static PyObject *scan_slice(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"k", "m", "ts", "every", NULL};
-    int k, m, every;
-    PyObject *ts, *iter, *item;
-    Scan sc = {0};
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOp:scan_slice", kwlist, &k, &m, &ts,
-                                     &every)
-        || slice_check(k, m, "scan_slice") < 0 || (iter = PyObject_GetIter(ts)) == NULL)
-        return NULL;
-    sc.mode = every ? EVERY_HIT : FIRST_HIT;
-    /* a non-integer t raises TypeError, as operator.index does on the pure
-     * path; a t outside 0..MAXPAIRS (clipped, when huge) is no doubling */
-    while ((item = PyIter_Next(iter)) != NULL) {
-        Py_ssize_t t = PyNumber_AsSsize_t(item, NULL);
-        Py_DECREF(item);
-        if (t == -1 && PyErr_Occurred())
-            break;
-        if (t >= 0 && t <= MAXPAIRS)
-            sc.want[t] = 1;
-    }
-    Py_DECREF(iter);
-    return PyErr_Occurred() ? NULL : scan(k, m, &sc);
-}
-
-/* The keys of scan_slice(k, m, range(t_max + 1), False): the entry point of
- * the benchmark's kernel probe, which goes when the probe calls scan_slice
- * (ROADMAP item 1). */
+/* The keys of census_slice(k, m, dict.fromkeys(range(t_max + 1), 0)): the
+ * entry point of the benchmark's kernel probe, which goes when the probe
+ * calls census_slice (ROADMAP item 1). */
 static PyObject *sweep_slice(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"k", "m", "t_max", NULL};
     int k, m;
     Py_ssize_t t_max;
-    Scan sc = {.mode = FIRST_HIT};
+    Scan sc = {0};
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iin:sweep_slice", kwlist, &k, &m, &t_max)
         || slice_check(k, m, "sweep_slice") < 0)
         return NULL;
-    for (Py_ssize_t t = 0; t <= t_max && t <= MAXPAIRS; t++)
+    for (Py_ssize_t t = 0; t <= t_max && t <= MAXPAIRS; t++) {
         sc.want[t] = 1;
+        sc.listing[t] = ~0ULL << (k + 2);
+    }
     PyObject *found = scan(k, m, &sc), *keys = found == NULL ? NULL : PyDict_Keys(found);
     Py_XDECREF(found);
     return keys;
 }
 
 /* {t: (sets, pairs, listed)} over the doublings t that key the dict listing,
- * as in _kernel_py: the slice walk in CENSUS mode, every bit of listing[t]
- * past k + 1 set, so an overlap outside 0..k + 1 lists its set. */
+ * as in _kernel_py: the slice walk, every bit of listing[t] past k + 1 set,
+ * so an overlap outside 0..k + 1 lists its set. */
 static PyObject *census_slice(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"k", "m", "listing", NULL};
     int k, m;
     PyObject *listing, *key, *value;
     Py_ssize_t pos = 0;
-    Scan sc = {.mode = CENSUS};
+    Scan sc = {0};
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiO:census_slice", kwlist, &k, &m, &listing)
         || slice_check(k, m, "census_slice") < 0)
         return NULL;
@@ -894,8 +850,6 @@ static PyMethodDef kernel_methods[] = {
      "(x, |2(A | {x})|, |2A & (x + A)|) for every x > max A in 2A - A, ascending."},
     {"chain_children", (PyCFunction)(void (*)(void))chain_children, METH_VARARGS | METH_KEYWORDS,
      "(canon, |2 canon|) for every y in 2A - A outside the hull of a normal set A, ascending."},
-    {"scan_slice", (PyCFunction)(void (*)(void))scan_slice, METH_VARARGS | METH_KEYWORDS,
-     "The normal one-dimensional k-sets with max m and doubling in ts: all, or one per t."},
     {"sweep_slice", (PyCFunction)(void (*)(void))sweep_slice, METH_VARARGS | METH_KEYWORDS,
      "Sorted doublings <= t_max of the normal one-dimensional k-sets with max m."},
     {"census_slice", (PyCFunction)(void (*)(void))census_slice, METH_VARARGS | METH_KEYWORDS,

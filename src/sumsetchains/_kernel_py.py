@@ -11,16 +11,18 @@ Both walk a slice (the normal k-sets with maximum m) the same way:
   the levels from j on, and each set adds only its last interior element to
   the level above it.
 - Mirror half. The reflexion x -> m - x maps the slice onto itself and keeps
-  gcd, doubling and relation rank, so scan_slice walks only the interiors
-  with e[1] + e[-2] <= m. Keeping every set, it adds the mirror of each hit
-  whose sum is < m (a sum of m has its mirror walked itself) and sorts each
-  group, so its output stays in lexicographic order.
+  gcd, doubling and relation rank, so census_slice walks only the interiors
+  with e[1] + e[-2] <= m. A hit whose sum is < m also stands for its mirror
+  (a sum of m has its mirror walked itself), and each group of listed sets
+  is sorted, so its output stays in lexicographic order.
 
 right_extensions lists, for one set, every x > max A in 2A - A with the
 doubling of A ∪ {x} and the overlap |2A ∩ (x + A)|. census_slice takes the
 same triples inside the walk, for each hit and its mirror off one pool, and
 returns per doubling the counts of sets and pairs and the few sets the
-extension sweep and the oracle read: the table the sweep keeps.
+extension sweep and the oracle read: the table the sweep keeps. It is the
+one slice walk: a listing of -1 lists every set, and sweep_slice reads
+only the doublings.
 
 chain_children serves the chain levels one call per parent: for a normal
 set A, the canonical form and doubling of A ∪ {y} for every y in 2A - A
@@ -34,7 +36,7 @@ most a rank can be.
 The five set primitives (doubling_size, lambda_rank, is_one_dimensional,
 right_extensions, chain_children) take a set, a nonempty, strictly ascending
 iterable of ints, which _read_set reads with the compiled twin's errors.
-scan_slice's leaves are sets by construction and skip that check.
+census_slice's leaves are sets by construction and skip that check.
 
 doubling_size, right_extensions and chain_children read their set through
 _read_masks, which also builds the masks of A and 2A, as read_masks does in
@@ -68,13 +70,23 @@ def _read_set(elements, what: str) -> tuple[int, ...]:
     return elements
 
 
+# The widest span _read_masks takes. Its masks are ints as wide as the span:
+# at 2**24 chain_children((0, 1, 2**24), 100) takes about 0.2 s, and a span
+# of 2**60 would exhaust memory, so a wider set is refused before any mask
+# is built.
+MAX_MASK_SPAN = 1 << 24
+
+
 def _read_masks(elements, what: str, normal: bool = False) -> tuple[tuple[int, ...], int, int]:
     """elements, a set read by _read_set, with the masks of A and 2A, bit i
-    standing for elements[0] + i. With normal, a set that is not normal
-    (min 0, gcd 1) raises ValueError before any mask is built."""
+    standing for elements[0] + i. Before any mask is built, a set that is
+    not normal (min 0, gcd 1) raises ValueError when normal is set, and so
+    does a span past MAX_MASK_SPAN."""
     elements = _read_set(elements, what)
     if normal and (elements[0] != 0 or (len(elements) > 1 and math.gcd(*elements) != 1)):
         raise ValueError(f"{what} takes a normal set (min 0, gcd 1)")
+    if elements[-1] - elements[0] > MAX_MASK_SPAN:
+        raise ValueError(f"{what} takes spans <= 2**24")
     base = elements[0]
     amask = 0
     for e in elements:
@@ -269,29 +281,6 @@ def normal_tuples(k: int, m: int):
             e[i] = e[i - 1] + 1
 
 
-def scan_slice(k: int, m: int, ts, every: bool) -> dict[int, list[tuple[int, ...]]]:
-    """The normal-form one-dimensional k-sets with max m whose doubling is in
-    ts, as {doubling: sets in lexicographic order} in ascending doubling:
-    every such set when every is true, else the first one the half walk
-    finds, after which that doubling is not rank tested again."""
-    k, m = operator.index(k), operator.index(m)
-    if k < 3:
-        raise ValueError("scan_slice requires k >= 3")
-    wanted = set(map(operator.index, ts))
-    found: dict[int, list[tuple[int, ...]]] = {}
-    if not wanted:
-        return found
-    for elems, t in normal_tuples(k, m):
-        if t in wanted and _relation_rank(elems) == k - 2:
-            sets = found.setdefault(t, [])
-            sets.append(elems)
-            if not every:
-                wanted.discard(t)
-            elif elems[1] + elems[-2] < m:
-                sets.append(tuple(m - x for x in reversed(elems)))
-    return {t: sorted(found[t]) for t in sorted(found)}
-
-
 def census_slice(k: int, m: int, listing: dict) -> dict[int, tuple[int, int, list[tuple[int, ...]]]]:
     """The extension census of the normal-form one-dimensional k-sets with
     max m whose doubling t keys listing, as {t: (sets, pairs, listed)} in
@@ -336,8 +325,8 @@ def census_slice(k: int, m: int, listing: dict) -> dict[int, tuple[int, int, lis
 
 
 def sweep_slice(k: int, m: int, t_max: int) -> list[int]:
-    """The doublings <= t_max of scan_slice(k, m, ..., False), ascending: the
-    benchmark probe's entry, which goes when the probe calls scan_slice
+    """The doublings <= t_max of census_slice(k, m, ...), ascending: the
+    benchmark probe's entry, which goes when the probe calls census_slice
     (ROADMAP item 1). No doubling of a k-set exceeds C(k + 1, 2)."""
     top = min(operator.index(t_max), k * (k + 1) // 2)
-    return list(scan_slice(k, m, range(top + 1), False))
+    return list(census_slice(k, m, dict.fromkeys(range(top + 1), 0)))

@@ -136,14 +136,22 @@ class IntSet:
         return IntSet(e for e in self.elements if e != x)
 
 
+def _pair_sums(xs: tuple[int, ...], ys: tuple[int, ...], op: str) -> IntSet:
+    """{x + y} over ascending xs and ys, refused by name when its extremes,
+    xs[0] + ys[0] and xs[-1] + ys[-1], leave the element range."""
+    if max(-(xs[0] + ys[0]), xs[-1] + ys[-1]) > MAX_ABS_ELEMENT:
+        raise ValueError(f"{op} has an element past the bound |e| <= 2**60")
+    return IntSet({x + y for x in xs for y in ys})
+
+
 def sumset(a: IntSet, b: IntSet) -> IntSet:
     """A + B = {x + y : x in A, y in B}."""
-    return IntSet({x + y for x in a.elements for y in b.elements})
+    return _pair_sums(a.elements, b.elements, "sumset")
 
 
 def difference_set(a: IntSet, b: IntSet) -> IntSet:
     """A - B = {x - y : x in A, y in B}."""
-    return sumset(a, IntSet(-e for e in b.elements))
+    return _pair_sums(a.elements, tuple(-e for e in reversed(b.elements)), "difference_set")
 
 
 def doubling(a: IntSet) -> int:

@@ -3,7 +3,6 @@ pure-Python twin otherwise (with a warning)."""
 
 from __future__ import annotations
 
-import operator
 import warnings
 
 from . import _kernel_py as _py
@@ -25,9 +24,8 @@ def _call(name, *args):
     # The compiled kernel raises OverflowError past the limits it states
     # (element magnitude, rank size, slice maximum, and the span of 2**20
     # that its one mask reader checks for doubling_size, right_extensions
-    # and chain_children); the pure twin takes any size, so such input goes
-    # there. scan_slice checks k and m before it reads ts,
-    # so a one-shot iterator reaches the pure twin whole.
+    # and chain_children), so such input goes to the pure twin, which bounds
+    # only the span of those three, at 2**24 (MAX_MASK_SPAN).
     if _c is not None:
         try:
             return getattr(_c, name)(*args)
@@ -60,18 +58,15 @@ def chain_children(elements, t_max):
     return _call("chain_children", tuple(elements), t_max)
 
 
-def scan_slice(k, m, ts, every):
-    return _call("scan_slice", k, m, ts, every)
-
-
-# no doubling of a k-set exceeds C(k + 1, 2), so the wanted range stops there
 def sweep_slice(k, m, t_max):
-    top = min(operator.index(t_max), k * (k + 1) // 2)
-    return list(scan_slice(k, m, range(top + 1), False))
+    return _call("sweep_slice", k, m, t_max)
 
 
+# every set has the extension 2 max A, so a mask of -1 lists every set; ts is
+# read once, before either twin sees it
 def collect_slice(k, m, ts):
-    return scan_slice(k, m, ts, True)
+    census = census_slice(k, m, dict.fromkeys(ts, -1))
+    return {t: listed for t, (_, _, listed) in census.items()}
 
 
 def census_slice(k, m, listing):

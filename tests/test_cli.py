@@ -106,6 +106,15 @@ class TestFactorize:
         assert captured.out == ""
         assert captured.err == "sumsetchains: error: factorize requires |A| >= 3\n"
 
+    def test_a_span_past_the_mask_bound(self, capsys):
+        # span 2**60: the pure twin refuses it before building a mask as wide
+        # as the span, so the CLI reports the error, not a MemoryError
+        code = main(["factorize", "--set", "{0,1,2,1152921504606846976}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "sumsetchains: error: doubling_size takes spans <= 2**24\n"
+
 
 class TestFiso:
     def test_isomorphic(self, capsys):
@@ -285,7 +294,7 @@ def test_a_warm_verify_walks_nothing(request, capsys, tmp_path, monkeypatch, k, 
     files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert list(files) == [f"slices_k{k}.json"]
     monkeypatch.setattr(search, "_SLICE_CACHE", {})
-    for name in ("scan_slice", "sweep_slice", "collect_slice", "census_slice"):
+    for name in ("sweep_slice", "collect_slice", "census_slice"):
         monkeypatch.setattr(search.kernel, name, walked)
     assert run(capsys, "verify", "--k", str(k)) == cold
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files

@@ -138,6 +138,20 @@ class TestSumsets:
         assert diff == IntSet((-w, 1 - w, -1, 0, 1, w - 1, w))
         assert elapsed < 0.5
 
+    def test_sumsets_past_the_element_bound_name_the_operation(self):
+        # a sum past 2**60 is refused by the operation that makes it, not as
+        # an element the caller never passed
+        a = IntSet((0, 2**60))
+        with pytest.raises(ValueError, match=r"^sumset has an element past the bound \|e\| <= 2\*\*60$"):
+            sumset(a, a)
+        with pytest.raises(ValueError, match=r"^difference_set has an element past the bound"):
+            difference_set(a, IntSet((-(2**60), 0)))
+        with pytest.raises(ValueError, match=r"^difference_set has an element past the bound"):
+            difference_set(IntSet((-(2**60), 0)), a)
+        top = IntSet((-(2**59), 2**59))
+        assert sumset(top, top) == IntSet((-(2**60), 0, 2**60))
+        assert difference_set(top, top) == IntSet((-(2**60), 0, 2**60))
+
     @given(int_sets, int_sets)
     def test_sumset_commutes(self, a, b):
         assert sumset(a, b) == sumset(b, a)

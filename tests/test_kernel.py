@@ -157,22 +157,27 @@ def test_compiled_slices_match_pure(compiled_kernel):
             assert_same(compiled_kernel, "sweep_slice", k, m, t_max)
         ts = tuple(pure.sweep_slice(k, m, t_cap))
         for wanted in (ts, ts[::-1], ts[:1], (), (t_cap + 5, -1) + ts):
-            for every in (True, False):
-                assert_same(compiled_kernel, "scan_slice", k, m, wanted, every)
+            assert_same(compiled_kernel, "census_slice", k, m, dict.fromkeys(wanted, -1))
         for backend in (pure, compiled_kernel):
             with pytest.raises(TypeError):
-                backend.scan_slice(k, m, [3.0, *ts], True)
+                backend.census_slice(k, m, dict.fromkeys([3.0, *ts], -1))
 
 
 def test_compiled_slices_match_pure_at_k7(compiled_kernel):
     # m = 32 is the first slice whose sumset needs a second accumulator word;
-    # m = 33 the first with no one-dimensional set, so no doubling stops being
-    # wanted, and the table walk's coverage test rejects 3,654 leaves there
-    # against 1,372 at m = 32
+    # m = 33 the first with no one-dimensional set, and the table walk's
+    # coverage test rejects 3,654 leaves there against 1,372 at m = 32
     for m in (6, 11, 17, 23, 32, 33):
         assert_same(compiled_kernel, "sweep_slice", 7, m, 23)
         ts = range(13, 24)
-        assert_same(compiled_kernel, "scan_slice", 7, m, ts, True)
+        assert_same(compiled_kernel, "census_slice", 7, m, dict.fromkeys(ts, -1))
+
+
+def test_compiled_sweep_matches_pure_on_the_probe_slices(compiled_kernel):
+    # the benchmark's kernel probe requires the twins' sweep_slice(7, m, 23)
+    # to agree on two slice maxima it draws from 22..28
+    for m in range(22, 29):
+        assert compiled_kernel.sweep_slice(7, m, 23) == pure.sweep_slice(7, m, 23)
 
 
 def test_compiled_slice_walks_run_on_threads(compiled_kernel):
@@ -180,7 +185,7 @@ def test_compiled_slice_walks_run_on_threads(compiled_kernel):
     # under a short switch interval, each running every k = 7 slice in its
     # own order, must get what serial calls get, order included
     jobs = [("sweep_slice", 7, m, 23) for m in range(6, 34)]
-    jobs += [("scan_slice", 7, m, range(13, 24), True) for m in range(6, 34)]
+    jobs += [("census_slice", 7, m, dict.fromkeys(range(13, 24), -1)) for m in range(6, 34)]
     jobs += [("census_slice", 7, m, dict.fromkeys(range(13, 24), 1 << m % 9)) for m in range(6, 34)]
 
     def run(job):
@@ -216,7 +221,7 @@ def test_compiled_slice_walks_run_on_threads(compiled_kernel):
 
 @functools.cache
 def reference_collect(k, m, ts):
-    """scan_slice(k, m, ts, True) from first principles, sharing no walker
+    """listed(twin, k, m, ts) from first principles, sharing no walker
     with the kernels: every interior from itertools.combinations, the pure
     doubling_size and is_one_dimensional, groups keyed by sorted doubling.
     Cached, as both twins check the same slices: callers must not mutate it."""
@@ -247,22 +252,23 @@ HALF_WALK_SLICES = (
 )
 
 
+def listed(twin, k, m, ts):
+    """{t: every normal one-dimensional k-set with max m and doubling t} over
+    the t in ts, as the facade's collect_slice reads it off a twin's census:
+    every set has the extension 2 max A, so a mask of -1 lists every set."""
+    return {t: sets for t, (_, _, sets) in twin.census_slice(k, m, dict.fromkeys(ts, -1)).items()}
+
+
 @pytest.mark.parametrize("k, m", HALF_WALK_SLICES)
 def test_slices_match_a_walk_free_reference(twin, k, m):
     every_t = range(k * (k + 1) // 2 + 1)
     want = reference_collect(k, m, every_t)
-    got = twin.scan_slice(k, m, every_t, True)
+    got = listed(twin, k, m, every_t)
     assert got == want and list(got) == list(want)
     for t_max in (2 * k - 2, 2 * k, k * (k - 1) // 2 + 2):
         assert twin.sweep_slice(k, m, t_max) == [t for t in want if t <= t_max]
     picked = list(want)[1::2]
-    assert twin.scan_slice(k, m, picked, True) == {t: want[t] for t in picked}
-    # one set per doubling: the lexicographically first on the walked half
-    # e[1] + e[-2] <= m, which holds each set or its mirror
-    first = {t: [next(s for s in sets if s[1] + s[-2] <= m)] for t, sets in want.items()}
-    got = twin.scan_slice(k, m, every_t, False)
-    assert got == first and list(got) == list(first)
-    assert twin.scan_slice(k, m, picked, False) == {t: first[t] for t in picked}
+    assert listed(twin, k, m, picked) == {t: want[t] for t in picked}
 
 
 def test_the_reference_slices_hold_mirror_pairs_and_palindromes():
@@ -378,7 +384,7 @@ def test_compiled_right_extensions_match_pure_on_the_k7_slices(compiled_kernel):
     every_t = range(13, 24)
     count = 0
     for m in range(6, 33):
-        for sets in compiled_kernel.scan_slice(7, m, every_t, True).values():
+        for sets in listed(compiled_kernel, 7, m, every_t).values():
             for elems in sets:
                 assert_same(compiled_kernel, "right_extensions", elems)
                 count += 1
@@ -781,6 +787,20 @@ def test_facade_hands_iterators_past_the_caps_to_the_pure_twin(compiled_facade):
     assert got and got == pure.chain_children(wide, 100)
 
 
+def test_the_pure_mask_primitives_refuse_spans_past_2_to_the_24():
+    # the pure masks are ints as wide as the span: past MAX_MASK_SPAN the set
+    # is refused before any mask is built, so span 2**60 raises ValueError
+    # rather than MemoryError; at the bound the primitives answer
+    span = pure.MAX_MASK_SPAN
+    assert span == 1 << 24 and pure.doubling_size((0, 1, span)) == 6
+    for elems in [(0, 1, span + 1), (-5, 3, span - 4), (0, 1, 2, 1 << 60)]:
+        for name, args in [("doubling_size", ()), ("right_extensions", ()), ("chain_children", (100,))]:
+            if name == "chain_children" and elems[0] != 0:
+                continue
+            want = (ValueError, f"{name} takes spans <= 2**24")
+            assert raised(getattr(pure, name), elems, *args) == want, (name, elems)
+
+
 @pytest.mark.parametrize("path", ["pure", "compiled_facade", "compiled_kernel"])
 def test_mask_primitives_answer_past_span_2_to_the_20_in_seconds(request, path):
     # both twins read the points of 2A - A off one mask rather than testing
@@ -870,7 +890,7 @@ def test_every_compiled_primitive_has_a_pure_twin_and_a_wrapper(compiled_kernel)
         for name in dir(compiled_kernel)
         if not name.startswith("_") and callable(getattr(compiled_kernel, name))
     ]
-    assert "chain_children" in names and "scan_slice" in names
+    assert "chain_children" in names and "census_slice" in names
     assert "collect_slice" not in names
     for name in names:
         assert callable(getattr(pure, name, None)), f"{name} has no pure twin"
@@ -890,7 +910,7 @@ def test_slice_functions_agree():
         t_cap = k * (k + 1) // 2
         assert kernel.sweep_slice(k, m, t_cap) == pure.sweep_slice(k, m, t_cap)
         ts = tuple(pure.sweep_slice(k, m, t_cap))
-        assert kernel.collect_slice(k, m, ts) == pure.scan_slice(k, m, ts, True)
+        assert kernel.collect_slice(k, m, ts) == listed(pure, k, m, ts)
 
 
 def test_sweep_slice_reports_realized_doublings():
@@ -920,7 +940,7 @@ def test_compiled_refuses_input_past_its_caps(compiled_kernel):
     with pytest.raises(OverflowError):
         compiled_kernel.sweep_slice(3, 512, 6)
     with pytest.raises(OverflowError):
-        compiled_kernel.scan_slice(13, 20, (20,), True)
+        compiled_kernel.census_slice(13, 20, {20: -1})
     with pytest.raises(OverflowError):
         compiled_kernel.doubling_size((0, (1 << 20) + 1))
     with pytest.raises(OverflowError):
@@ -940,13 +960,13 @@ def test_facade_straddles_the_caps(compiled_facade):
         t_cap = k * (k + 1) // 2
         ts = pure.sweep_slice(k, k + 1, t_cap)
         assert ts and compiled_facade.sweep_slice(k, k + 1, t_cap) == ts
-        assert compiled_facade.collect_slice(k, k + 1, ts) == pure.scan_slice(k, k + 1, ts, True)
+        assert compiled_facade.collect_slice(k, k + 1, ts) == listed(pure, k, k + 1, ts)
     # m = 511 runs compiled, m = 512 pure
     for m in (511, 512):
         assert compiled_facade.sweep_slice(3, m, 6) == pure.sweep_slice(3, m, 6)
         # an iterator ts reaches the pure twin whole past the cap
         ts = range(7)
-        assert compiled_facade.collect_slice(3, m, iter(ts)) == pure.scan_slice(3, m, ts, True)
+        assert compiled_facade.collect_slice(3, m, iter(ts)) == listed(pure, 3, m, ts)
     # doubling span 2**20 runs compiled, 2**20 + 1 pure
     for span in (1 << 20, (1 << 20) + 1):
         for elems in [(0, span), (0, 1, span // 2, span), (-5, 3, span - 5)]:
@@ -971,13 +991,13 @@ def test_facade_straddles_the_caps(compiled_facade):
         ("is_one_dimensional", ((0, 1.5, 3),)),
         ("sweep_slice", (4, 5, 10.5)),
         ("sweep_slice", (4, 5.0, 10)),
-        ("scan_slice", (4, 5.0, (9,), True)),
+        ("census_slice", (4, 5.0, {9: -1})),
         ("right_extensions", ((0, 1.5, 3),)),
         ("right_extensions", ((0.0, 1, 3),)),
         ("chain_children", ((0, 1.5, 3), 10)),
         ("chain_children", ((0, 1, 3), 10.5)),
-        ("scan_slice", (4, 5, ("a",), True)),
-        ("scan_slice", (4, 5, (9.0,), False)),
+        ("census_slice", (4, 5, {"a": -1})),
+        ("census_slice", (4, 5, {9.0: 0})),
     ],
 )
 def test_non_integers_raise_type_error_on_both_backends(compiled_kernel, name, args):
