@@ -7,11 +7,12 @@
  * e[1] + e[k-2] <= m: the reflexion x -> m - x covers the rest (see Slice
  * below). One loop per prefix runs every last element x and reads |2A| off
  * the prefix's words in place, a shifted AND and a popcount per word. Every
- * one-dimensional set of a wanted doubling is a hit, and the walk takes the
- * extension census of each hit and its mirror: their right extensions, read
- * off one pool per hit, counted per doubling, and the sets the caller's
- * listing asks for (census_hit). sweep_slice, the benchmark probe's entry,
- * reads only the doublings of that census.
+ * one-dimensional set of a wanted doubling, one whose listing is nonzero, is
+ * a hit, and the walk takes the extension census of each hit and its
+ * mirror: their right extensions, read off one pool per hit, counted per
+ * doubling, and the sets the caller's listing asks for, each recorded whole
+ * (census_hit). sweep_slice, the benchmark probe's entry, reads only the
+ * doublings of that census.
  * right_extensions lists the right extensions of one set with their
  * doublings and overlaps, one call per set of a sweep, and chain_children
  * the canonical out-of-hull children of one normal set with their doublings,
@@ -515,50 +516,37 @@ static PyObject *int_tuple(const i64 *e, Py_ssize_t n)
     return tup;
 }
 
-/* Appends the set {0, interior[0..k-3], m} to sets as a tuple. */
-static int append_set(PyObject *sets, int k, int m, const unsigned short *interior)
-{
-    i64 e[MAXK] = {0};
-    for (int i = 1; i < k; i++)
-        e[i] = i < k - 1 ? interior[i - 1] : m;
-    PyObject *elems = int_tuple(e, k);
-    int rc = elems == NULL ? -1 : PyList_Append(sets, elems);
-    Py_XDECREF(elems);
-    return rc;
-}
-
-/* The listed sets of a scan, recorded without the GIL: k - 1 shorts per set,
- * the doubling t and the interior e[1..k-2]. The raw allocators need no GIL. */
+/* The listed sets of a scan, recorded without the GIL: k + 1 values per
+ * set, the doubling t and the elements e[0..k-1]. The raw allocators need
+ * no GIL. */
 typedef struct {
-    unsigned short *data;
-    Py_ssize_t used, cap; /* in shorts */
+    i64 *data;
+    Py_ssize_t used, cap; /* in values */
 } Hits;
 
-static int hits_add(Hits *h, int k, int t, const i64 *interior)
+static int hits_add(Hits *h, int k, int t, const i64 *e)
 {
-    if (h->used + k - 1 > h->cap) {
-        Py_ssize_t cap = h->cap ? 2 * h->cap : 64 * k;
-        unsigned short *data = PyMem_RawRealloc(h->data, cap * sizeof(unsigned short));
+    if (h->used + k + 1 > h->cap) {
+        Py_ssize_t cap = h->cap ? 2 * h->cap : 64 * (k + 1);
+        i64 *data = PyMem_RawRealloc(h->data, cap * sizeof(i64));
         if (data == NULL)
             return -1;
         h->data = data;
         h->cap = cap;
     }
-    unsigned short *rec = h->data + h->used;
-    rec[0] = (unsigned short)t;
-    for (int i = 0; i < k - 2; i++)
-        rec[i + 1] = (unsigned short)interior[i];
-    h->used += k - 1;
+    h->data[h->used] = t;
+    memcpy(h->data + h->used + 1, e, k * sizeof(i64));
+    h->used += k + 1;
     return 0;
 }
 
-/* What the slice walk keeps, all without the GIL: a leaf is rank tested when
- * want[t] is set for its doubling t, and every hit and its mirror add to the
- * extension census of t (census_hit), which counts sets and pairs and keeps
- * only the sets it lists. */
+/* What the slice walk keeps, all without the GIL: a doubling t is wanted
+ * when listing[t] is nonzero, as every wanted t has its bits past k + 1 set,
+ * and a leaf is rank tested only when its doubling is wanted. Every hit and
+ * its mirror add to the extension census of t (census_hit), which counts
+ * sets and pairs and keeps only the sets it lists. */
 typedef struct {
-    char want[MAXPAIRS + 1];
-    u64 listing[MAXPAIRS + 1]; /* overlaps that list a set, bits past k + 1 set */
+    u64 listing[MAXPAIRS + 1]; /* overlaps that list a set, 0 when t is not wanted */
     i64 sets[MAXPAIRS + 1], pairs[MAXPAIRS + 1];
     Hits hits;
 } Scan;
@@ -570,7 +558,7 @@ typedef struct {
  * mirror's, x' = m - y: 2A' - A' = m - (2A - A), and the reflexion maps
  * 2A & (y + A) onto 2A' & (x' + A'), so the overlap is read by the same
  * shifted_overlap. A set is listed when the bit of some overlap is set in
- * listing[t]; its interior goes to hits. -1 when hits cannot grow. */
+ * listing[t], and goes to hits whole. -1 when hits cannot grow. */
 static int census_hit(Slice *s, Scan *sc, int t)
 {
     u64 block[9 * SLICE_MASK_WORDS];
@@ -591,15 +579,11 @@ static int census_hit(Slice *s, Scan *sc, int t)
         listed[j < hull] |= (int)((sc->listing[t] >> o) & 1);
     }
     sc->sets[t] += 1 + mirror;
-    if (listed[0] && hits_add(&sc->hits, s->k, t, s->e + 1) < 0)
+    if (listed[0] && hits_add(&sc->hits, s->k, t, s->e) < 0)
         return -1;
-    if (listed[1]) {
-        for (int i = 1; i <= s->r; i++)
-            refl[i] = s->m - s->e[s->k - 1 - i];
-        if (hits_add(&sc->hits, s->k, t, refl + 1) < 0)
-            return -1;
-    }
-    return 0;
+    for (int i = 0; i < s->k; i++)
+        refl[i] = s->m - s->e[s->k - 1 - i];
+    return listed[1] ? hits_add(&sc->hits, s->k, t, refl) : 0;
 }
 
 /* A leaf x of the current prefix whose doubling t is wanted: with gcd 1 and
@@ -636,7 +620,7 @@ static inline int walk(Slice *s, Scan *sc, Py_ssize_t mw, Py_ssize_t aw)
         for (i64 x = s->e[r - 1] + 1; x <= top; x++) {
             int t = fresh - shifted_overlap(sums, mask, mw, x)
                     - (int)((sums[x >> 5] >> ((2 * x) & 63)) & 1);
-            if (sc->want[t] && leaf_test(s, sc, x, t) < 0)
+            if (sc->listing[t] && leaf_test(s, sc, x, t) < 0)
                 return -1;
         }
     } while (slice_advance(s));
@@ -659,16 +643,17 @@ static int slice_walk(Slice *s, Scan *sc)
 }
 
 /* The one slice walk over the normal one-dimensional k-sets with max m whose
- * doubling t has want[t] set, for a slice that passed slice_check:
+ * doubling t is wanted, for a slice that passed slice_check:
  * {t: (sets, pairs, sorted listed sets)} in ascending t. The walk runs
- * without the GIL. */
+ * without the GIL, and not at all when no doubling is wanted. */
 static PyObject *scan(int k, int m, Scan *sc)
 {
+    static const u64 unwanted[MAXPAIRS + 1];
     Slice s;
     PyObject *out = NULL, *group[MAXPAIRS + 1] = {NULL};
     Py_ssize_t i;
     int t, no_memory = 0;
-    if (memchr(sc->want, 1, MAXPAIRS + 1) != NULL && slice_start(&s, k, m)) {
+    if (memcmp(sc->listing, unwanted, sizeof(unwanted)) != 0 && slice_start(&s, k, m)) {
         Py_BEGIN_ALLOW_THREADS
         no_memory = slice_walk(&s, sc) < 0;
         Py_END_ALLOW_THREADS
@@ -677,11 +662,13 @@ static PyObject *scan(int k, int m, Scan *sc)
         PyErr_NoMemory();
         goto done;
     }
-    for (i = 0; i < sc->hits.used; i += k - 1) {
-        const unsigned short *rec = sc->hits.data + i;
-        PyObject **sets = &group[rec[0]];
-        if ((*sets == NULL && (*sets = PyList_New(0)) == NULL)
-            || append_set(*sets, k, m, rec + 1) < 0)
+    for (i = 0; i < sc->hits.used; i += k + 1) {
+        const i64 *rec = sc->hits.data + i;
+        PyObject **sets = &group[rec[0]], *elems = int_tuple(rec + 1, k);
+        int rc = elems == NULL || (*sets == NULL && (*sets = PyList_New(0)) == NULL)
+                     ? -1 : PyList_Append(*sets, elems);
+        Py_XDECREF(elems);
+        if (rc < 0)
             goto done;
     }
     if ((out = PyDict_New()) == NULL)
@@ -721,10 +708,8 @@ static PyObject *sweep_slice(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iin:sweep_slice", kwlist, &k, &m, &t_max)
         || slice_check(k, m, "sweep_slice") < 0)
         return NULL;
-    for (Py_ssize_t t = 0; t <= t_max && t <= MAXPAIRS; t++) {
-        sc.want[t] = 1;
+    for (Py_ssize_t t = 0; t <= t_max && t <= MAXPAIRS; t++)
         sc.listing[t] = ~0ULL << (k + 2);
-    }
     PyObject *found = scan(k, m, &sc), *keys = found == NULL ? NULL : PyDict_Keys(found);
     Py_XDECREF(found);
     return keys;
@@ -755,10 +740,8 @@ static PyObject *census_slice(PyObject *self, PyObject *args, PyObject *kwargs)
         /* the low 64 bits of the two's complement, which hold bits 0..k + 1 */
         u64 bits = PyLong_AsUnsignedLongLongMask(mask);
         Py_DECREF(mask);
-        if (t >= 0 && t <= MAXPAIRS) {
-            sc.want[t] = 1;
+        if (t >= 0 && t <= MAXPAIRS)
             sc.listing[t] = bits | ~0ULL << (k + 2);
-        }
     }
     return scan(k, m, &sc);
 }

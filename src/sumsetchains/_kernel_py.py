@@ -36,7 +36,7 @@ most a rank can be.
 The five set primitives (doubling_size, lambda_rank, is_one_dimensional,
 right_extensions, chain_children) take a set, a nonempty, strictly ascending
 iterable of ints, which _read_set reads with the compiled twin's errors.
-census_slice's leaves are sets by construction and skip that check.
+census_slice reads each hit through _read_masks, so through that check too.
 
 doubling_size, right_extensions and chain_children read their set through
 _read_masks, which also builds the masks of A and 2A, as read_masks does in
@@ -328,5 +328,7 @@ def sweep_slice(k: int, m: int, t_max: int) -> list[int]:
     """The doublings <= t_max of census_slice(k, m, ...), ascending: the
     benchmark probe's entry, which goes when the probe calls census_slice
     (ROADMAP item 1). No doubling of a k-set exceeds C(k + 1, 2)."""
-    top = min(operator.index(t_max), k * (k + 1) // 2)
-    return list(census_slice(k, m, dict.fromkeys(range(top + 1), 0)))
+    k, m, t_max = map(operator.index, (k, m, t_max))
+    if k < 3:  # checked here, so the error names sweep_slice as the compiled twin's does
+        raise ValueError("sweep_slice requires k >= 3")
+    return list(census_slice(k, m, dict.fromkeys(range(min(t_max, k * (k + 1) // 2) + 1), 0)))

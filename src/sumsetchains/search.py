@@ -258,78 +258,73 @@ def _read_slices(k: int, inputs: dict[int, tuple[int, int]]) -> dict[int, Census
     return table
 
 
-def _fan_out(fn, jobs: list, threads: int):
-    """Yield fn(job) for each job, in job order: in this thread when threads
+def _fan_out(fn, jobs: list, threads: int) -> list:
+    """[fn(job) for job in jobs], in job order: in this thread when threads
     is 1, else on that many workers. The workers are threads over the
     compiled kernel, whose slice walks release the GIL, and processes over
-    the pure twin, which holds it (fn and the jobs must then pickle). On any
-    exception, KeyboardInterrupt included, the jobs not yet started are
-    cancelled, so an error waits only for the jobs in flight."""
+    the pure twin, which holds it (fn and the jobs must then pickle). After
+    any exception, KeyboardInterrupt included, in a job or in this thread, no
+    job starts, and the call raises once the jobs in flight finish: the
+    interrupt this thread took, else the exception of the lowest-index job
+    that failed."""
     if threads == 1:
-        yield from map(fn, jobs)
-    elif kernel.BACKEND == "c":
-        yield from _thread_fan_out(fn, jobs, threads)
-    else:
+        return list(map(fn, jobs))
+    if kernel.BACKEND != "c":
         # imported here: the process pool pulls in multiprocessing, 15-20 ms
         # of import that a compiled run does not need
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
         pool = ProcessPoolExecutor(max_workers=threads)
         try:
-            for future in [pool.submit(fn, job) for job in jobs]:
-                yield future.result()
-        except BaseException:
+            futures = [pool.submit(fn, job) for job in jobs]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
             pool.shutdown(cancel_futures=True)
-            raise
-        pool.shutdown()
-
-
-def _thread_fan_out(fn, jobs: list, threads: int):
-    """_fan_out on plain threads, which take the jobs in order; the thread
-    pool of concurrent.futures would add 10-14 ms of import, logging
-    included, to every threaded run. On the way out, by an error or a
-    close, no job starts any more, and the ones in flight are waited for."""
+        # the pool starts the jobs in order, so a cancelled one comes after a failed one
+        return [future.result() for future in futures]
+    # plain threads that take the jobs in order: the thread pool of
+    # concurrent.futures would add 10-14 ms of import, logging included
     import threading
 
     results: list = [None] * len(jobs)
-    done = [threading.Event() for _ in jobs]
+    errors: dict[int, BaseException] = {}
     order = iter(range(len(jobs)))
     lock = threading.Lock()
-    stop = False
 
     def work():
         while True:
             with lock:
-                i = None if stop else next(order, None)
+                i = None if errors else next(order, None)
             if i is None:
                 return
             try:
-                results[i] = (fn(jobs[i]), None)
+                results[i] = fn(jobs[i])
             except BaseException as exc:
-                results[i] = (None, exc)
-            done[i].set()
+                errors[i] = exc
 
     workers = [threading.Thread(target=work, daemon=True) for _ in jobs[:threads]]
-    for w in workers:
-        w.start()
     try:
-        for i, ready in enumerate(done):
-            ready.wait()
-            value, exc = results[i]
-            if exc is not None:
-                raise exc
-            yield value
-    finally:
-        with lock:
-            stop = True
+        for w in workers:
+            w.start()
         for w in workers:
             w.join()
+    except BaseException as exc:
+        # an interrupt in this thread stops the workers as a failing job does;
+        # a worker not yet alive will take no job
+        errors[len(jobs)] = exc
+        for w in workers:
+            if w.is_alive():
+                w.join()
+        raise
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
-def _census_job(job: tuple[int, int, dict[int, int]]) -> tuple[int, Census]:
+def _census_job(job: tuple[int, int, dict[int, int]]) -> tuple[tuple[int, int], Census]:
     k, m, listing = job
     census = kernel.census_slice(k, m, listing)
-    return m, {t: (sets, pairs, tuple(listed)) for t, (sets, pairs, listed) in census.items()}
+    return (k, m), {t: (sets, pairs, tuple(listed)) for t, (sets, pairs, listed) in census.items()}
 
 
 def _realized_slices(
@@ -359,8 +354,7 @@ def _realized_slices(
         # largest slice first, so no worker is left with it at the end
         jobs = [(k, m, _listing(k, m, inputs)) for m in reversed(missing)]
         # every job before any store: a failing one leaves the table as it was
-        for m, census in list(_fan_out(_census_job, jobs, threads)):
-            _SLICE_CACHE[(k, m)] = census
+        _SLICE_CACHE.update(_fan_out(_census_job, jobs, threads))
         if use_cache:
             known = {
                 str(m): {str(t): entry for t, entry in census.items()}
@@ -728,11 +722,12 @@ def extension_lemma_sweep(k: int, *, threads: int = 1) -> ExtensionSweepReport:
     - Both kernel twins compute T_x as |2A| + |A| + 1 - overlap, so the
       increment identity, and with it the increment range, holds on kernel
       output by construction.
+    - So T_x = T + k + 1 - overlap lies in [2k + 1, C(k + 1, 2) + 2], which
+      is t_range(k + 1), for every legal T.
     - What checks T_x itself is the walk-free reference_right_extensions in
       the tests.
-    So what such a set can fail is a T_x that is not legal for k + 1, or
-    the constant drift, both facts about (k, T, overlap); _pair_verdict
-    still makes every check."""
+    So what such a set can fail is the constant drift, a fact about
+    (k, T, overlap); _pair_verdict still makes every check."""
     slices = _realized_slices(
         k, mu(k, t_range(k)[1]) + k, threads=threads, use_cache=True, force=False
     )

@@ -180,6 +180,12 @@ def test_compiled_sweep_matches_pure_on_the_probe_slices(compiled_kernel):
         assert compiled_kernel.sweep_slice(7, m, 23) == pure.sweep_slice(7, m, 23)
 
 
+def test_sweep_rejects_bad_slices_alike(compiled_kernel):
+    # each twin names sweep_slice, not the census it reads
+    for args in [(2, 5, 3), (-1, 5, 3), (4.0, 7, 3), (4, 7, 3.5)]:
+        assert_rejected_alike(compiled_kernel, "sweep_slice", *args)
+
+
 def test_compiled_slice_walks_run_on_threads(compiled_kernel):
     # the walk releases the GIL: four threads at once, more than the cores,
     # under a short switch interval, each running every k = 7 slice in its

@@ -34,6 +34,9 @@ SMALL_K = {
     ("verify", "--k", "5", "--format", "json"):
         "b1f9501cdd2cfcb796e8b369585e9f15d67c0b8bf85502e92d95e327405fe7da",
     ("search", "--k", "6"): "0e0b81776a9edfbcf00924c8f92794e42c0a9cce1bfd11a243b66d56a00df13a",
+    # the slice fan-out: threads on the compiled kernel, processes on the pure one
+    ("search", "--k", "6", "--threads", "2"):
+        "0e0b81776a9edfbcf00924c8f92794e42c0a9cce1bfd11a243b66d56a00df13a",
     ("search", "--k", "6", "--format", "json"):
         "06fbaae7e16263f4d2a84e51c88833a5a3808317835c0970513247911c73847a",
     ("verify", "--k", "6"): "0eac7c6e88f3a476b18c6ea7bbea2c8babea9c79d32d270cf381a723b6b7fb58",
@@ -42,6 +45,8 @@ SMALL_K = {
 }
 K7 = {
     ("search", "--k", "7"): "3c6a77e67ed331c74948d40a5f5bbc2160402ec3ab8636e82f1dc2de4d107159",
+    ("search", "--k", "7", "--threads", "2"):
+        "3c6a77e67ed331c74948d40a5f5bbc2160402ec3ab8636e82f1dc2de4d107159",
     ("verify", "--k", "7"): "925a0e9fa28f99a57f1f9bbed542e740378da020b296f2a64492b86cd35a2350",
     ("verify", "--k", "7", "--format", "json"):
         "303178cf425ca524caf7b39c4a07b418a1b847c28fce94f44a6fbf90895fb216",

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -317,15 +319,17 @@ def backend(request, monkeypatch):
 class TestFanOut:
     @pytest.mark.parametrize("k, bound", [(5, 13), (6, 22), (7, 26)])
     def test_threads_give_the_serial_table(self, backend, monkeypatch, k, bound):
+        # three workers: more than the two cores the project is timed on
         tables = []
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
             monkeypatch.setattr(search, "_SLICE_CACHE", {})
             tables.append(
                 search._realized_slices(
                     k, bound, threads=threads, use_cache=False, force=False
                 )
             )
-        assert tables[1] == tables[0] and list(tables[1]) == list(tables[0])
+        for table in tables[1:]:
+            assert table == tables[0] and list(table) == list(tables[0])
         assert any(tables[0].values())
 
     @pytest.mark.parametrize("k", [5, 6])
@@ -396,6 +400,53 @@ class TestFanOut:
         calls = sorted(p.name for p in tmp_path.iterdir())
         assert "call-72" in calls and len(calls) <= 6, calls
 
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_later_failure_stops_the_jobs_at_once(
+        self, backend, tmp_path, monkeypatch, error
+    ):
+        # the second job fails at once while the first runs on and then
+        # fails too: no job starts after the second one's failure, and the
+        # call raises the first job's exception, the lowest-index failure
+        def fake(k, m, listing):
+            (tmp_path / f"call-{m}").touch()
+            if m == 72:
+                time.sleep(0.5)
+            if m in (71, 72):
+                raise error(f"slice {m}")
+            time.sleep(0.05)
+            return {}
+
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        monkeypatch.setattr(search.kernel, "census_slice", fake)
+        with pytest.raises(error, match="slice 72"):
+            search._realized_slices(8, 72, threads=2, use_cache=False, force=True)
+        calls = sorted(p.name for p in tmp_path.iterdir())
+        assert {"call-71", "call-72"} <= set(calls) and len(calls) <= 6, calls
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_an_interrupt_in_the_calling_thread_stops_the_jobs(
+        self, backend, tmp_path, monkeypatch
+    ):
+        # SIGINT to this thread while the first jobs run: no job starts after
+        # it, the ones in flight finish, and then the interrupt is raised
+        def fake(k, m, listing):
+            (tmp_path / f"call-{m}").touch()
+            time.sleep(0.05)
+            (tmp_path / f"done-{m}").touch()
+            return {}
+
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        monkeypatch.setattr(search.kernel, "census_slice", fake)
+        timer = threading.Timer(0.15, signal.pthread_kill, (threading.get_ident(), signal.SIGINT))
+        timer.start()
+        with pytest.raises(KeyboardInterrupt):
+            search._realized_slices(8, 72, threads=2, use_cache=False, force=True)
+        timer.join(5)
+        assert not timer.is_alive()
+        called = {p.name[5:] for p in tmp_path.glob("call-*")}
+        assert called == {p.name[5:] for p in tmp_path.glob("done-*")}
+        assert len(called) < 33, sorted(called)
+
     def test_an_error_in_the_checks_stops_the_collections(
         self, backend, tmp_path, monkeypatch
     ):
@@ -427,6 +478,25 @@ class TestFanOut:
         # one walk per slice m = 5 .. mu(6, T) + 6 at the top doubling T
         assert len(list(calls.iterdir())) == started == mu(6, t_range(6)[1]) + 6 - 4
         assert failure.traceback
+
+    def test_compiled_fan_out_leaves_no_worker_running(self, compiled_facade, monkeypatch):
+        # every worker thread has ended when the call returns, and when it raises
+        census = search.kernel.census_slice
+
+        def failing(k, m, listing):
+            if m == 20:
+                raise RuntimeError("slice 20 failed")
+            return census(k, m, listing)
+
+        before = threading.active_count()
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        assert search._realized_slices(6, 24, threads=2, use_cache=False, force=False)
+        assert threading.active_count() == before
+        monkeypatch.setattr(search, "_SLICE_CACHE", {})
+        monkeypatch.setattr(search.kernel, "census_slice", failing)
+        with pytest.raises(RuntimeError, match="slice 20 failed"):
+            search._realized_slices(6, 24, threads=2, use_cache=False, force=False)
+        assert threading.active_count() == before
 
     def test_compiled_fan_out_starts_no_process(self, compiled_facade, monkeypatch):
         def no_fork():
