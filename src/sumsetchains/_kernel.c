@@ -16,8 +16,9 @@
  * right_extensions lists the right extensions of one set with their
  * doublings and overlaps, one call per set of a sweep, and chain_children
  * the canonical out-of-hull children of one normal set with their doublings,
- * one call per parent of a chain level. Both visit only the points y of one
- * mask of 2A - A (see read_masks), so their cost is linear in the span for a
+ * one call per parent of a chain level, building no child below the floor
+ * the level passes for its doubling. Both visit only the points y of one mask
+ * of 2A - A (see read_masks), so their cost is linear in the span for a
  * given |A|, and count |2(A | {y})| = |2A| + |A| + 1 - |2A & (y + A)| by one
  * shifted read on either side of the hull. No child is rank tested: the
  * chain levels grow from {0, 1, 2}, and a child of a one-dimensional parent
@@ -787,20 +788,42 @@ static int append_child(PyObject *out, const i64 *child, i64 *refl, Py_ssize_t n
     return rc;
 }
 
+/* chain_children's floors, an iterable of ints, read into a tuple and then
+ * through __index__ into a PyMem array of its *n entries; or NULL with
+ * _kernel_py's TypeErrors, or OverflowError past the i64 range. */
+static i64 *read_floors(PyObject *floors, Py_ssize_t *n)
+{
+    PyObject *seq = PySequence_Tuple(floors);
+    i64 *out = seq == NULL ? NULL : PyMem_Malloc((PyTuple_GET_SIZE(seq) + 1) * sizeof(i64));
+    if (seq != NULL && out == NULL)
+        PyErr_NoMemory();
+    for (*n = 0; out != NULL && *n < PyTuple_GET_SIZE(seq); ++*n)
+        if ((out[*n] = PyLong_AsLongLong(PyTuple_GET_ITEM(seq, *n))) == -1 && PyErr_Occurred())
+            PyMem_Free(out), out = NULL;
+    Py_XDECREF(seq);
+    return out;
+}
+
 /* (canon, |2 canon|) for every y in 2A - A outside [0, max A], ascending, for
  * a normal set A, as in _kernel_py: canon is the larger of the normal form
- * of A | {y} and its reflexion, kept when |2 canon| <= t_max. One walk of
- * the pool, as in right_extensions, on both sides of the hull. */
+ * of A | {y} and its reflexion, kept when t = |2 canon| <= t_max and, where
+ * floors lists a t (past MAXPAIRS too), its top (span) is at least floors[t]:
+ * y past the hull, max A - y below it. One walk of the pool, as in
+ * right_extensions, on both sides of the hull. */
 static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"elements", "t_max", NULL};
-    PyObject *elements;
-    Py_ssize_t t_max, i;
+    static char *kwlist[] = {"elements", "t_max", "floors", NULL};
+    PyObject *elements, *floors = NULL;
+    Py_ssize_t t_max, nf = 0, i;
+    i64 *floor = NULL;
     Masks s;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "On:chain_children", kwlist, &elements,
-                                     &t_max)
-        || read_masks(elements, "chain_children", 1, &s) < 0)
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "On|O:chain_children", kwlist, &elements,
+                                     &t_max, &floors)
+        || (floors != NULL && (floor = read_floors(floors, &nf)) == NULL)
+        || read_masks(elements, "chain_children", 1, &s) < 0) {
+        PyMem_Free(floor);
         return NULL;
+    }
     pool_mask(&s);
     int fresh = s.size + (int)s.k + 1;
     i64 *child = PyMem_Malloc(2 * (s.k + 1) * sizeof(i64));
@@ -810,7 +833,7 @@ static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs
         if (y >= 0 && y <= s.span)
             continue;
         int t = fresh - shifted_overlap(s.two, s.a, s.mw, j - s.span);
-        if (t > t_max)
+        if (t > t_max || (t < nf && (y > 0 ? y : s.span - y) < floor[t]))
             continue;
         /* the normal form of A | {y}: A + (y,), or (0, *(A - y)) for y < 0 */
         i64 low = y < 0 ? y : 0;
@@ -821,6 +844,7 @@ static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs
             Py_CLEAR(out);
     }
     PyMem_Free(child);
+    PyMem_Free(floor);
     free_masks(&s);
     return out;
 }

@@ -26,8 +26,9 @@ only the doublings.
 
 chain_children serves the chain levels one call per parent: for a normal
 set A, the canonical form and doubling of A ∪ {y} for every y in 2A - A
-outside the hull, kept when the doubling is at most t_max. It runs no rank
-test: the chain levels grow from {0, 1, 2}, and every such child of a
+outside the hull, kept when the doubling t is at most t_max and its top is
+at least floors[t] (a level's running maximum) where floors lists t. It
+runs no rank test: the chain levels grow from {0, 1, 2}, and every such child of a
 one-dimensional A is one-dimensional. y in 2A - A gives a relation
 y + a = b + c with y-coefficient 1, independent of A's relations, whose
 y-coefficient is 0; so rank(A ∪ {y}) >= (|A| - 2) + 1 = |A ∪ {y}| - 2, the
@@ -137,16 +138,20 @@ def right_extensions(elements: tuple[int, ...]) -> list[tuple[int, int, int]]:
     return out
 
 
-def chain_children(elements: tuple[int, ...], t_max: int) -> list[tuple[tuple[int, ...], int]]:
+def chain_children(
+    elements: tuple[int, ...], t_max: int, floors=()
+) -> list[tuple[tuple[int, ...], int]]:
     """(canon, |2 canon|) for every y in 2A - A outside [0, max A], ascending
     in y, for a normal set A (min 0, gcd 1; {0} counts):
     canon is the lexicographically larger of the normal form of A ∪ {y} and
-    its reflexion, kept when |2 canon| <= t_max. No child is rank tested.
+    its reflexion, kept when t = |2 canon| <= t_max and, where floors (an
+    iterable of ints) lists a t, max canon >= floors[t]. No rank tests.
 
     As A is normal, the normal form of A ∪ {y} is A + (y,) for y > max A and
-    A shifted by -y for y < 0. t_max is read first, as the compiled twin
-    parses it before it reads the set."""
+    A shifted by -y for y < 0, and its top is max(y, max A - y). t_max, then
+    floors (whole, then entry by entry), are read first, as in the compiled twin."""
     t_max = operator.index(t_max)
+    floors = tuple(map(operator.index, tuple(floors)))
     elements, amask, two = _read_masks(elements, "chain_children", normal=True)
     span = elements[-1]
     fresh = two.bit_count() + len(elements) + 1
@@ -155,8 +160,8 @@ def chain_children(elements: tuple[int, ...], t_max: int) -> list[tuple[tuple[in
     out = []
     for j in _set_bits(_difference_mask(elements, two) & ~hull):
         t = fresh - (wide & (amask << j)).bit_count()
-        if t <= t_max:
-            y = j - span
+        y = j - span
+        if t <= t_max and (t >= len(floors) or max(y, span - y) >= floors[t]):
             child = elements + (y,) if y > 0 else (0, *(e - y for e in elements))
             refl = tuple(child[-1] - e for e in reversed(child))
             out.append((refl if refl > child else child, t))

@@ -25,7 +25,7 @@ from .dimension import is_one_dimensional, out_of_hull_pool
 from .doubling import DoublingProfile, mu, profile, t_range
 from .errors import CapacityError, FactorizationFailed
 from .growth import Factorization, factorize, replay, shrinks_into_threshold
-from .intset import IntSet, doubling, normal_tuple
+from .intset import IntSet, doubling, mirror_tuple, normal_tuple
 
 CHAIN_ENUM_CAP = 10
 
@@ -49,9 +49,7 @@ def _canonical_tuple(elems: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical representative under translation/dilation/reflexion: the
     lexicographically larger of the normal form and its reflexion."""
     norm = normal_tuple(elems)[0]
-    m = norm[-1]
-    refl = tuple(m - e for e in reversed(norm))
-    return max(refl, norm)
+    return max(mirror_tuple(norm), norm)
 
 
 def canonical_form(a: IntSet) -> IntSet:
@@ -95,24 +93,22 @@ def _chain_level(k: int) -> dict[tuple[int, ...], int]:
     while len(_LEVELS) <= k:
         i = len(_LEVELS)
         cap = t_range(i)[1]
-        # per doubling t the largest maximum seen so far and the children
-        # at it, in first-seen order; a larger maximum starts the group
-        # afresh, and t keeps its first-seen place. A canonical form is
-        # normal, so its volume is its maximum + 1
-        tops: dict[int, int] = {}
+        # per doubling t the largest maximum seen so far, floors[t], and the
+        # children at it, in first-seen order; a larger maximum starts the
+        # group afresh, and t keeps its first-seen place. A canonical form is
+        # normal, so its volume is its maximum + 1. Floors only grow, so
+        # chain_children skips only children this loop would drop
+        floors = [0] * (cap + 1)
         groups: dict[int, dict[tuple[int, ...], int]] = {}
         for prev in _LEVELS[i - 1]:
-            for canon, t in kernel.chain_children(prev, cap):
+            for canon, t in kernel.chain_children(prev, cap, floors):
                 top = canon[-1]
-                if top > tops.get(t, -1):
-                    tops[t] = top
+                if top > floors[t]:
+                    floors[t] = top
                     groups[t] = {}
-                if top == tops[t]:
+                if top == floors[t]:
                     groups[t][canon] = t
-        level: dict[tuple[int, ...], int] = {}
-        for group in groups.values():
-            level.update(group)
-        _LEVELS.append(level)
+        _LEVELS.append({canon: t for group in groups.values() for canon, t in group.items()})
     return _LEVELS[k]
 
 
@@ -132,15 +128,20 @@ class ChainCertificate(NamedTuple):
         return self.sets[-1]
 
 
-def is_chain_member(a: IntSet) -> bool:
-    """Is a a chain? Membership of its canonical form in the chain table,
-    without the certificate that is_chain builds."""
-    k = len(a)
+def is_canonical_chain(canon: tuple[int, ...]) -> bool:
+    """Is canon, a canonical form as _canonical_tuple and chain_children
+    give it, a chain? One lookup in the chain table."""
+    k = len(canon)
     if k < 3:
         raise ValueError("chains have at least 3 elements")
     if k > CHAIN_ENUM_CAP:
         raise CapacityError(f"chain recognition capped at k <= {CHAIN_ENUM_CAP}, got {k}")
-    return _canonical_tuple(a.elements) in _chain_level(k)
+    return canon in _chain_level(k)
+
+
+def is_chain_member(a: IntSet) -> bool:
+    """Is a a chain? is_canonical_chain of its canonical form; no certificate."""
+    return is_canonical_chain(_canonical_tuple(a.elements))
 
 
 def is_chain(a: IntSet) -> ChainCertificate | None:
@@ -148,17 +149,18 @@ def is_chain(a: IntSet) -> ChainCertificate | None:
     if not is_chain_member(a):
         return None
     k = len(a)
-    layers = [a]
     cur = a.elements
+    layers = [(a, _chain_level(k)[_canonical_tuple(cur)])]  # (layer, doubling)
     for i in range(k, 3, -1):
         lower = _chain_level(i - 1)
         for trial in (cur[:-1], cur[1:]):
-            if _canonical_tuple(trial) in lower:
+            t = lower.get(_canonical_tuple(trial))
+            if t is not None:
                 cur = trial
                 break
         else:  # pragma: no cover - chains are deletion-closed by construction
             return None
-        layers.append(IntSet(cur))
+        layers.append((IntSet(cur), t))
     layers.reverse()
     try:
         fact = factorize(a)
@@ -167,8 +169,8 @@ def is_chain(a: IntSet) -> ChainCertificate | None:
     # a chain is one-dimensional by construction (see _chain_level), so its
     # volume needs no rank test
     return ChainCertificate(
-        sets=tuple(layers),
-        profiles=tuple(profile(len(s), doubling(s)) for s in layers),
+        sets=tuple(s for s, _ in layers),
+        profiles=tuple(profile(len(s), t) for s, t in layers),
         factorization=fact,
         volume=_raw_volume(a.elements),
     )

@@ -36,6 +36,7 @@ from .search import (
     check_uniqueness_lemmas,
     extension_lemma_sweep,
     kernel_digest,
+    oracle_bound,
     verify_conjecture,
     vol1_oracle,
 )
@@ -246,6 +247,8 @@ def _search_reports(args) -> list:
         return [vol1_oracle(args.k, args.t, args.bound, **kwargs)]
     if args.bound is not None:
         lo, hi = t_range(args.k)
+        for t in range(lo, hi + 1):  # every class's bound, before any walk
+            oracle_bound(args.k, t, args.bound)
         return [vol1_oracle(args.k, t, args.bound, **kwargs) for t in range(lo, hi + 1)]
     return verify_conjecture(args.k, **kwargs)
 

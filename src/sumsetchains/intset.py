@@ -177,6 +177,11 @@ def normal_tuple(elems: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
     return tuple(shifted), shift, scale
 
 
+def mirror_tuple(elems: tuple[int, ...]) -> tuple[int, ...]:
+    """x -> max - x on an ascending tuple, ascending: the reflexion when min is 0."""
+    return tuple(elems[-1] - e for e in reversed(elems))
+
+
 def normalize(a: IntSet) -> tuple[IntSet, int, int]:
     """Return (normal form, shift, scale) with A = scale * result + shift.
 
@@ -204,7 +209,7 @@ def reflexion(a: IntSet) -> IntSet:
     additive dimension.
     """
     require_min_zero(a, "reflexion")
-    return IntSet(a.max - e for e in a.elements)
+    return IntSet(mirror_tuple(a.elements))
 
 
 def concat(a: IntSet, b: IntSet) -> IntSet:

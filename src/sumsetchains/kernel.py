@@ -35,9 +35,9 @@ def _call(name, *args):
 
 
 # The five set primitives take a set as any iterable of ints; a one-shot iterator
-# becomes a tuple first, or the compiled twin would use it up before an
-# OverflowError sends it on to the pure twin. Both twins reject a non-set
-# alike (see _kernel_py).
+# becomes a tuple first (so do chain_children's floors), or the compiled twin
+# would use it up before an OverflowError sends it on to the pure twin. Both
+# twins reject a non-set alike (see _kernel_py).
 def doubling_size(elements):
     return _call("doubling_size", tuple(elements))
 
@@ -54,8 +54,8 @@ def right_extensions(elements):
     return _call("right_extensions", tuple(elements))
 
 
-def chain_children(elements, t_max):
-    return _call("chain_children", tuple(elements), t_max)
+def chain_children(elements, t_max, floors=()):
+    return _call("chain_children", tuple(elements), t_max, tuple(floors))
 
 
 def sweep_slice(k, m, t_max):

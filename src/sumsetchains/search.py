@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import chains, kernel
-from .chains import is_chain_member
+from .chains import is_canonical_chain, is_chain_member
 from .dimension import is_one_dimensional, out_of_hull_pool
 from .doubling import DoublingProfile, mu, profile, t_range
 from .errors import CapacityError
@@ -32,6 +32,7 @@ from .intset import (
     IntSet,
     doubling,
     is_progression,
+    mirror_tuple,
     reflexion,
     require_normal,
     sumset,  # unused here; sweepbench/test_sweepbench.py reads search.sumset
@@ -427,10 +428,7 @@ def vol1_oracle(
     budget raises CapacityError unless force is set.
     """
     prof = profile(k, t)
-    if bound is None:
-        bound = prof.mu + k
-    if bound < prof.mu:
-        raise ValueError(f"bound {bound} is below mu({k},{t}) = {prof.mu}")
+    bound = oracle_bound(k, t, bound)
     slices = _realized_slices(
         k, bound, threads=threads, use_cache=use_cache, force=force
     )
@@ -457,6 +455,14 @@ def vol1_oracle(
         violation_list=tuple(violations),
         attained=constr in witnesses,
     )
+
+
+def oracle_bound(k: int, t: int, bound: int | None) -> int:
+    """vol1_oracle's sweep bound: mu(k, t) + k for None; ValueError below mu(k, t)."""
+    top = mu(k, t)
+    if bound is not None and bound < top:
+        raise ValueError(f"bound {bound} is below mu({k},{t}) = {top}")
+    return top + k if bound is None else bound
 
 
 def attainment_construction(k: int, t: int) -> IntSet:
@@ -914,21 +920,23 @@ def check_uniqueness_lemmas(
     else:
         failures = []
         swept = 0
-        # a is normal and one-dimensional, so are its pool children A ∪ {x}
-        # and their reflexions
+        # a is normal and one-dimensional, so are its pool children A ∪ {x} and
+        # their reflexions b: chain_children(b) drops none, its last pair with y
         for x, tx in pool.items():
             if x < a_max or tx <= threshold:
                 continue
-            ax = a.adjoin(x)
+            ax = a.elements + (x,)
             for b, low, label in (
                 (ax, x, "A+{{{x},{y}}}"),
-                (reflexion(ax), x + 2, "reflected A+{{{x}}} plus {y}"),
+                (mirror_tuple(ax), x + 2, "reflected A+{{{x}}} plus {y}"),
             ):
-                for y, _, _ in kernel.right_extensions(b.elements):
+                rights = kernel.right_extensions(b)
+                children = kernel.chain_children(b, t_range(k + 2)[1])[-len(rights):]
+                for (y, _, _), (canon, _) in zip(rights, children, strict=True):
                     if y <= low:
                         continue
                     swept += 1
-                    if is_chain_member(b.adjoin(y)) and y != 2 * x:
+                    if y != 2 * x and is_canonical_chain(canon):
                         failures.append(
                             label.format(x=x, y=y) + f" is a chain but y != {2 * x}"
                         )
@@ -957,16 +965,13 @@ def check_uniqueness_lemmas(
         failures = []
         if not is_chain_member(halved):
             failures.append(f"halved even part {halved.to_text()} is not a chain")
-        for y, ty in pool.items():
-            if ty <= threshold:
-                continue
-            b = a.adjoin(y)
-            if is_chain_member(b):
-                b_odds = [e for e in b if e % 2]
-                if len(b_odds) != 1:
-                    failures.append(
-                        f"chain extension {b.to_text()} has {len(b_odds)} odd elements"
-                    )
+        # both list the y of 2A - A outside the hull, ascending; a chain is
+        # one-dimensional, so every T_y is legal for k + 1 and none is dropped
+        children = kernel.chain_children(a.elements, t_range(k + 1)[1])
+        for (y, ty), (canon, _) in zip(pool.items(), children, strict=True):
+            # A ∪ {y} has a second odd element exactly when y is odd
+            if ty > threshold and y % 2 and is_canonical_chain(canon):
+                failures.append(f"chain extension {a.adjoin(y).to_text()} has 2 odd elements")
         checks.append(
             LemmaOutcome(
                 name,

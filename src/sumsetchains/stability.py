@@ -18,26 +18,30 @@ from .intset import (
     IntSet,
     concat,
     doubling,
-    reflexion,
+    mirror_tuple,
     require_min_zero,
     require_normal,
     sumset,
 )
 
 
+def _is_stable(elems: tuple[int, ...]) -> bool:
+    """is_stable on an ascending tuple with min 0."""
+    present, top = set(elems), elems[-1]
+    step = elems[1] if len(elems) > 1 else 1  # {0} passes every test
+    return 1 not in present and top - 1 not in present and all(
+        e + step in present for e in elems if e + step <= top
+    )
+
+
 def is_stable(a: IntSet) -> bool:
     require_min_zero(a, "is_stable")
-    if len(a) == 1:
-        return True
-    if 1 in a or a.max - 1 in a:
-        return False
-    step = a.elements[1]
-    return all(e + step in a for e in a.elements if e + step <= a.max)
+    return _is_stable(a.elements)
 
 
 def is_right_stable(a: IntSet) -> bool:
     require_min_zero(a, "is_right_stable")
-    return is_stable(reflexion(a))
+    return _is_stable(mirror_tuple(a.elements))
 
 
 class DensityCheck(NamedTuple):
@@ -90,22 +94,20 @@ class StableDecomposition(NamedTuple):
 def _candidate_splits(a: IntSet) -> list[StableDecomposition]:
     # Each split reassembles to A by construction: u is an element and v
     # steps from u only through consecutive elements, so A ∩ [0, u], the run
-    # [u, v] and A ∩ [v, max A] glue back to A.
-    elems = set(a.elements)
+    # [u, v] and A ∩ [v, max A] (right-stable when max A minus it is stable,
+    # tested as a tuple) glue back to A.
+    elems = a.elements
     out = []
-    for u in a.elements:
-        a1 = IntSet(e for e in a.elements if e <= u)
-        if not is_stable(a1):
+    for i, u in enumerate(elems):
+        if not _is_stable(elems[: i + 1]):
             continue
-        v = u
-        while True:
-            a2 = IntSet(e - v for e in a.elements if e >= v)
-            if is_right_stable(a2):
-                out.append(StableDecomposition(a1=a1, p_len=v - u + 1, a2=a2))
-            if v + 1 in elems:
-                v += 1
-            else:
+        for j in range(i, len(elems)):
+            v = elems[j]
+            if v - u != j - i:  # the run from u has ended
                 break
+            if _is_stable(mirror_tuple(elems[j:])):
+                a2 = IntSet(e - v for e in elems[j:])
+                out.append(StableDecomposition(IntSet(elems[: i + 1]), v - u + 1, a2))
     return out
 
 

@@ -9,9 +9,10 @@ import hashlib
 
 import pytest
 
-from sumsetchains import chains
+from sumsetchains import chains, kernel
 from sumsetchains.chains import (
     CHAIN_ENUM_CAP,
+    _canonical_tuple,
     enumerate_chains,
     is_chain,
     is_chain_extension,
@@ -21,10 +22,29 @@ from sumsetchains.chains import (
 )
 from sumsetchains.cli import main
 from sumsetchains.errors import CapacityError
+from sumsetchains.dimension import out_of_hull_pool
+from sumsetchains.doubling import t_range
 from sumsetchains.growth import invert_step
-from sumsetchains.intset import IntSet, doubling, normalize
+from sumsetchains.intset import IntSet, doubling, mirror_tuple, normalize
 
 S = IntSet.from_text
+
+
+def floor_free_level(below: dict, k: int) -> dict:
+    """Level k grown from level k - 1 as before chain_children took floors:
+    every child of every parent, kept per doubling at the largest top seen
+    so far, the groups in first-seen order."""
+    cap = t_range(k)[1]
+    tops: dict = {}
+    groups: dict = {}
+    for prev in below:
+        for canon, t in kernel.chain_children(prev, cap):
+            if canon[-1] > tops.get(t, -1):
+                tops[t] = canon[-1]
+                groups[t] = {}
+            if canon[-1] == tops[t]:
+                groups[t][canon] = t
+    return {canon: t for group in groups.values() for canon, t in group.items()}
 
 
 class TestVolume:
@@ -116,13 +136,59 @@ class TestEnumeration:
         assert len(levels["c"]) == 11_619
         assert levels["python"] == levels["c"]
 
+    @pytest.mark.parametrize("backend, top", [("c", 11), ("python", 9)])
+    def test_floored_levels_match_floor_free_growth(
+        self, compiled_facade, monkeypatch, backend, top
+    ):
+        # _chain_level passes its running maxima as floors, so chain_children
+        # skips the children it would drop: each level keeps the sets, and the
+        # order, that floor-free calls give
+        monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
+        if backend == "python":
+            monkeypatch.setattr(compiled_facade, "_c", None)
+        level = chains._chain_level(3)
+        for k in range(4, top + 1):
+            level = floor_free_level(level, k)
+            assert list(chains._chain_level(k).items()) == list(level.items()), k
+
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_pools_align_with_the_kernel_children(self, compiled_facade, monkeypatch, backend):
+        # the uniqueness checks read chain membership off chain_children:
+        # on every chain A of levels 4..8, A's pool and its children align one
+        # to one in y order, none dropped; and for x > max A in the pool, up
+        # to level 7, b = A ∪ {x} and its reflexion have as many children as
+        # pool points, the last of them pairing up with b's right extensions
+        if backend == "python":
+            monkeypatch.setattr(compiled_facade, "_c", None)
+        aligned = 0
+        for k in range(4, 9):
+            for elems in chains._chain_level(k):
+                pool = out_of_hull_pool(IntSet(elems))
+                children = kernel.chain_children(elems, t_range(k + 1)[1])
+                assert len(children) == len(pool), elems
+                for (y, ty), child in zip(pool, children):
+                    assert child == (_canonical_tuple(tuple(sorted(elems + (y,)))), ty), elems
+                aligned += len(pool)
+                for x, _ in pool:
+                    if k > 7 or x < elems[-1]:
+                        continue
+                    for b in (elems + (x,), mirror_tuple(elems + (x,))):
+                        rights = kernel.right_extensions(b)
+                        children = kernel.chain_children(b, t_range(k + 2)[1])
+                        assert len(children) == len(out_of_hull_pool(IntSet(b))), b
+                        assert [canon for canon, _ in children[-len(rights):]] == [
+                            _canonical_tuple(b + (y,)) for y, _, _ in rights
+                        ], b
+        assert aligned == 18_589
+
     def test_level_k12_past_the_cap(self, compiled_facade, monkeypatch):
         monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
         assert len(chains._chain_level(12)) == 31_496
         assert CHAIN_ENUM_CAP == 10
 
-    # the levels 13 and 14 grown compiled, pinned by count and by the sha256
-    # of repr(list(level.items())), their contents in order
+    # the levels 13, 14 and 15 grown compiled, pinned by count and by the
+    # sha256 of repr(list(level.items())), their contents in order; the
+    # level-15 hash was taken from floor-free growth
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "k, count, digest",
@@ -135,9 +201,13 @@ class TestEnumeration:
                 14, 204_417, "2cfad81b076cae4a939f0456b5bb2bece685fb4dc569e62d98dfc8898bba8518",
                 id="k14",
             ),
+            pytest.param(
+                15, 496_782, "b7bfd73fbe4fdcf3c6080fa66d634ae7521a5f4518afcc9800e1eb9149558f22",
+                id="k15",
+            ),
         ],
     )
-    def test_levels_k13_and_k14_past_the_cap(self, compiled_facade, monkeypatch, k, count, digest):
+    def test_levels_k13_to_k15_past_the_cap(self, compiled_facade, monkeypatch, k, count, digest):
         monkeypatch.setattr(chains, "_LEVELS", chains._LEVELS[:4])
         level = list(chains._chain_level(k).items())
         assert len(level) == count

@@ -273,6 +273,30 @@ def test_over_budget_run_refuses_before_sweeping(capsys, tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--k", "6", "--bound", "10"], "bound 10 is below mu(6,16) = 12"),
+        (["--k", "7", "--bound", "20"], "bound 20 is below mu(7,22) = 24"),
+        (["--k", "6", "--t", "16", "--bound", "11"], "bound 11 is below mu(6,16) = 12"),
+    ],
+)
+def test_a_bound_below_some_mu_fails_before_any_walk(capsys, tmp_path, monkeypatch, argv, message):
+    # every class's bound is checked before the first slice is walked: the
+    # run exits 1 with the first class's message, walks nothing and writes
+    # no slices file
+    walks = []
+    monkeypatch.setenv("SUMSETCHAINS_CACHE", str(tmp_path))
+    monkeypatch.setattr(search, "_SLICE_CACHE", {})
+    monkeypatch.setattr(search.kernel, "census_slice", lambda *args: walks.append(args))
+    assert main(["search", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"sumsetchains: error: {message}\n"
+    assert captured.out == ""
+    assert walks == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("k, twin", [(6, "python"), (7, "c")])
 def test_a_warm_verify_walks_nothing(request, capsys, tmp_path, monkeypatch, k, twin):
     # the table holds the census: a verify on a filled cache, in a fresh

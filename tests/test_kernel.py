@@ -851,6 +851,62 @@ def test_chain_children_read_t_max_before_the_set_alike(compiled_kernel, element
     assert assert_rejected_alike(compiled_kernel, "chain_children", elements, 10.5)[0] is TypeError
 
 
+@pytest.mark.parametrize(
+    "elements, t_max, floors",
+    [
+        ((0, 1, 2), 10, 5),  # not an iterable
+        ((0, 1, 2), 10, None),
+        ((0, 1, 2), 10, [0, 1.5]),  # a non-int entry
+        ((0, 1, 2), 10, (0, "1")),
+        ((0, 1, 2), 10, [0] * 20 + [None]),  # past every doubling, still read
+        ((0, 2, 1), 10, 5),  # floors are read before the set
+        ((0, 1, 2), 10.5, [0, 1]),  # and t_max before the floors
+        ((0, 1, 2), 10.5, 5),
+    ],
+    ids=repr,
+)
+def test_chain_children_reject_bad_floors_alike(compiled_kernel, elements, t_max, floors):
+    want = assert_rejected_alike(compiled_kernel, "chain_children", elements, t_max, floors)
+    assert want[0] is TypeError
+
+
+def test_floors_skip_the_children_below_them(twin):
+    # a child of doubling t is kept when floors has no entry t or its top,
+    # max canon, is at least floors[t]; the compiled twin reads every entry,
+    # past MAXPAIRS = 78 too ((0, 1, 2, 4, ..., 4096) has children of
+    # doubling up to 120)
+    rng = random.Random(78)
+    powers = (0, *(1 << i for i in range(13)))
+    cases = [(elems, t_range(len(elems) + 1)[1]) for elems in small_normal_sets() if len(elems) > 2]
+    cases = rng.sample(cases, 150) + list(chain_parents(6)) + [(powers, 10**6)]
+    for elems, t_max in cases:
+        want = reference_chain_children(elems)
+        tops = [canon[-1] for canon, _ in want]
+        for _ in range(3):
+            n = rng.randint(0, max(t for _, t in want) + 2)
+            floors = [rng.choice([0, -5, *tops, max(tops) + 1]) for _ in range(n)]
+            kept = [
+                (canon, t)
+                for canon, t in want
+                if t <= t_max and (t >= len(floors) or canon[-1] >= floors[t])
+            ]
+            # floors is any iterable of ints, read whole
+            for given in (floors, tuple(floors), iter(floors)):
+                assert twin.chain_children(elems, t_max, given) == kept, (elems, floors)
+    # floors past every top keep no child, those of doubling past 78 included
+    assert any(t > 78 for _, t in reference_chain_children(powers))
+    assert twin.chain_children(powers, 10**6, [1 << 20] * 200) == []
+
+
+def test_facade_hands_floors_past_the_caps_to_the_pure_twin(compiled_facade):
+    # a one-shot iterator of floors is read once, before the compiled twin
+    # refuses the span and the pure twin takes over
+    wide = (0, 1, (1 << 20) + 1)
+    want = pure.chain_children(wide, 100, [0] * 9 + [2**21])
+    assert want and want != pure.chain_children(wide, 100)
+    assert compiled_facade.chain_children(wide, 100, iter([0] * 9 + [2**21])) == want
+
+
 # every set primitive with its arguments after the set
 SET_PRIMITIVES = {
     "doubling_size": (),

@@ -1029,7 +1029,7 @@ class TestUniquenessChecks:
         # with every set taken for a chain, every extension but y = 2x fails:
         # for each x, those of A ∪ {x} first, then those above x + 2 of its
         # reflexion
-        monkeypatch.setattr(search, "is_chain_member", lambda s: True)
+        monkeypatch.setattr(search, "is_canonical_chain", lambda canon: True)
         check = check_uniqueness_lemmas(S("{0,2,3,4,5}")).checks[2]
         parts = check.details.split("; ")
         assert len(parts) == 26
