@@ -2,11 +2,12 @@
  * setup.py with any C compiler. Mirrors _kernel_py, the reference, function
  * for function, with identical results down to list and dict key order.
  * The one slice walk, census_slice, keeps one level (gcd, element mask,
- * sumset mask, repeated-sum mask) per interior depth up to the prefix, the set
- * less its last interior element, and it walks only the interiors with
- * e[1] + e[k-2] <= m: the reflexion x -> m - x covers the rest (see Slice
- * below). One loop per prefix runs every last element x and reads |2A| off
- * the prefix's words in place, a shifted AND and a popcount per word. Every
+ * sumset mask, and when a leaf needs it the kernel of the relation rows) per
+ * interior depth up to the prefix, the set less its last interior element,
+ * and it walks only the interiors with e[1] + e[k-2] <= m: the reflexion
+ * x -> m - x covers the rest (see Slice below). One loop per prefix runs
+ * every last element x and reads |2A| off the prefix's words in place, a
+ * shifted AND and a popcount per word. Every
  * one-dimensional set of a wanted doubling, one whose listing is nonzero, is
  * a hit, and the walk takes the extension census of each hit and its
  * mirror: their right extensions, read off one pool per hit, counted per
@@ -27,21 +28,24 @@
  * The slice walk releases the GIL, so callers can run slices on threads: the
  * walk touches no Python object, and the tuples are built after taking the
  * GIL back.
- * Every rank test (lambda_rank, is_one_dimensional, the slice walk) is
- * relation_rank, which eliminates over F_p, p = 2^31 - 1, by
- * cross-multiplication, with no division. It gives the rank over Q that
- * the pure twin computes by Bareiss elimination, capped at k - 2, on every
- * input: each relation row u_a + u_b - u_c - u_d has L2 norm at most
- * sqrt(8), so by Hadamard's bound every r x r minor with r <= k - 2 <= 10 is
- * at most 8^5 = 32,768 < p in absolute value and cannot vanish mod p unless
- * it is 0 (see relation_rank).
- * The slice walk rank-tests a leaf only when its doubling is wanted and every
- * element lies in a pair with a repeated sum, a sum that two distinct pairs
- * (i <= j) reach. That drops no one-dimensional set: each relation row is the
- * difference of two distinct pairs with the same sum, so an element a_j in no
- * such pair has coefficient 0 in every row. The rows then lie in
- * {v : sum v = 0, sum a v = 0, v_j = 0}, of dimension k - 3, as 1, a and e_j
- * are independent for k >= 3 distinct elements, and the rank is below k - 2.
+ * lambda_rank and is_one_dimensional rank-test with relation_rank, which
+ * eliminates over F_p, p = 2^31 - 1, by cross-multiplication, with no
+ * division. It gives the rank over Q that the pure twin computes by Bareiss
+ * elimination, capped at k - 2, on every input: each relation row
+ * u_a + u_b - u_c - u_d has L2 norm at most sqrt(8), so by Hadamard's bound
+ * every r x r minor with r <= k - 2 <= 10 is at most 8^5 = 32,768 < p in
+ * absolute value and cannot vanish mod p unless it is 0 (see relation_rank).
+ * The slice walk calls no relation_rank: a leaf is a hit when its relation
+ * rows, restricted to the interior columns e[1..k-2], have kernel 0 over F_p,
+ * read off the prefix's kernel and the rows x adds (see Slice). That is
+ * relation_rank's verdict. The solutions of the relations hold 1 and A, whose
+ * values at 0 and m are independent, so the rank is k - 2 exactly when no
+ * nonzero solution has z_0 = z_m = 0. The rows span every relation: each
+ * level adds one row per sum of its element e[i] that the level below holds,
+ * against one pair of that sum, and any other pair of it differs from that
+ * one by a relation of the level below (no other pair holding e[i] reaches
+ * it). Each row is still u_a + u_b - u_c - u_d, of L2 norm at most sqrt(8) on
+ * the interior columns, so the Hadamard argument holds with the same p.
  * Popcount: the slice walk is built as target_clones("popcnt", "default")
  * where the compiler has that attribute on x86-64 ELF with glibc, whose ifunc
  * lets the dynamic loader pick the popcnt clone on a CPU that has the
@@ -274,8 +278,9 @@ static PyObject *doubling_size(PyObject *self, PyObject *elements)
  * reduces a product with two folds and no division. */
 #define RANK_P 2147483647ULL
 
-/* relation_rank is exact while p exceeds 8^(r/2) for every rank r <= MAXK - 2
- * it caps at; 1 << ceil(3r / 2) bounds 8^(r/2) from above. */
+/* relation_rank and the slice walk's kernels are exact while p exceeds
+ * 8^(r/2) for every rank r <= MAXK - 2 they reach; 1 << ceil(3r / 2) bounds
+ * 8^(r/2) from above. */
 _Static_assert(RANK_P > (1ULL << ((3 * (MAXK - 2) + 1) / 2)),
                "raising MAXK needs a larger rank prime: see relation_rank");
 
@@ -402,21 +407,29 @@ static PyObject *is_one_dimensional(PyObject *self, PyObject *elements)
 /* A slice walks the normal-form k-sets {0 < e[1] < ... < e[r] < m}, r = k - 2,
  * interiors in lexicographic order, with bitsets sized from m: mw =
  * ceil((m + 1) / 64) mask words, aw = ceil((2m + 1) / 64) sumset words.
+ * Position k - 1 holds m, so the set of level i below is e[0..i] and e[k-1].
  *
- * Levels: level i (0 <= i < r) holds the gcd, the element mask M, the sumset
- * mask S and the mask D of repeated sums (sums that two distinct pairs reach)
- * of {0, m, e[1..i]}; level 0 is {0, m}. A change at position j rebuilds the
- * levels from j on: D_i = D_{i-1} | ((M_i << e[i]) & S_{i-1}).
+ * Levels: level i (0 <= i < r) holds the gcd, the element mask M and the
+ * sumset mask S of {0, m, e[1..i]}; level 0 is {0, m}. A change at position j
+ * rebuilds the levels from j on and marks their kernels stale (dim -1).
+ *
+ * Kernels: level i's kernel, computed when a leaf needs it (level_dim), is a
+ * basis over F_p of the z with z_0 = z_m = 0 that level i's relation rows
+ * annihilate: kern[i][q] holds its dim[i] values at position q, 0 at 0, m
+ * and past i. rep[v] is a pair of positions that sums to v: level_kernel
+ * writes the pairs of the sums its element adds, and as a deeper level writes
+ * only sums new to it, a level with a current kernel keeps its sums' pairs.
  *
  * Leaves: a leaf is the prefix (level r - 1) plus a last element x. One loop
  * per prefix runs every x and reads |2A| = |S| + k - |S & (M << x)|
  * - [2x in S] off the prefix's words (walk); a leaf whose doubling is wanted
- * builds level r for the coverage and rank tests (leaf_test).
+ * goes through the gcd and rank tests (leaf_test).
  *
  * Mirror half: x -> m - x maps the slice onto itself and keeps gcd, doubling
  * and relation rank. The walk takes only the interiors with e[1] + e[r] <= m.
  * The mirror of one with e[1] + e[r] < m has e[1] + e[r] > m and is not
  * walked; when e[1] + e[r] == m the mirror is walked itself. */
+#define KDIM (MAXK - 2)
 typedef struct {
     int k, r, m;
     Py_ssize_t mw, aw;
@@ -424,7 +437,9 @@ typedef struct {
     i64 g[MAXK];
     u64 mask[MAXK][SLICE_MASK_WORDS];
     u64 sums[MAXK][SLICE_ACC_WORDS + 1];
-    u64 dup[MAXK][SLICE_ACC_WORDS + 1];
+    int dim[MAXK];
+    unsigned kern[MAXK][MAXK][KDIM];
+    unsigned char rep[2 * MAX_M + 1][2];
 } Slice;
 
 /* The largest value position j takes in the half walk: e[1] <= (m - r + 1) / 2,
@@ -434,20 +449,76 @@ static i64 slice_limit(const Slice *s, int j)
     return j == 1 ? (s->m - s->r + 1) / 2 : s->m - s->e[1] - (s->r - j);
 }
 
-/* Level i from level i - 1 and e[i]. */
+/* Level i from level i - 1 and e[i], its kernel stale. */
 static void slice_level(Slice *s, int i)
 {
     i64 x = s->e[i];
-    u64 shifted[SLICE_ACC_WORDS + 1];
     s->g[i] = s->g[i - 1] == 1 ? 1 : gcd(s->g[i - 1], x);
     memcpy(s->mask[i], s->mask[i - 1], s->mw * sizeof(u64));
     s->mask[i][x >> 6] |= 1ULL << (x & 63);
-    memset(shifted, 0, (s->aw + 1) * sizeof(u64));
-    shift_or(shifted, s->mask[i], s->mw, x);
-    for (Py_ssize_t w = 0; w <= s->aw; w++) {
-        s->dup[i][w] = s->dup[i - 1][w] | (shifted[w] & s->sums[i - 1][w]);
-        s->sums[i][w] = s->sums[i - 1][w] | shifted[w];
+    memcpy(s->sums[i], s->sums[i - 1], (s->aw + 1) * sizeof(u64));
+    shift_or(s->sums[i], s->mask[i], s->mw, x);
+    s->dim[i] = -1;
+}
+
+static inline int has_sum(const u64 *sums, i64 v)
+{
+    return (int)((sums[v >> 6] >> (v & 63)) & 1);
+}
+
+/* Level i's kernel from level i - 1's, which is current: the old basis at
+ * positions 1..i - 1 and a new vector, 1 at position i. Each relation
+ * e[i] + e[q] = e[b] + e[c] (q <= i, 2 e[i] at q = i, or q = m) of a sum that
+ * level i - 1 holds, (b, c) its rep, takes each basis vector b_j to a value
+ * l_j; while some l_j0 != 0 the basis loses b_j0 and keeps every
+ * l_j0 b_j - l_j b_j0, which the relation annihilates. Writes the pair of
+ * every sum e[i] adds to rep. */
+static void level_kernel(Slice *s, int i)
+{
+    unsigned(*kern)[KDIM] = s->kern[i], l[KDIM];
+    int d = s->dim[i - 1], q, j, a;
+    u64 f;
+    memcpy(kern + 1, s->kern[i - 1] + 1, (i - 1) * sizeof(*kern));
+    for (q = 1; q < i; q++)
+        kern[q][d] = 0;
+    memset(kern[i], 0, sizeof(*kern));
+    kern[i][d++] = 1;
+    for (q = 0; q <= i + 1; q++) {
+        int p = q <= i ? q : s->k - 1, j0 = -1;
+        i64 v = s->e[i] + s->e[p];
+        const unsigned char *bc = s->rep[v];
+        if (!has_sum(s->sums[i - 1], v)) {
+            s->rep[v][0] = (unsigned char)p;
+            s->rep[v][1] = (unsigned char)i;
+            continue;
+        }
+        for (j = 0; j < d; j++) {
+            l[j] = (unsigned)mod_p((u64)kern[i][j] + kern[p][j] + 2 * RANK_P - kern[bc[0]][j]
+                                   - kern[bc[1]][j]);
+            j0 = l[j] ? j : j0;
+        }
+        if (j0 < 0)
+            continue;
+        d--;
+        for (j = 0, f = l[j0]; j <= d; j++)
+            if (j != j0 && l[j])
+                for (a = 1; a <= i; a++)
+                    kern[a][j] = (unsigned)mod_p(kern[a][j] * f + kern[a][j0] * (RANK_P - l[j]));
+        for (a = 1; a <= i; a++)
+            kern[a][j0] = kern[a][d];
     }
+    s->dim[i] = d;
+}
+
+/* The dimension of level i's kernel, computing the stale kernels up to it. */
+static int level_dim(Slice *s, int i)
+{
+    int j = i;
+    while (s->dim[j] < 0)
+        j--;
+    while (j < i)
+        level_kernel(s, ++j);
+    return s->dim[i];
 }
 
 /* Checks k and m as every slice walk takes them; -1 with an exception set. */
@@ -479,6 +550,8 @@ static int slice_start(Slice *s, int k, int m)
     s->sums[0][0] = 1;
     s->sums[0][m >> 6] |= 1ULL << (m & 63);
     s->sums[0][(2 * m) >> 6] |= 1ULL << ((2 * m) & 63);
+    /* level 0's pairs 0 + 0, 0 + m and m + m; rep starts zeroed */
+    s->rep[m][1] = s->rep[2 * m][0] = s->rep[2 * m][1] = (unsigned char)(k - 1);
     for (int i = 1; i < s->r; i++) {
         s->e[i] = i;
         slice_level(s, i);
@@ -587,23 +660,59 @@ static int census_hit(Slice *s, Scan *sc, int t)
     return listed[1] ? hits_add(&sc->hits, s->k, t, refl) : 0;
 }
 
-/* A leaf x of the current prefix whose doubling t is wanted: with gcd 1 and
- * through the coverage and rank tests it is a hit, which census_hit counts.
- * -1 when hits cannot grow. */
-static int leaf_test(Slice *s, Scan *sc, i64 x, int t)
+/* Reduces rows[j] (w residues) against the echelon rows, at[c] the row whose
+ * pivot is column c or -1, by cross-multiplication as relation_rank does; 1
+ * when it stays nonzero, as the pivot of its first nonzero column. */
+static int insert_row(unsigned (*rows)[KDIM], signed char *at, int j, int w)
+{
+    unsigned *row = rows[j];
+    for (int c = 0; c < w; c++) {
+        if (row[c] == 0)
+            continue;
+        if (at[c] < 0) {
+            at[c] = (signed char)j;
+            return 1;
+        }
+        const unsigned *piv = rows[at[c]];
+        u64 p = piv[c], f = RANK_P - row[c];
+        for (int e = c; e < w; e++)
+            row[e] = (unsigned)mod_p(row[e] * p + piv[e] * f);
+    }
+    return 0;
+}
+
+/* A leaf x of the current prefix whose doubling t is wanted, n the number of
+ * its sums x + e[q] (q = r for 2x) that the prefix's sums hold: with gcd 1
+ * and kernel 0 it is a hit, which census_hit counts. Each such relation is a
+ * row: its coefficient of x, 1 or 2, then its values on the prefix's basis
+ * as in level_kernel; the kernel is 0 when the rows reach rank d + 1, d the
+ * prefix kernel's dimension. -1 when hits cannot grow. */
+static int leaf_test(Slice *s, Scan *sc, i64 x, int t, int n)
 {
     const int r = s->r;
     if (s->g[r - 1] != 1 && gcd(s->g[r - 1], x) != 1)
         return 0;
+    const int d = level_dim(s, r - 1);
+    const unsigned(*kern)[KDIM] = s->kern[r - 1];
+    unsigned rows[KDIM][KDIM];
+    signed char at[KDIM];
+    int rank = 0;
+    memset(at, -1, sizeof(at));
     s->e[r] = x;
-    slice_level(s, r);
-    /* coverage (see the header): (a + A) & D != 0 for every element a */
-    for (int i = 0; i < s->k; i++)
-        if (shifted_overlap(s->dup[r], s->mask[r], s->mw, s->e[i]) == 0)
-            return 0;
-    if (relation_rank(s->e, s->k) != s->k - 2)
-        return 0;
-    return census_hit(s, sc, t);
+    /* each row raises the rank by at most 1 */
+    for (int q = 0; rank <= d && rank + n > d; q++) {
+        i64 v = x + s->e[q];
+        if (!has_sum(s->sums[r - 1], v))
+            continue;
+        const unsigned char *bc = s->rep[v];
+        rows[rank][0] = 1 + (q == r);
+        for (int j = 0; j < d; j++)
+            rows[rank][j + 1] = (unsigned)mod_p((u64)kern[q][j] + 2 * RANK_P - kern[bc[0]][j]
+                                                - kern[bc[1]][j]);
+        rank += insert_row(rows, at, rank, d + 1);
+        n--;
+    }
+    return rank > d ? census_hit(s, sc, t) : 0;
 }
 
 /* The walk from the current prefix on, for mw mask words and aw sumset
@@ -619,9 +728,8 @@ static inline int walk(Slice *s, Scan *sc, Py_ssize_t mw, Py_ssize_t aw)
         for (Py_ssize_t w = 0; w < aw; w++)
             fresh += popcount(sums[w]);
         for (i64 x = s->e[r - 1] + 1; x <= top; x++) {
-            int t = fresh - shifted_overlap(sums, mask, mw, x)
-                    - (int)((sums[x >> 5] >> ((2 * x) & 63)) & 1);
-            if (sc->listing[t] && leaf_test(s, sc, x, t) < 0)
+            int n = shifted_overlap(sums, mask, mw, x) + has_sum(sums, 2 * x);
+            if (sc->listing[fresh - n] && leaf_test(s, sc, x, fresh - n, n) < 0)
                 return -1;
         }
     } while (slice_advance(s));

@@ -165,8 +165,7 @@ def test_compiled_slices_match_pure(compiled_kernel):
 
 def test_compiled_slices_match_pure_at_k7(compiled_kernel):
     # m = 32 is the first slice whose sumset needs a second accumulator word;
-    # m = 33 the first with no one-dimensional set, and the table walk's
-    # coverage test rejects 3,654 leaves there against 1,372 at m = 32
+    # m = 33 the first with no one-dimensional set
     for m in (6, 11, 17, 23, 32, 33):
         assert_same(compiled_kernel, "sweep_slice", 7, m, 23)
         ts = range(13, 24)
@@ -329,9 +328,10 @@ def uncovered_elements(elems):
 
 
 def test_a_set_with_an_uncovered_element_is_not_one_dimensional():
-    # the compiled slice walk rank-tests a leaf only when every element lies
-    # in a pair with a repeated sum; the pure Bareiss rank checks that rule on
-    # every normal k-set with k = 4..7 and max <= 14
+    # a one-dimensional set has every element in a pair with a repeated sum
+    # (an element in no such pair has coefficient 0 in every relation row);
+    # the pure Bareiss rank checks that rule on every normal k-set with
+    # k = 4..7 and max <= 14
     seen = collections.Counter()
     for k in range(4, 8):
         for m in range(k - 1, 15):
@@ -526,6 +526,61 @@ def test_compiled_census_matches_pure_at_k7(compiled_kernel):
     for m in (6, 11, 17, 23, 32, 33):
         for mask in (-1, 0b101010):
             assert_same(compiled_kernel, "census_slice", 7, m, dict.fromkeys(range(13, 24), mask))
+
+
+# small slices of k = 8..12, up to MAXK = 12 with its 9 prefix columns; the
+# walk reads each leaf's kernel off its prefix's, so these must reach a
+# one-dimensional prefix (a prefix kernel of 0, no row needed from x) and a
+# leaf whose only new relation is 2x
+WIDE_CENSUS_SLICES = [(8, 14), (8, 16), (9, 13), (9, 14), (10, 12), (10, 14), (11, 13), (12, 14)]
+
+
+def test_compiled_census_matches_pure_at_k8_to_k12(compiled_kernel):
+    cases = collections.Counter()
+    for k, m in WIDE_CENSUS_SLICES:
+        for mask in (0b101010, -1):
+            listing = dict.fromkeys(range(k * (k + 1) // 2 + 1), mask)
+            want = pure.census_slice(k, m, listing)
+            got = compiled_kernel.census_slice(k, m, listing)
+            assert got == want and list(got) == list(want), (k, m, mask)
+        for _, _, sets in want.values():
+            for a in sets:
+                # the walked member of a mirror pair, as its prefix and last element
+                prefix, x = a[:-2] + a[-1:], a[-2]
+                if a[1] + x > m or not pure.is_one_dimensional(prefix):
+                    continue
+                cases["one-dimensional prefix", k] += 1
+                two = {u + v for u in prefix for v in prefix}
+                if all(x + u not in two for u in prefix):
+                    assert 2 * x in two
+                    cases["2x only"] += 1
+    assert all(cases["one-dimensional prefix", k] for k in range(8, 13)), cases
+    assert cases["2x only"], cases
+
+
+@pytest.mark.slow
+def test_compiled_census_matches_a_rank_reference_on_every_k7_leaf(compiled_kernel):
+    # every gcd-1 leaf of the k = 7 table (m = 6..39) with every doubling
+    # listed, against hits from relation_rank (the compiled is_one_dimensional)
+    # over the pure walk, each with its mirror: counts, pairs and listed sets
+    k = 7
+    every_t = range(k * (k + 1) // 2 + 1)
+    for m in range(6, 40):
+        want = {}
+        for elems, t in pure.normal_tuples(k, m):
+            if not compiled_kernel.is_one_dimensional(elems):
+                continue
+            sets = [elems]
+            if elems[1] + elems[-2] < m:
+                sets.append(tuple(m - x for x in reversed(elems)))
+            census = want.setdefault(t, [0, 0, []])
+            for a in sets:
+                census[0] += 1
+                census[1] += len(compiled_kernel.right_extensions(a))
+                census[2].append(a)
+        want = {t: (sets, pairs, sorted(listed)) for t, (sets, pairs, listed) in sorted(want.items())}
+        got = compiled_kernel.census_slice(k, m, dict.fromkeys(every_t, -1))
+        assert got == want and list(got) == list(want), m
 
 
 def test_census_reads_its_listing_alike(compiled_kernel):
