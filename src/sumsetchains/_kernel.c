@@ -28,24 +28,30 @@
  * The slice walk releases the GIL, so callers can run slices on threads: the
  * walk touches no Python object, and the tuples are built after taking the
  * GIL back.
- * lambda_rank and is_one_dimensional rank-test with relation_rank, which
- * eliminates over F_p, p = 2^31 - 1, by cross-multiplication, with no
- * division. It gives the rank over Q that the pure twin computes by Bareiss
- * elimination, capped at k - 2, on every input: each relation row
- * u_a + u_b - u_c - u_d has L2 norm at most sqrt(8), so by Hadamard's bound
- * every r x r minor with r <= k - 2 <= 10 is at most 8^5 = 32,768 < p in
- * absolute value and cannot vanish mod p unless it is 0 (see relation_rank).
- * The slice walk calls no relation_rank: a leaf is a hit when its relation
- * rows, restricted to the interior columns e[1..k-2], have kernel 0 over F_p,
- * read off the prefix's kernel and the rows x adds (see Slice). That is
- * relation_rank's verdict. The solutions of the relations hold 1 and A, whose
- * values at 0 and m are independent, so the rank is k - 2 exactly when no
- * nonzero solution has z_0 = z_m = 0. The rows span every relation: each
- * level adds one row per sum of its element e[i] that the level below holds,
- * against one pair of that sum, and any other pair of it differs from that
- * one by a relation of the level below (no other pair holding e[i] reaches
- * it). Each row is still u_a + u_b - u_c - u_d, of L2 norm at most sqrt(8) on
- * the interior columns, so the Hadamard argument holds with the same p.
+ * Rank: lambda_rank and is_one_dimensional (relation_rank) and the slice
+ * walk's leaf test (leaf_test) take the rank over F_p, p = 2^31 - 1, of a
+ * set's relation rows restricted to the interior columns e[1..k-2], with one
+ * row reduction, insert_row, by cross-multiplication with no division:
+ * relation_rank reduces the rows themselves, the walk a leaf's new rows on
+ * its prefix's kernel (see Slice). That rank is the rank over Q that the pure
+ * twin computes by Bareiss elimination, capped at k - 2, on every input:
+ * - The solutions z of the relations hold 1 and A, whose values at positions
+ *   0 and k - 1 are independent. So the solutions with z_0 = z_{k-1} = 0, the
+ *   kernel of the rows on the interior columns, have dimension 2 less than
+ *   all of them, on 2 columns less: the rank over Q stays, and k - 2 columns
+ *   cap it at k - 2. The rank is k - 2 exactly when that kernel is 0.
+ * - Each row is u_a + u_b - u_c - u_d. The elements are distinct, so an index
+ *   repeats only within a pair, as in the row (2, -1, -1) of a + a = b + c.
+ *   Its positive and negative parts each have L1 norm at most 2, so its L2
+ *   norm is at most sqrt(8), on the interior columns too.
+ * - By Hadamard's bound every r x r minor, r <= k - 2 <= 10, is at most
+ *   8^(r/2) <= 8^5 = 32,768 < p in absolute value. A minor nonzero mod p is
+ *   nonzero over Q, and a nonzero one stays nonzero mod p, so the rank is the
+ *   same over F_p and over Q.
+ * - The walk's rows span every relation: each level adds one row per sum of
+ *   its element e[i] that the level below holds, against one pair of that
+ *   sum, and any other pair of it differs from that one by a relation of the
+ *   level below (no other pair holding e[i] reaches it).
  * Popcount: the slice walk is built as target_clones("popcnt", "default")
  * where the compiler has that attribute on x86-64 ELF with glibc, whose ifunc
  * lets the dynamic loader pick the popcnt clone on a CPU that has the
@@ -278,11 +284,10 @@ static PyObject *doubling_size(PyObject *self, PyObject *elements)
  * reduces a product with two folds and no division. */
 #define RANK_P 2147483647ULL
 
-/* relation_rank and the slice walk's kernels are exact while p exceeds
- * 8^(r/2) for every rank r <= MAXK - 2 they reach; 1 << ceil(3r / 2) bounds
- * 8^(r/2) from above. */
+/* The rank is exact while p exceeds 8^(r/2) for every rank r <= MAXK - 2
+ * (see the header); 1 << ceil(3r / 2) bounds 8^(r/2) from above. */
 _Static_assert(RANK_P > (1ULL << ((3 * (MAXK - 2) + 1) / 2)),
-               "raising MAXK needs a larger rank prime: see relation_rank");
+               "raising MAXK needs a larger rank prime: see the header");
 
 /* x mod p for x < 2^63 */
 static u64 mod_p(u64 x)
@@ -297,32 +302,47 @@ static u64 mod_p(u64 x)
 #define SUM_SLOTS 256
 _Static_assert(2 * MAXPAIRS < SUM_SLOTS && SUM_SLOTS <= 256, "resize the pair-sum table");
 
+/* The most interior columns, and so the largest rank, of a k-set's rows. */
+#define KDIM (MAXK - 2)
+
+/* Reduces rows[j] (w residues) against the echelon rows, at[c] the row whose
+ * pivot is column c or -1, by cross-multiplication (row = row * pivot -
+ * pivot row * f); 1 when it stays nonzero, as the pivot of its first nonzero
+ * column. */
+static int insert_row(unsigned (*rows)[KDIM], signed char *at, int j, int w)
+{
+    unsigned *row = rows[j];
+    for (int c = 0; c < w; c++) {
+        if (row[c] == 0)
+            continue;
+        if (at[c] < 0) {
+            at[c] = (signed char)j;
+            return 1;
+        }
+        const unsigned *piv = rows[at[c]];
+        u64 p = piv[c], f = RANK_P - row[c];
+        for (int e = c; e < w; e++)
+            row[e] = (unsigned)mod_p(row[e] * p + piv[e] * f);
+    }
+    return 0;
+}
+
 /* Rank over Q of the relation rows of a set e[0..k-1], k <= MAXK, capped at
  * k - 2 as in _kernel_py: each pair (i <= j), in order, whose sum an earlier
- * pair had gives the row (latest such pair) - (this pair); a small hash
- * table on the sums finds that pair.
- *
- * The elimination runs over F_p by cross-multiplication (row_r = row_r * pivot
- * - row_pivot * f), so no step divides, and it gives the same capped rank:
- * - Each row is u_a + u_b - u_c - u_d. The elements are distinct, so an
- *   index repeats only within a pair, as in the row (2, -1, -1) of
- *   a + a = b + c. Its positive and negative parts each have L1 norm at
- *   most 2, so its L2 norm is at most sqrt(8).
- * - By Hadamard's bound every r x r minor is at most 8^(r/2) <= 8^5 =
- *   32,768 < p in absolute value, for r <= cap <= MAXK - 2 = 10.
- * - The rank mod p never exceeds the rank over Q, as a minor that is nonzero
- *   mod p is nonzero over Q. A nonzero minor of size min(rank over Q, cap)
- *   stays nonzero mod p. So min(rank, cap) is the same over F_p and over Q,
- *   and the elimination stops at cap on both. */
+ * pair had gives the row (latest such pair) - (this pair), found through a
+ * small hash table on the sums. Each row goes to insert_row on the interior
+ * columns (see the header) until the rank reaches k - 2. */
 static int relation_rank(const i64 *e, int k)
 {
     i64 key[SUM_SLOTS];
-    unsigned rows[MAXPAIRS][MAXK]; /* residues mod p */
+    unsigned rows[KDIM][KDIM]; /* residues mod p */
     unsigned char slot[SUM_SLOTS] = {0}; /* pair index + 1, 0 when free */
     unsigned char pi[MAXPAIRS], pj[MAXPAIRS];
-    int n = 0, nr = 0, i, j, c, r;
-    for (i = 0; i < k; i++) {
-        for (j = i; j < k; j++) {
+    signed char at[KDIM];
+    int n = 0, rank = 0, i, j, c;
+    memset(at, -1, sizeof(at));
+    for (i = 0; i < k && rank < k - 2; i++) {
+        for (j = i; j < k && rank < k - 2; j++) {
             i64 s = e[i] + e[j];
             unsigned h = (unsigned)(((u64)s * 0x9E3779B97F4A7C15ULL) >> 56);
             while (slot[h] && key[h] != s)
@@ -333,41 +353,15 @@ static int relation_rank(const i64 *e, int k)
                 d[pj[q]]++;
                 d[i]--;
                 d[j]--;
-                for (c = 0; c < k; c++)
-                    rows[nr][c] = (unsigned)(d[c] < 0 ? (i64)RANK_P + d[c] : d[c]);
-                nr++;
+                for (c = 1; c < k - 1; c++)
+                    rows[rank][c - 1] = (unsigned)(d[c] < 0 ? (i64)RANK_P + d[c] : d[c]);
+                rank += insert_row(rows, at, rank, k - 2);
             }
             key[h] = s;
             pi[n] = (unsigned char)i;
             pj[n] = (unsigned char)j;
             slot[h] = (unsigned char)(++n);
         }
-    }
-    int rank = 0, cap = k - 2;
-    for (int col = 0; col < k && nr > 0; col++) {
-        int pivot = rank;
-        while (pivot < nr && rows[pivot][col] == 0)
-            pivot++;
-        if (pivot == nr)
-            continue;
-        if (pivot != rank) {
-            unsigned t[MAXK];
-            memcpy(t, rows[rank], sizeof(t));
-            memcpy(rows[rank], rows[pivot], sizeof(t));
-            memcpy(rows[pivot], t, sizeof(t));
-        }
-        u64 p = rows[rank][col];
-        for (r = rank + 1; r < nr; r++) {
-            u64 f = rows[r][col];
-            if (f == 0)
-                continue;
-            for (c = col + 1; c < k; c++)
-                rows[r][c] = (unsigned)mod_p(rows[r][c] * p + rows[rank][c] * (RANK_P - f));
-            rows[r][col] = 0;
-        }
-        rank++;
-        if (rank >= cap)
-            return rank;
     }
     return rank;
 }
@@ -429,7 +423,6 @@ static PyObject *is_one_dimensional(PyObject *self, PyObject *elements)
  * and relation rank. The walk takes only the interiors with e[1] + e[r] <= m.
  * The mirror of one with e[1] + e[r] < m has e[1] + e[r] > m and is not
  * walked; when e[1] + e[r] == m the mirror is walked itself. */
-#define KDIM (MAXK - 2)
 typedef struct {
     int k, r, m;
     Py_ssize_t mw, aw;
@@ -658,27 +651,6 @@ static int census_hit(Slice *s, Scan *sc, int t)
     for (int i = 0; i < s->k; i++)
         refl[i] = s->m - s->e[s->k - 1 - i];
     return listed[1] ? hits_add(&sc->hits, s->k, t, refl) : 0;
-}
-
-/* Reduces rows[j] (w residues) against the echelon rows, at[c] the row whose
- * pivot is column c or -1, by cross-multiplication as relation_rank does; 1
- * when it stays nonzero, as the pivot of its first nonzero column. */
-static int insert_row(unsigned (*rows)[KDIM], signed char *at, int j, int w)
-{
-    unsigned *row = rows[j];
-    for (int c = 0; c < w; c++) {
-        if (row[c] == 0)
-            continue;
-        if (at[c] < 0) {
-            at[c] = (signed char)j;
-            return 1;
-        }
-        const unsigned *piv = rows[at[c]];
-        u64 p = piv[c], f = RANK_P - row[c];
-        for (int e = c; e < w; e++)
-            row[e] = (unsigned)mod_p(row[e] * p + piv[e] * f);
-    }
-    return 0;
 }
 
 /* A leaf x of the current prefix whose doubling t is wanted, n the number of

@@ -62,13 +62,6 @@ def sweep_slice(k, m, t_max):
     return _call("sweep_slice", k, m, t_max)
 
 
-# every set has the extension 2 max A, so a mask of -1 lists every set; ts is
-# read once, before either twin sees it
-def collect_slice(k, m, ts):
-    census = census_slice(k, m, dict.fromkeys(ts, -1))
-    return {t: listed for t, (_, _, listed) in census.items()}
-
-
 def census_slice(k, m, listing):
     return _call("census_slice", k, m, listing)
 

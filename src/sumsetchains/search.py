@@ -423,9 +423,12 @@ def vol1_oracle(
     The default bound mu(k,t) + k leaves slack above the conjectured
     maximum, so a counterexample just above it would be found, not assumed
     away. The report is read off the per-k slice table, which is cached on
-    disk and lists every set of a slice at or above mu(k, t); only a top
-    slice below mu(k, t) is walked again for its witnesses. A sweep over the
-    budget raises CapacityError unless force is set.
+    disk and lists every set of a slice at or above mu(k, t). The top slice
+    of the doubling is one of those, so its listed sets are the witnesses:
+    the bound is at least mu(k, t) (oracle_bound), and
+    attainment_construction(k, t) is a one-dimensional set of doubling t
+    whose maximum is mu(k, t). A sweep over the budget raises CapacityError
+    unless force is set.
     """
     prof = profile(k, t)
     bound = oracle_bound(k, t, bound)
@@ -434,12 +437,8 @@ def vol1_oracle(
     )
     ms = [m for m, census in slices.items() if t in census]
     if ms:
-        top = ms[-1]
-        observed = top + 1
-        if top >= prof.mu:
-            witnesses = tuple(map(IntSet, slices[top][t][2]))
-        else:
-            witnesses = tuple(map(IntSet, kernel.collect_slice(k, top, (t,))[t]))
+        observed = ms[-1] + 1
+        witnesses = tuple(map(IntSet, slices[ms[-1]][t][2]))
     else:
         observed = 0
         witnesses = ()

@@ -318,7 +318,7 @@ def test_a_warm_verify_walks_nothing(request, capsys, tmp_path, monkeypatch, k, 
     files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert list(files) == [f"slices_k{k}.json"]
     monkeypatch.setattr(search, "_SLICE_CACHE", {})
-    for name in ("sweep_slice", "collect_slice", "census_slice"):
+    for name in ("sweep_slice", "census_slice"):
         monkeypatch.setattr(search.kernel, name, walked)
     assert run(capsys, "verify", "--k", str(k)) == cold
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files

@@ -142,6 +142,13 @@ def test_compiled_rank_matches_bareiss_on_dense_12_sets(compiled_kernel):
     cases = list(itertools.combinations(range(15), 12))
     rng = random.Random(3)
     cases += [tuple(sorted(rng.sample(range(24), 12))) for _ in range(300)]
+    # the early stop at rank 10, which 12-term progressions reach well before
+    # their last pair, near both ends of the element range; and 1- and 2-sets,
+    # which have no interior column
+    for step in (1, 3, 2**56):
+        for first in (-(2**60), 1 - 2**60, 2**60 - 11 * step, 2**60 - 11 * step - 1):
+            cases.append(tuple(first + i * step for i in range(12)))
+    cases += [(0,), (-(2**60),), (2**60,), (0, 1), (-(2**60), 2**60), (5, 2**56)]
     ones = 0
     for elems in cases:
         for name in RANK_FUNCTIONS:
@@ -259,8 +266,8 @@ HALF_WALK_SLICES = (
 
 def listed(twin, k, m, ts):
     """{t: every normal one-dimensional k-set with max m and doubling t} over
-    the t in ts, as the facade's collect_slice reads it off a twin's census:
-    every set has the extension 2 max A, so a mask of -1 lists every set."""
+    the t in ts, read off a twin's census: every set has the extension
+    2 max A, so a mask of -1 lists every set."""
     return {t: sets for t, (_, _, sets) in twin.census_slice(k, m, dict.fromkeys(ts, -1)).items()}
 
 
@@ -418,7 +425,7 @@ def test_right_extension_xs_are_the_extension_candidates():
     for k in range(3, 7):
         lo, hi = t_range(k)
         for m in range(k - 1, mu(k, hi) + k + 1):
-            for t, sets in kernel.collect_slice(k, m, range(lo, hi + 1)).items():
+            for t, sets in listed(kernel, k, m, range(lo, hi + 1)).items():
                 if m > mu(k, t) + k:
                     continue
                 for elems in sets:
@@ -562,7 +569,10 @@ def test_compiled_census_matches_pure_at_k8_to_k12(compiled_kernel):
 def test_compiled_census_matches_a_rank_reference_on_every_k7_leaf(compiled_kernel):
     # every gcd-1 leaf of the k = 7 table (m = 6..39) with every doubling
     # listed, against hits from relation_rank (the compiled is_one_dimensional)
-    # over the pure walk, each with its mirror: counts, pairs and listed sets
+    # over the pure walk, each with its mirror: counts, pairs and listed sets.
+    # The chain of trust: Bareiss checks relation_rank in tier-1 (the rank
+    # tests above), and relation_rank checks the walk's leaf test here; the
+    # two share only insert_row, the kernel's one row reduction
     k = 7
     every_t = range(k * (k + 1) // 2 + 1)
     for m in range(6, 40):
@@ -1027,7 +1037,7 @@ def test_slice_functions_agree():
         t_cap = k * (k + 1) // 2
         assert kernel.sweep_slice(k, m, t_cap) == pure.sweep_slice(k, m, t_cap)
         ts = tuple(pure.sweep_slice(k, m, t_cap))
-        assert kernel.collect_slice(k, m, ts) == listed(pure, k, m, ts)
+        assert listed(kernel, k, m, ts) == listed(pure, k, m, ts)
 
 
 def test_sweep_slice_reports_realized_doublings():
@@ -1077,13 +1087,11 @@ def test_facade_straddles_the_caps(compiled_facade):
         t_cap = k * (k + 1) // 2
         ts = pure.sweep_slice(k, k + 1, t_cap)
         assert ts and compiled_facade.sweep_slice(k, k + 1, t_cap) == ts
-        assert compiled_facade.collect_slice(k, k + 1, ts) == listed(pure, k, k + 1, ts)
+        assert listed(compiled_facade, k, k + 1, ts) == listed(pure, k, k + 1, ts)
     # m = 511 runs compiled, m = 512 pure
     for m in (511, 512):
         assert compiled_facade.sweep_slice(3, m, 6) == pure.sweep_slice(3, m, 6)
-        # an iterator ts reaches the pure twin whole past the cap
-        ts = range(7)
-        assert compiled_facade.collect_slice(3, m, iter(ts)) == listed(pure, 3, m, ts)
+        assert listed(compiled_facade, 3, m, range(7)) == listed(pure, 3, m, range(7))
     # doubling span 2**20 runs compiled, 2**20 + 1 pure
     for span in (1 << 20, (1 << 20) + 1):
         for elems in [(0, span), (0, 1, span // 2, span), (-5, 3, span - 5)]:

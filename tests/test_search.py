@@ -153,7 +153,6 @@ class TestOracle:
         # a fresh process reads the table from disk and walks nothing
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
         monkeypatch.setattr(search.kernel, "census_slice", None)
-        monkeypatch.setattr(search.kernel, "collect_slice", None)
         warm = vol1_oracle(6, 14)
         assert warm.as_dict() == cold.as_dict()
         assert json.loads(path.read_text()) == stored
@@ -281,6 +280,14 @@ class TestOracle:
         a = attainment_construction(5, 12)
         assert a == S("{0,2,3,4,8}")
         assert a in vol1_oracle(5, 12).witness_sets
+        # vol1_oracle reads its witnesses off the listed sets of the top slice,
+        # which this set puts at or above mu(k, t)
+        for k in range(3, 11):
+            lo, hi = t_range(k)
+            for t in range(lo, hi + 1):
+                a = attainment_construction(k, t)
+                assert (len(a), doubling(a), min(a), max(a)) == (k, t, 0, mu(k, t))
+                assert is_one_dimensional(a)
 
     def test_is_1_extremal(self):
         assert is_1_extremal(S("{0,1,2,4,8}"))
@@ -585,13 +592,11 @@ class TestExtensionChecks:
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
         monkeypatch.setattr(search, "DEFAULT_BUDGET", 100)
-        census, collect = search.kernel.census_slice, search.kernel.collect_slice
+        census = search.kernel.census_slice
         monkeypatch.setattr(search.kernel, "census_slice", no_walk)
-        monkeypatch.setattr(search.kernel, "collect_slice", no_walk)
         with pytest.raises(CapacityError, match="--force"):
             extension_lemma_sweep(5)
         monkeypatch.setattr(search.kernel, "census_slice", census)
-        monkeypatch.setattr(search.kernel, "collect_slice", collect)
         verify_conjecture(5, force=True)
         # the forced table covers the sweep's bound, so it is served as is
         report = extension_lemma_sweep(5)
@@ -599,8 +604,8 @@ class TestExtensionChecks:
 
     def test_sweep_collects_each_slice_once_over_its_table_entry(self, tmp_path, monkeypatch):
         # the table walk takes the census: a cold sweep walks each slice
-        # once, largest first, over every legal doubling, and collects
-        # nothing; a warm one walks nothing
+        # once, largest first, over every legal doubling, and makes no other
+        # census call; a warm one walks nothing
         calls = []
         census = search.kernel.census_slice
 
@@ -608,13 +613,9 @@ class TestExtensionChecks:
             calls.append((m, tuple(listing)))
             return census(k, m, listing)
 
-        def no_collect(*args):
-            raise AssertionError("collected")
-
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(search, "_SLICE_CACHE", {})
         monkeypatch.setattr(search.kernel, "census_slice", recording)
-        monkeypatch.setattr(search.kernel, "collect_slice", no_collect)
         report = extension_lemma_sweep(5)
         assert (report.sets_checked, report.pairs_checked) == (20, 122)
         lo, hi = t_range(5)
@@ -860,14 +861,16 @@ class TestExtensionChecks:
 
 def per_set_sweep(k):
     """The census of every slice the extension sweep covers, and the sweep's
-    violations, by the per-set loop the census replaced: collect_slice over
-    the legal doublings, right_extensions per set and _passing_pairs. Returns
-    {m: {t: (sets, pairs, listed)}} and [(elements, check)] in sweep order."""
+    violations, by the per-set loop the census replaced: every set of the
+    legal doublings (a census listing every set), right_extensions per set
+    and _passing_pairs. Returns {m: {t: (sets, pairs, listed)}} and
+    [(elements, check)] in sweep order."""
     lo, hi = t_range(k)
+    listing = dict.fromkeys(range(lo, hi + 1), -1)
     table, violations = {}, []
     for m in range(k - 1, mu(k, hi) + k + 1):
         census = table[m] = {}
-        for t, sets in search.kernel.collect_slice(k, m, range(lo, hi + 1)).items():
+        for t, (_, _, sets) in search.kernel.census_slice(k, m, listing).items():
             top = mu(k, t)
             passing = search._passing_pairs(k, t)
             pairs, listed = 0, []
@@ -942,7 +945,9 @@ def test_a_failing_pair_lists_its_sets(backend, failing_pairs, tmp_path, monkeyp
     m, t, a = next(
         (m, t, sets[0])
         for m in range(k - 1, mu(k, hi) + 1)
-        for t, sets in search.kernel.collect_slice(k, m, range(lo, hi + 1)).items()
+        for t, (_, _, sets) in search.kernel.census_slice(
+            k, m, dict.fromkeys(range(lo, hi + 1), -1)
+        ).items()
         if m < mu(k, t)
     )
     overlap = search.kernel.right_extensions(a)[0][2]
