@@ -28,10 +28,10 @@
  * The slice walk releases the GIL, so callers can run slices on threads: the
  * walk touches no Python object, and the tuples are built after taking the
  * GIL back.
- * Rank: lambda_rank and is_one_dimensional (relation_rank) and the slice
- * walk's leaf test (leaf_test) take the rank over F_p, p = 2^31 - 1, of a
- * set's relation rows restricted to the interior columns e[1..k-2], with one
- * row reduction, insert_row, by cross-multiplication with no division:
+ * Rank: lambda_rank (relation_rank) and the slice walk's leaf test
+ * (leaf_test) take the rank over F_p, p = 2^31 - 1, of a set's relation
+ * rows restricted to the interior columns e[1..k-2], with one row
+ * reduction, insert_row, by cross-multiplication with no division:
  * relation_rank reduces the rows themselves, the walk a leaf's new rows on
  * its prefix's kernel (see Slice). That rank is the rank over Q that the pure
  * twin computes by Bareiss elimination, capped at k - 2, on every input:
@@ -58,11 +58,11 @@
  * instruction; GCC compiles the portable popcount to popcnt in that clone.
  * Every other build, and the default clone, keeps the portable count, and
  * setup.py passes no instruction-set flag.
- * Input: doubling_size, lambda_rank, is_one_dimensional, right_extensions
- * and chain_children take a set, a nonempty, strictly ascending iterable of
- * ints, which read_set reads for all five. A non-integer raises TypeError,
- * empty input IndexError and input not strictly ascending ValueError, with
- * the pure twin's messages.
+ * Input: doubling_size, lambda_rank, right_extensions and chain_children
+ * take a set, a nonempty, strictly ascending iterable of ints, which
+ * read_set reads for all four. A non-integer raises TypeError, empty input
+ * IndexError and input not strictly ascending ValueError, with the pure
+ * twin's messages.
  * Limits: elements with |e| <= 2^60 (the IntSet range), at most 12 elements
  * for rank work (the prime bound above), slice maxima m <= 511, and spans
  * <= 2^20 for the masks (read_masks). Past a limit it raises OverflowError;
@@ -366,36 +366,22 @@ static int relation_rank(const i64 *e, int k)
     return rank;
 }
 
-/* relation_rank of the offsets read_set reads (the rank does not see a
- * translation), and the size *k of the set; -1 with an exception set,
- * OverflowError past MAXK elements. */
-static int set_rank(PyObject *elements, const char *what, Py_ssize_t *k)
-{
-    i64 base, *off = read_set(elements, what, k, &base);
-    int rank = -1;
-    if (off == NULL)
-        return -1;
-    if (*k > MAXK)
-        PyErr_Format(PyExc_OverflowError, "the compiled %s takes at most %d elements", what, MAXK);
-    else
-        rank = relation_rank(off, (int)*k);
-    PyMem_Free(off);
-    return rank;
-}
-
+/* relation_rank of a set's offsets from its minimum (the rank does not see
+ * a translation); OverflowError past MAXK elements. */
 static PyObject *lambda_rank(PyObject *self, PyObject *elements)
 {
     Py_ssize_t k;
-    int rank = set_rank(elements, "lambda_rank", &k);
-    return rank < 0 ? NULL : PyLong_FromLong(rank);
-}
-
-static PyObject *is_one_dimensional(PyObject *self, PyObject *elements)
-{
-    Py_ssize_t k;
-    int rank = set_rank(elements, "is_one_dimensional", &k);
-    /* rank 0 for every 1- and 2-set, which have no relation */
-    return rank < 0 ? NULL : PyBool_FromLong(rank == k - 2);
+    i64 base, *off = read_set(elements, "lambda_rank", &k, &base);
+    PyObject *out = NULL;
+    if (off == NULL)
+        return NULL;
+    if (k > MAXK)
+        PyErr_Format(PyExc_OverflowError, "the compiled lambda_rank takes at most %d elements",
+                     MAXK);
+    else
+        out = PyLong_FromLong(relation_rank(off, (int)k));
+    PyMem_Free(off);
+    return out;
 }
 
 /* A slice walks the normal-form k-sets {0 < e[1] < ... < e[r] < m}, r = k - 2,
@@ -932,7 +918,6 @@ static PyObject *chain_children(PyObject *self, PyObject *args, PyObject *kwargs
 static PyMethodDef kernel_methods[] = {
     {"doubling_size", doubling_size, METH_O, "|A + A| for a set A."},
     {"lambda_rank", lambda_rank, METH_O, "Rank of the additive-relation vectors of A."},
-    {"is_one_dimensional", is_one_dimensional, METH_O, "Whether lambda_rank(A) is |A| - 2."},
     {"right_extensions", right_extensions, METH_O,
      "(x, |2(A | {x})|, |2A & (x + A)|) for every x > max A in 2A - A, ascending."},
     {"chain_children", (PyCFunction)(void (*)(void))chain_children, METH_VARARGS | METH_KEYWORDS,

@@ -34,9 +34,9 @@ y + a = b + c with y-coefficient 1, independent of A's relations, whose
 y-coefficient is 0; so rank(A ∪ {y}) >= (|A| - 2) + 1 = |A ∪ {y}| - 2, the
 most a rank can be.
 
-The five set primitives (doubling_size, lambda_rank, is_one_dimensional,
-right_extensions, chain_children) take a set, a nonempty, strictly ascending
-iterable of ints, which _read_set reads with the compiled twin's errors.
+The four set primitives (doubling_size, lambda_rank, right_extensions,
+chain_children) take a set, a nonempty, strictly ascending iterable of ints,
+which _read_set reads with the compiled twin's errors.
 census_slice reads each hit through _read_masks, so through that check too.
 
 doubling_size, right_extensions and chain_children read their set through
@@ -237,13 +237,6 @@ def _relation_rank(elements: tuple[int, ...]) -> int:
 def lambda_rank(elements: tuple[int, ...]) -> int:
     """Rank of the additive-relation vectors of a set A (at most |A| - 2)."""
     return _relation_rank(_read_set(elements, "lambda_rank"))
-
-
-def is_one_dimensional(elements: tuple[int, ...]) -> bool:
-    """Whether a set A has rank |A| - 2: every 2-set, no 1-set, as neither
-    has a relation."""
-    elements = _read_set(elements, "is_one_dimensional")
-    return _relation_rank(elements) == len(elements) - 2
 
 
 def normal_tuples(k: int, m: int):

@@ -17,7 +17,6 @@ per cardinality and answering membership from it.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from . import kernel
@@ -34,15 +33,7 @@ def volume_1d(a: IntSet) -> int:
     """Hull length of the normal form, for one-dimensional sets only."""
     if not is_one_dimensional(a):
         raise ValueError(f"volume_1d requires a one-dimensional set, got {a.to_text()}")
-    return _raw_volume(a.elements)
-
-
-def _raw_volume(elems: tuple[int, ...]) -> int:
-    base = elems[0]
-    g = 0
-    for e in elems[1:]:
-        g = math.gcd(g, e - base)
-    return (elems[-1] - base) // g + 1 if g else 1
+    return normal_tuple(a.elements)[0][-1] + 1
 
 
 def _canonical_tuple(elems: tuple[int, ...]) -> tuple[int, ...]:
@@ -79,9 +70,9 @@ def is_chain_extension(prev: IntSet, nxt: IntSet) -> bool:
     t_next = pool.get(y)
     if t_next is None or t_next > t_range(len(nxt))[1]:
         return False
-    vol_next = _raw_volume(nxt.elements)
+    vol_next = normal_tuple(nxt.elements)[0][-1] + 1
     rivals = (z for z, t in pool.items() if t == t_next)
-    return all(_raw_volume(prev.adjoin(z).elements) <= vol_next for z in rivals)
+    return all(normal_tuple(prev.adjoin(z).elements)[0][-1] + 1 <= vol_next for z in rivals)
 
 
 # _LEVELS[k] maps each canonical k-element chain to its doubling; levels are
@@ -172,7 +163,7 @@ def is_chain(a: IntSet) -> ChainCertificate | None:
         sets=tuple(s for s, _ in layers),
         profiles=tuple(profile(len(s), t) for s, t in layers),
         factorization=fact,
-        volume=_raw_volume(a.elements),
+        volume=normal_tuple(a.elements)[0][-1] + 1,
     )
 
 
@@ -191,8 +182,9 @@ def enumerate_chains(k: int) -> list[EnumeratedChain]:
     if k > CHAIN_ENUM_CAP:
         raise CapacityError(f"chain enumeration capped at k <= {CHAIN_ENUM_CAP}, got {k}")
     level = _chain_level(k)
+    # a canonical form is normal, so its volume is its maximum + 1
     return [
-        EnumeratedChain(set=IntSet(c), profile=profile(k, t), volume=_raw_volume(c))
+        EnumeratedChain(set=IntSet(c), profile=profile(k, t), volume=c[-1] + 1)
         for c, t in sorted(level.items(), key=lambda item: (item[1], item[0]))
     ]
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import kernel
 from .chains import enumerate_chains, is_chain, verify_main_theorem
 from .dimension import additive_dim, f_isomorphism, relation_rank
-from .doubling import profile, t_range
+from .doubling import profile
 from .errors import (
     CapacityError,
     DecompositionNotUnique,
@@ -36,7 +36,6 @@ from .search import (
     check_uniqueness_lemmas,
     extension_lemma_sweep,
     kernel_digest,
-    oracle_bound,
     verify_conjecture,
     vol1_oracle,
 )
@@ -245,12 +244,7 @@ def _search_reports(args) -> list:
     kwargs = dict(threads=args.threads, use_cache=not args.no_cache, force=args.force)
     if args.t is not None:
         return [vol1_oracle(args.k, args.t, args.bound, **kwargs)]
-    if args.bound is not None:
-        lo, hi = t_range(args.k)
-        for t in range(lo, hi + 1):  # every class's bound, before any walk
-            oracle_bound(args.k, t, args.bound)
-        return [vol1_oracle(args.k, t, args.bound, **kwargs) for t in range(lo, hi + 1)]
-    return verify_conjecture(args.k, **kwargs)
+    return verify_conjecture(args.k, args.bound, **kwargs)
 
 
 def _search_csv(reports) -> str:

@@ -34,10 +34,11 @@ def _call(name, *args):
     return getattr(_py, name)(*args)
 
 
-# The five set primitives take a set as any iterable of ints; a one-shot iterator
+# The four set primitives take a set as any iterable of ints; a one-shot iterator
 # becomes a tuple first (so do chain_children's floors), or the compiled twin
 # would use it up before an OverflowError sends it on to the pure twin. Both
-# twins reject a non-set alike (see _kernel_py).
+# twins reject a non-set alike (see _kernel_py). is_one_dimensional is read off
+# lambda_rank, so it rejects what lambda_rank rejects, with its message.
 def doubling_size(elements):
     return _call("doubling_size", tuple(elements))
 
@@ -47,7 +48,9 @@ def lambda_rank(elements):
 
 
 def is_one_dimensional(elements):
-    return _call("is_one_dimensional", tuple(elements))
+    # rank |A| - 2: every 2-set (rank 0, no relation), no 1-set
+    elements = tuple(elements)
+    return _call("lambda_rank", elements) == len(elements) - 2
 
 
 def right_extensions(elements):

@@ -185,14 +185,12 @@ def _census_inputs(k: int) -> dict[int, tuple[int, int]]:
 
 
 def _listing(k: int, m: int, inputs: dict[int, tuple[int, int]]) -> dict[int, int]:
-    """The census_slice listing of slice m: every set of a doubling t with
-    m >= mu(k, t), which the oracle reads as witnesses and violations, and
-    up to the extension sweep's bound mu(k, t) + k the sets with a failing
-    pair, which the sweep checks pair by pair."""
-    return {
-        t: -1 if m >= top else failing if m <= top + k else 0
-        for t, (top, failing) in inputs.items()
-    }
+    """The census_slice listing of slice m, per doubling t. From mu(k, t)
+    up it lists every set (-1): the oracle reads these as witnesses and
+    violations, and the extension sweep reads them up to its bound
+    mu(k, t) + k. Below mu(k, t) it lists only the sets with a failing pair
+    (failing), which the sweep checks pair by pair."""
+    return {t: -1 if m >= top else failing for t, (top, failing) in inputs.items()}
 
 
 def _read_census(k: int, m: int, t: int, top: int, entry) -> tuple | None:
@@ -476,44 +474,39 @@ def attainment_construction(k: int, t: int) -> IntSet:
 
 def is_1_extremal(a: IntSet, *, threads: int = 1, use_cache: bool = True) -> bool:
     """Does a have the largest volume among one-dimensional sets with its
-    cardinality and doubling? Decided by the exhaustive oracle's slice table
-    up to its default bound, without collecting witnesses; a sweep over the
-    budget raises CapacityError."""
-    return _top_volume(len(a), doubling(a), chains.volume_1d(a), threads, use_cache)
-
-
-def _top_volume(k: int, t: int, vol: int, threads: int, use_cache: bool) -> bool:
-    """is_1_extremal for a one-dimensional k-set of doubling t and volume
-    vol, which the caller already knows."""
-    slices = _realized_slices(
-        k, mu(k, t) + k, threads=threads, use_cache=use_cache, force=False
-    )
-    ms = [m for m, census in slices.items() if t in census]
-    return vol == (ms[-1] + 1 if ms else 0)
+    cardinality and doubling? Its volume (ValueError when a is not
+    one-dimensional) against the observed_max_vol of vol1_oracle at its
+    default bound; a sweep over the budget raises CapacityError."""
+    vol = chains.volume_1d(a)
+    report = vol1_oracle(len(a), doubling(a), threads=threads, use_cache=use_cache)
+    return vol == report.observed_max_vol
 
 
 def verify_conjecture(
     k: int,
+    bound: int | None = None,
     *,
     threads: int = 1,
     use_cache: bool = True,
     force: bool = False,
 ) -> list[SearchReport]:
-    """One oracle report per legal doubling at cardinality k.
+    """One oracle report per legal doubling t at cardinality k, each swept to
+    oracle_bound(k, t, bound).
 
-    The slices missing from the table for all of them are swept first in one
-    pass (one fan-out), up to the largest default bound, mu(k, T) + k
-    at the top doubling T; over the budget that raises CapacityError before
-    anything is swept, unless force is set.
+    Every class's bound is checked first, in ascending t, so a bound below
+    some mu(k, t) raises the first such class's ValueError before any walk.
+    The slices missing from the table for all of them are then swept in one
+    pass (one fan-out), up to the largest bound: for None, mu(k, T) + k at
+    the top doubling T, as mu grows with t. Over the budget that raises
+    CapacityError before anything is swept, unless force is set.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
     lo, hi = t_range(k)
-    _realized_slices(
-        k, mu(k, hi) + k, threads=threads, use_cache=use_cache, force=force
-    )
+    walk = max(oracle_bound(k, t, bound) for t in range(lo, hi + 1))
+    _realized_slices(k, walk, threads=threads, use_cache=use_cache, force=force)
     return [
-        vol1_oracle(k, t, threads=threads, use_cache=use_cache, force=force)
+        vol1_oracle(k, t, bound, threads=threads, use_cache=use_cache, force=force)
         for t in range(lo, hi + 1)
     ]
 
@@ -654,7 +647,7 @@ def _extension_checks(
             and tx > large
             and _oracle_affordable(k + 1)
             # A ∪ {x} is normal, so its volume is x + 1
-            and _top_volume(k + 1, tx, x + 1, threads=1, use_cache=True)
+            and vol1_oracle(k + 1, tx).observed_max_vol == x + 1
         )
         if identities:
             if x != after.mu:
@@ -791,10 +784,12 @@ def _extremal_right_extensions(
     """The x > max B with B ∪ {x} one-dimensional and 1-extremal, for a normal
     one-dimensional B: the x of kernel.right_extensions(B), as an x outside
     2B - B leaves B ∪ {x} two-dimensional."""
+    k = len(b_set) + 1
+    # B ∪ {x} is normal, so its volume is x + 1
     return [
         x
         for x, tx, _ in kernel.right_extensions(b_set.elements)
-        if _top_volume(len(b_set) + 1, tx, x + 1, threads, use_cache)
+        if vol1_oracle(k, tx, threads=threads, use_cache=use_cache).observed_max_vol == x + 1
     ]
 
 

@@ -19,7 +19,13 @@ from sumsetchains.chains import _canonical_tuple, _chain_level
 from sumsetchains.doubling import mu, t_range
 from sumsetchains.intset import IntSet, doubling, sumset
 
-ELEMENT_FUNCTIONS = ("doubling_size", "lambda_rank", "is_one_dimensional")
+ELEMENT_FUNCTIONS = ("doubling_size", "lambda_rank")
+
+
+def one_dimensional(twin, elems):
+    """Whether twin's lambda_rank of elems is |A| - 2, as the facade's
+    is_one_dimensional reads it."""
+    return twin.lambda_rank(elems) == len(elems) - 2
 
 
 def small_tuples(max_k: int = 5, max_elem: int = 11):
@@ -62,7 +68,10 @@ def test_facade_matches_pure_exhaustively():
     for elems in small_tuples():
         assert kernel.doubling_size(elems) == pure.doubling_size(elems)
         assert kernel.lambda_rank(elems) == pure.lambda_rank(elems)
-        assert kernel.is_one_dimensional(elems) == pure.is_one_dimensional(elems)
+        assert kernel.is_one_dimensional(elems) == one_dimensional(pure, elems)
+    # rank 0, as no relation exists: every 2-set is one-dimensional, no 1-set
+    small = [(0,), (3,), (0, 1), (-5, 2**40)]
+    assert [kernel.is_one_dimensional(e) for e in small] == [False, False, True, True]
 
 
 def test_compiled_matches_pure_exhaustively(compiled_kernel):
@@ -87,15 +96,13 @@ def test_compiled_matches_pure_on_random_sets(compiled_kernel):
 @given(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=12, unique=True))
 def test_compiled_matches_pure_on_any_small_set(compiled_kernel, values):
     elems = tuple(sorted(values))
-    for name in ("lambda_rank", "is_one_dimensional"):
-        assert_same(compiled_kernel, name, elems)
+    assert_same(compiled_kernel, "lambda_rank", elems)
     if elems[-1] - elems[0] <= 1 << 20:
         assert_same(compiled_kernel, "doubling_size", elems)
 
 
 # The compiled rank eliminates over F_p, p = 2**31 - 1; the pure twin's
 # Bareiss rank over Q is the reference it must equal on every input.
-RANK_FUNCTIONS = ("lambda_rank", "is_one_dimensional")
 
 
 def test_compiled_rank_matches_bareiss_on_structured_sets(compiled_kernel):
@@ -113,8 +120,7 @@ def test_compiled_rank_matches_bareiss_on_structured_sets(compiled_kernel):
                     # the plane repeats values at big = 5: a draw is
                     # collapsed to the set it holds
                     elems = tuple(sorted(set(rng.sample(pool, k))))
-                    for name in RANK_FUNCTIONS:
-                        assert_same(compiled_kernel, name, elems)
+                    assert_same(compiled_kernel, "lambda_rank", elems)
                     dims.add(len(elems) - 2 - pure.lambda_rank(elems))
     assert {0, 1, 2} <= dims
 
@@ -129,11 +135,10 @@ def test_compiled_rank_matches_bareiss_with_repeated_elements(compiled_kernel):
     for elems in cases:
         is_set = all(a < b for a, b in zip(elems, elems[1:]))
         sets += is_set
-        for name in RANK_FUNCTIONS:
-            if is_set:
-                assert_same(compiled_kernel, name, elems)
-            else:
-                assert assert_rejected_alike(compiled_kernel, name, elems)[0] is ValueError
+        if is_set:
+            assert_same(compiled_kernel, "lambda_rank", elems)
+        else:
+            assert assert_rejected_alike(compiled_kernel, "lambda_rank", elems)[0] is ValueError
     assert 0 < sets < len(cases)
 
 
@@ -151,9 +156,8 @@ def test_compiled_rank_matches_bareiss_on_dense_12_sets(compiled_kernel):
     cases += [(0,), (-(2**60),), (2**60,), (0, 1), (-(2**60), 2**60), (5, 2**56)]
     ones = 0
     for elems in cases:
-        for name in RANK_FUNCTIONS:
-            assert_same(compiled_kernel, name, elems)
-        ones += pure.is_one_dimensional(elems)
+        assert_same(compiled_kernel, "lambda_rank", elems)
+        ones += one_dimensional(pure, elems)
     assert 0 < ones < len(cases)
 
 
@@ -235,7 +239,7 @@ def test_compiled_slice_walks_run_on_threads(compiled_kernel):
 def reference_collect(k, m, ts):
     """listed(twin, k, m, ts) from first principles, sharing no walker
     with the kernels: every interior from itertools.combinations, the pure
-    doubling_size and is_one_dimensional, groups keyed by sorted doubling.
+    doubling_size and lambda_rank, groups keyed by sorted doubling.
     Cached, as both twins check the same slices: callers must not mutate it."""
     out = {}
     for inner in itertools.combinations(range(1, m), k - 2):
@@ -243,7 +247,7 @@ def reference_collect(k, m, ts):
         if math.gcd(*elems) != 1:
             continue
         t = pure.doubling_size(elems)
-        if t in ts and pure.is_one_dimensional(elems):
+        if t in ts and one_dimensional(pure, elems):
             out.setdefault(t, []).append(elems)
     return {t: out[t] for t in sorted(out)}
 
@@ -346,7 +350,7 @@ def test_a_set_with_an_uncovered_element_is_not_one_dimensional():
                 elems = (0, *inner, m)
                 if math.gcd(*elems) != 1:
                     continue
-                one_dim = pure.is_one_dimensional(elems)
+                one_dim = one_dimensional(pure, elems)
                 covered = not uncovered_elements(elems)
                 assert covered or not one_dim, elems
                 seen[covered, one_dim] += 1
@@ -357,7 +361,7 @@ def test_a_set_with_an_uncovered_element_is_not_one_dimensional():
 def test_a_small_set_with_an_uncovered_element_is_not_one_dimensional(values):
     elems = tuple(sorted(values))
     if uncovered_elements(elems):
-        assert not pure.is_one_dimensional(elems), elems
+        assert not one_dimensional(pure, elems), elems
 
 
 def reference_right_extensions(elements):
@@ -554,7 +558,7 @@ def test_compiled_census_matches_pure_at_k8_to_k12(compiled_kernel):
             for a in sets:
                 # the walked member of a mirror pair, as its prefix and last element
                 prefix, x = a[:-2] + a[-1:], a[-2]
-                if a[1] + x > m or not pure.is_one_dimensional(prefix):
+                if a[1] + x > m or not one_dimensional(pure, prefix):
                     continue
                 cases["one-dimensional prefix", k] += 1
                 two = {u + v for u in prefix for v in prefix}
@@ -568,7 +572,7 @@ def test_compiled_census_matches_pure_at_k8_to_k12(compiled_kernel):
 @pytest.mark.slow
 def test_compiled_census_matches_a_rank_reference_on_every_k7_leaf(compiled_kernel):
     # every gcd-1 leaf of the k = 7 table (m = 6..39) with every doubling
-    # listed, against hits from relation_rank (the compiled is_one_dimensional)
+    # listed, against hits from relation_rank (the compiled lambda_rank)
     # over the pure walk, each with its mirror: counts, pairs and listed sets.
     # The chain of trust: Bareiss checks relation_rank in tier-1 (the rank
     # tests above), and relation_rank checks the walk's leaf test here; the
@@ -578,7 +582,7 @@ def test_compiled_census_matches_a_rank_reference_on_every_k7_leaf(compiled_kern
     for m in range(6, 40):
         want = {}
         for elems, t in pure.normal_tuples(k, m):
-            if not compiled_kernel.is_one_dimensional(elems):
+            if not one_dimensional(compiled_kernel, elems):
                 continue
             sets = [elems]
             if elems[1] + elems[-2] < m:
@@ -705,7 +709,7 @@ def test_every_pool_child_of_a_chain_parent_is_one_dimensional(compiled_kernel):
 def test_every_pool_child_of_a_one_dimensional_set_is_one_dimensional(values):
     g = math.gcd(*values)
     elems = (0, *sorted(v // g for v in values))
-    if not pure.is_one_dimensional(elems):
+    if not one_dimensional(pure, elems):
         return
     children = pool_children(elems)
     for child in children:
@@ -730,11 +734,11 @@ def test_every_chain_of_levels_3_to_10_is_one_dimensional(compiled_facade, monke
 def test_a_parent_of_higher_dimension_keeps_every_pool_child(twin):
     # {0, 1, 3, 4} has the one relation 0 + 4 = 1 + 3, rank 1 < 2; no child
     # is rank tested, so the two-dimensional ones stay too
-    assert not pure.is_one_dimensional((0, 1, 3, 4))
+    assert not one_dimensional(pure, (0, 1, 3, 4))
     got = twin.chain_children((0, 1, 3, 4), 10**6)
     assert got == reference_chain_children((0, 1, 3, 4))
     assert len(got) == 8
-    assert sum(pure.is_one_dimensional(canon) for canon, _ in got) == 2
+    assert sum(one_dimensional(pure, canon) for canon, _ in got) == 2
 
 
 def test_chain_children_run_no_rank_test(monkeypatch):
@@ -749,7 +753,7 @@ def test_chain_children_run_no_rank_test(monkeypatch):
 
         return wrapper
 
-    for name in ("is_one_dimensional", "lambda_rank", "rank_of_rows"):
+    for name in ("lambda_rank", "rank_of_rows"):
         monkeypatch.setattr(pure, name, counted(name))
     for elems in [(0, 1, 2, 4, 8), (0, 1, 3, 4), (0, 1), (0,)]:
         pure.chain_children(elems, 10**6)
@@ -768,7 +772,7 @@ def test_chain_children_of_11_12_and_13_elements_match_on_both_twins(
     parents = {k: rng.sample(sorted(_chain_level(k)), 40) for k in (11, 12)}
     parents[13] = [canon for p in parents[12][:8] for canon, _ in pure.chain_children(p, 60)]
     two_dim = [p[:-1] + (p[-1] + 1,) for p in parents[12]]
-    parents[12] += [p for p in two_dim if not pure.is_one_dimensional(p)][:10]
+    parents[12] += [p for p in two_dim if not one_dimensional(pure, p)][:10]
     assert max(p[-1] for p in parents[12]) > 511
     for k, sets in parents.items():
         assert sets and all(len(p) == k for p in sets)
@@ -972,14 +976,17 @@ def test_facade_hands_floors_past_the_caps_to_the_pure_twin(compiled_facade):
     assert compiled_facade.chain_children(wide, 100, iter([0] * 9 + [2**21])) == want
 
 
-# every set primitive with its arguments after the set
-SET_PRIMITIVES = {
+# every set function of the facade with its arguments after the set: the
+# twins' four set primitives and is_one_dimensional, which the facade reads
+# off lambda_rank (READ_OFF), so it rejects what lambda_rank rejects
+SET_FUNCTIONS = {
     "doubling_size": (),
     "lambda_rank": (),
     "is_one_dimensional": (),
     "right_extensions": (),
     "chain_children": (10,),
 }
+READ_OFF = {"is_one_dimensional": "lambda_rank"}
 
 
 @pytest.mark.parametrize(
@@ -996,19 +1003,23 @@ SET_PRIMITIVES = {
     ],
     ids=repr,
 )
-@pytest.mark.parametrize("name", SET_PRIMITIVES)
+@pytest.mark.parametrize("name", SET_FUNCTIONS)
 def test_set_primitives_reject_bad_input_alike(
-    compiled_kernel, compiled_facade, name, elements, error
+    compiled_kernel, compiled_facade, monkeypatch, name, elements, error
 ):
     # a set is a nonempty, strictly ascending iterable of ints: both twins
     # raise the same type and message on anything else, and the facade does
-    # on a one-shot iterator
-    args = SET_PRIMITIVES[name]
-    want = assert_rejected_alike(compiled_kernel, name, elements, *args)
+    # on a one-shot iterator, with the compiled twin behind it and with the
+    # pure one alone
+    args = SET_FUNCTIONS[name]
+    primitive = READ_OFF.get(name, name)
+    want = assert_rejected_alike(compiled_kernel, primitive, elements, *args)
     assert want[0] is error
     if error is ValueError:
-        assert want[1] == f"{name} takes strictly ascending elements"
-    assert raised(getattr(compiled_facade, name), iter(elements), *args) == want
+        assert want[1] == f"{primitive} takes strictly ascending elements"
+    for c in (compiled_kernel, None):
+        monkeypatch.setattr(compiled_facade, "_c", c)
+        assert raised(getattr(compiled_facade, name), iter(elements), *args) == want
 
 
 def test_every_compiled_primitive_has_a_pure_twin_and_a_wrapper(compiled_kernel):
@@ -1063,8 +1074,6 @@ def test_compiled_refuses_input_past_its_caps(compiled_kernel):
     with pytest.raises(OverflowError):
         compiled_kernel.lambda_rank(tuple(range(13)))
     with pytest.raises(OverflowError):
-        compiled_kernel.is_one_dimensional(tuple(range(13)))
-    with pytest.raises(OverflowError):
         compiled_kernel.sweep_slice(3, 512, 6)
     with pytest.raises(OverflowError):
         compiled_kernel.census_slice(13, 20, {20: -1})
@@ -1081,7 +1090,7 @@ def test_facade_straddles_the_caps(compiled_facade):
         for _ in range(20):
             elems = tuple(sorted(rng.sample(range(60), k)))
             assert compiled_facade.lambda_rank(elems) == pure.lambda_rank(elems)
-            assert compiled_facade.is_one_dimensional(elems) == pure.is_one_dimensional(elems)
+            assert compiled_facade.is_one_dimensional(elems) == one_dimensional(pure, elems)
         progression = tuple(range(0, 3 * k, 3))
         assert compiled_facade.is_one_dimensional(progression)
         t_cap = k * (k + 1) // 2
@@ -1125,10 +1134,18 @@ def test_facade_straddles_the_caps(compiled_facade):
         ("census_slice", (4, 5, {9.0: 0})),
     ],
 )
-def test_non_integers_raise_type_error_on_both_backends(compiled_kernel, name, args):
+def test_non_integers_raise_type_error_on_both_backends(
+    compiled_kernel, monkeypatch, name, args
+):
+    primitive = READ_OFF.get(name, name)
     for backend in (pure, compiled_kernel):
         with pytest.raises(TypeError):
-            getattr(backend, name)(*args)
+            getattr(backend, primitive)(*args)
+    if name in READ_OFF:
+        # the facade, on either twin, raises what the primitive raises
+        for c in (compiled_kernel, None):
+            monkeypatch.setattr(kernel, "_c", c)
+            assert raised(getattr(kernel, name), *args) == raised(getattr(kernel, primitive), *args)
 
 
 def test_rank_of_rows_scaling_track():

@@ -30,6 +30,9 @@ SMALL_K = {
     ("search", "--k", "5"): "c267f9293089f8a992dbbbb42863398c02c1eed33abb586a818d79ba9698032b",
     ("search", "--k", "5", "--format", "json"):
         "4aa26d28472e82e38c9073132c2694cf8b614ff52ea32bfacd0c216642be60f7",
+    # one explicit bound for every class: each report's search_bound is 20
+    ("search", "--k", "5", "--bound", "20", "--format", "json"):
+        "7c77f4b256064bf6b7165cd2a0e7efa2da413bc780655172c017877914326dc4",
     ("verify", "--k", "5"): "a456f47400174fff1634d9f39912e7cd65e3b113d9eb947fba8d8954cc5118e2",
     ("verify", "--k", "5", "--format", "json"):
         "b1f9501cdd2cfcb796e8b369585e9f15d67c0b8bf85502e92d95e327405fe7da",
